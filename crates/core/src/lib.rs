@@ -1055,6 +1055,37 @@ mod tests {
     }
 
     #[test]
+    fn board_loss_repair_prunes_most_improve_probes() {
+        let lowered = MachineModel::parse("mesh-boards:2x2x4x4").unwrap().lower();
+        let sys = Oregami::new(lowered.net.clone()).with_options(MapperOptions {
+            load_bound: Some(2),
+            ..MapperOptions::default()
+        });
+        let r = sys
+            .map_source(&larcs::programs::jacobi(), &[("n", 8), ("iters", 2)])
+            .unwrap();
+        let faults = lowered.domains.board_fault_set(sys.network(), 1).unwrap();
+        let opts = RepairOptions {
+            domains: Some(lowered.domains.clone()),
+            ..RepairOptions::default()
+        };
+        let rec = sys.repair(&r, &faults, &opts).unwrap();
+        assert!(!rec.repair.escalated, "{:?}", rec.repair);
+        assert!(rec.repair.tasks_migrated > 0, "{:?}", rec.repair);
+        // the exhaustive scan probes every migrated task against every
+        // survivor with room under the load bound; the cost floor rules
+        // most tasks out unprobed
+        let all_pairs = rec.repair.tasks_migrated * rec.degraded.num_alive();
+        assert!(
+            rec.repair.improve_probes < all_pairs / 4,
+            "{} probes for {} migrated x {} alive",
+            rec.repair.improve_probes,
+            rec.repair.tasks_migrated,
+            rec.degraded.num_alive()
+        );
+    }
+
+    #[test]
     fn cancelled_budget_surfaces_as_map_error() {
         let sys = Oregami::new(builders::hypercube(2));
         let token = CancelToken::new();

@@ -206,7 +206,10 @@ impl AdmissionGate {
         self.ewma_at(self.now_micros())
     }
 
-    fn all_breakers_open(&self) -> bool {
+    /// Whether the breaker of every stage of the full fallback chain is
+    /// open (`multilevel` only runs when a request's chain names it, so
+    /// its breaker cannot hold the service up on its own).
+    pub(crate) fn all_breakers_open(&self) -> bool {
         [StageKind::Exhaustive, StageKind::Heuristic, StageKind::Identity]
             .iter()
             .all(|&k| self.supervisor.breaker(k).state == BreakerState::Open)

@@ -25,9 +25,8 @@ use crate::wire::{self, WireError};
 use oregami::graph::TaskGraph;
 use oregami::topology::{LinkId, ProcId};
 use oregami::{
-    Budget, BreakerState, ChaosConfig, FallbackChain, FaultSet, MapperOptions, Oregami,
-    OregamiError, OregamiResult, RepairOptions, RouteTableCache, StageKind, SupervisorConfig,
-    SupervisorState,
+    Budget, ChaosConfig, FallbackChain, FaultSet, MapperOptions, Oregami, OregamiError,
+    OregamiResult, RepairOptions, RouteTableCache, StageKind, SupervisorConfig, SupervisorState,
 };
 
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -678,20 +677,11 @@ impl Daemon {
     /// The daemon-level service verdict plus every counter a client (or
     /// the storm bench) wants in one read.
     fn health_json(&self) -> Json {
-        let kinds = [
-            ("exhaustive", StageKind::Exhaustive),
-            ("heuristic", StageKind::Heuristic),
-            ("identity", StageKind::Identity),
-        ];
         let mut breakers = obj();
-        let mut open = 0;
-        for (name, kind) in kinds {
+        for kind in StageKind::ALL {
             let v = self.supervisor.breaker(kind);
-            if v.state == BreakerState::Open {
-                open += 1;
-            }
             breakers = breakers.field(
-                name,
+                kind.name(),
                 obj()
                     .field("state", v.state.to_string())
                     .field("consecutive_failures", u64::from(v.consecutive_failures))
@@ -701,7 +691,8 @@ impl Daemon {
             );
         }
         let draining = self.draining.load(Ordering::SeqCst);
-        let service = if open == kinds.len() {
+        // the same test admission sheds `unserviceable` on
+        let service = if self.gate.all_breakers_open() {
             "unserviceable"
         } else if draining || self.supervisor.any_tripped() {
             "degraded"

@@ -672,6 +672,30 @@ fn identical_inflight_requests_coalesce() {
 }
 
 #[test]
+fn health_lists_a_breaker_for_every_stage_kind() {
+    let socket = scratch("breakers.sock");
+    let state = scratch("breakers.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+    let handle = Server::start(ServerConfig::new(&socket, &state)).expect("start server");
+
+    let mut client = connect_within(&socket, Duration::from_secs(15));
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let health = client.request(&obj().field("op", "health").build()).unwrap();
+    let Some(Json::Obj(breakers)) = health.get("breakers") else {
+        panic!("no breakers object: {}", health.render());
+    };
+    let names: Vec<&str> = breakers.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["exhaustive", "heuristic", "identity", "multilevel"]);
+    for (name, view) in breakers {
+        assert_eq!(view.get("state").and_then(Json::as_str), Some("closed"), "{name}");
+    }
+    assert_eq!(health.get("service").and_then(Json::as_str), Some("healthy"));
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
 fn machine_daemon_health_reports_domains_and_compression() {
     let socket = scratch("machine.sock");
     let state = scratch("machine.state");

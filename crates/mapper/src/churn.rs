@@ -866,21 +866,32 @@ impl ChurnController {
         let (degraded, table) = self.rebuild_degraded(&fp, &fl)?;
 
         let pre_cost = self.total_ewma();
-        let displaced: Vec<usize> = (0..self.tasks.len())
-            .filter(|&t| self.tasks[t].alive && !degraded.is_alive(self.tasks[t].proc))
-            .collect();
-
+        // One pass over the task table (departed slots included, so it
+        // is much longer than the live set): stranded tasks as a list and
+        // as a mask, everyone's processor, and the survivors' load.
         let mut out = ChurnOutcome::default();
-        let mut assignment: Vec<ProcId> = self.tasks.iter().map(|t| t.proc).collect();
+        let mut is_displaced = vec![false; self.tasks.len()];
+        let mut displaced: Vec<usize> = Vec::new();
+        let mut assignment: Vec<ProcId> = Vec::with_capacity(self.tasks.len());
         let mut load = vec![0usize; self.net.num_procs()];
         for (i, t) in self.tasks.iter().enumerate() {
-            if t.alive && !displaced.contains(&i) {
+            assignment.push(t.proc);
+            if !t.alive {
+                continue;
+            }
+            if degraded.is_alive(t.proc) {
                 load[t.proc.index()] += 1;
+            } else {
+                is_displaced[i] = true;
+                displaced.push(i);
             }
         }
 
         // Local pass: move each stranded task to the surviving processor
-        // closest to its live peers with room under the bound.
+        // closest to its live peers with room under the bound. Every
+        // displaced peer is skipped, placed or not; `repair_mapping`'s
+        // greedy pass skips only peers still stranded, so the two kernels
+        // choose different homes and are deliberately not merged.
         let mut local_ok = true;
         for &t in &displaced {
             let best = degraded
@@ -891,7 +902,7 @@ impl ChurnController {
                     for &ei in &self.adj[t] {
                         let e = &self.edges[ei];
                         let peer = if e.src == t { e.dst } else { e.src };
-                        if !self.tasks[peer].alive || displaced.contains(&peer) {
+                        if !self.tasks[peer].alive || is_displaced[peer] {
                             continue;
                         }
                         let d = table.dist(q, assignment[peer]);
@@ -1354,6 +1365,7 @@ fn empty_report() -> crate::repair::RepairReport {
         avg_dilation_after: 0.0,
         max_contention_before: 0,
         max_contention_after: 0,
+        improve_probes: 0,
         completion: Completion::Optimal,
         notes: Vec::new(),
     }

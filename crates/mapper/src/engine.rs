@@ -82,6 +82,15 @@ pub enum StageKind {
 }
 
 impl StageKind {
+    /// Every stage kind, in declaration order — for views that must not
+    /// forget one (the daemon's per-stage breaker listing).
+    pub const ALL: [StageKind; 4] = [
+        StageKind::Exhaustive,
+        StageKind::Heuristic,
+        StageKind::Identity,
+        StageKind::Multilevel,
+    ];
+
     /// Stable lower-case name used in reports and `--chain` specs.
     pub fn name(self) -> &'static str {
         match self {

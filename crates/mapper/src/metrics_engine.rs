@@ -30,6 +30,9 @@
 //! edit pushes an undo record, and [`MetricsEngine::undo`] reverts the
 //! most recent one — the probe-and-revert primitive the mapper's search
 //! loops (`repair`, `remap`, the fallback-chain ranking) are built on.
+//! [`MetricsEngine::cost_floor_without`] gives those loops an exact lower
+//! bound on every reassign of one task, so a scan that cannot beat the
+//! incumbent is never started.
 //!
 //! Ownership is copy-on-write: the engine borrows the task graph and
 //! holds the network and mapping as [`Cow`]s, so the batch path ("build
@@ -736,20 +739,29 @@ impl<'a> MetricsEngine<'a> {
     /// Swaps one edge's route in the mapping and patches the touched
     /// ledger entries; returns the displaced path.
     fn install_route(&mut self, k: usize, i: usize, path: Vec<ProcId>) -> Vec<ProcId> {
+        self.unledger_route(k, i, path.len() - 1);
+        let old = std::mem::replace(&mut self.mapping.to_mut().routes[k][i], path);
+        self.ledger_route(k, i);
+        old
+    }
+
+    /// Takes the route currently in the mapping for edge `(k, i)` out of
+    /// the ledgers; `d_next` is the dilation the edge holds until
+    /// [`ledger_route`](Self::ledger_route) runs again (the replacement
+    /// route's, or 0 for an edge lifted out altogether). Maxima only
+    /// shrink on this side, and only when the touched entry held the
+    /// current maximum — mark the ledger dirty (full rescan at the next
+    /// refresh) exactly then, so the common edit keeps every aggregate in
+    /// O(1).
+    fn unledger_route(&mut self, k: usize, i: usize, d_next: usize) {
         let net: &Network = &self.net;
         let volume = self.tg.comm_phases[k].edges[i].volume;
         let led = &mut self.phases[k];
-        let mapping = self.mapping.to_mut();
-        let old = std::mem::replace(&mut mapping.routes[k][i], path);
-
-        // Un-ledger the displaced path. Maxima only shrink on this side,
-        // and only when the touched entry held the current maximum — mark
-        // the ledger dirty (full rescan at the next refresh) exactly then,
-        // so the common edit keeps every aggregate in O(1).
+        let old = &self.mapping.routes[k][i];
         let d_old = old.len() - 1;
+        led.dilations[i] = d_next;
         led.dil_sum -= d_old as u64;
-        let new_len = mapping.routes[k][i].len();
-        if new_len - 1 < d_old && d_old == led.max_dilation {
+        if d_next < d_old && d_old == led.max_dilation {
             led.dirty = true;
         }
         for w in old.windows(2) {
@@ -766,9 +778,16 @@ impl<'a> MetricsEngine<'a> {
             }
             self.total_link_volume[l] = self.total_link_volume[l].saturating_sub(volume);
         }
-        // Ledger the new one. Maxima only grow on this side, so a clean
-        // ledger stays clean under O(1) max updates.
-        let new = &mapping.routes[k][i];
+    }
+
+    /// Enters the route currently in the mapping for edge `(k, i)` into
+    /// the ledgers. Maxima only grow on this side, so a clean ledger
+    /// stays clean under O(1) max updates.
+    fn ledger_route(&mut self, k: usize, i: usize) {
+        let net: &Network = &self.net;
+        let volume = self.tg.comm_phases[k].edges[i].volume;
+        let led = &mut self.phases[k];
+        let new = &self.mapping.routes[k][i];
         let d_new = new.len() - 1;
         led.dilations[i] = d_new;
         led.dil_sum += d_new as u64;
@@ -788,7 +807,6 @@ impl<'a> MetricsEngine<'a> {
                 self.max_total_volume = self.max_total_volume.max(self.total_link_volume[l]);
             }
         }
-        old
     }
 
     fn apply_reroute(
@@ -1112,6 +1130,54 @@ impl<'a> MetricsEngine<'a> {
             None => (0..self.phases.len())
                 .fold(0u64, |a, k| a.saturating_add(self.comm_slot_cost(k))),
         }
+    }
+
+    /// A lower bound on [`scalar_cost`](Self::scalar_cost) after *any*
+    /// `Reassign { task, .. }`: the scalar cost of the current mapping
+    /// with `task`'s incident routes and execution time lifted out of the
+    /// ledgers. A reassign is exactly that lift followed by ledgering
+    /// non-negative amounts back in; every slot cost is a maximum over
+    /// ledger entries and the phase expression combines slots with `+`,
+    /// `×k` and `max` only, so no placement of `task` can cost less. A
+    /// search loop whose incumbent is already at the floor can skip the
+    /// task's candidate scan without changing its outcome.
+    ///
+    /// The lift is put back before returning: ledgers, aggregates,
+    /// mapping and undo log are as they were. Costs about one
+    /// apply+undo probe.
+    ///
+    /// # Panics
+    /// If `task` is out of range.
+    pub fn cost_floor_without(&mut self, task: usize) -> u64 {
+        let tg = self.tg;
+        let proc = self.mapping.assignment[task].index();
+        // route-less mappings (load-only analysis) have nothing ledgered
+        let lifted = if self.mapping.routes.is_empty() {
+            0
+        } else {
+            self.incident[task].len()
+        };
+        for idx in 0..lifted {
+            let (k, i) = self.incident[task][idx];
+            self.unledger_route(k, i, 0);
+        }
+        for (x, ph) in tg.exec_phases.iter().enumerate() {
+            self.exec_per_proc[x][proc] -= ph.cost.of(task.into());
+        }
+        self.exec_dirty = true;
+        self.refresh();
+        let floor = self.scalar_cost();
+
+        for idx in 0..lifted {
+            let (k, i) = self.incident[task][idx];
+            self.ledger_route(k, i);
+        }
+        for (x, ph) in tg.exec_phases.iter().enumerate() {
+            self.exec_per_proc[x][proc] += ph.cost.of(task.into());
+        }
+        self.exec_dirty = true;
+        self.refresh();
+        floor
     }
 
     /// The current derived metric values (what [`MetricsDelta`] carries

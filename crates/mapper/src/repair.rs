@@ -23,7 +23,9 @@
 //!    the whole surviving machine. Greedy homes are then refined by a
 //!    probe-improve pass that re-costs each candidate exactly via
 //!    incremental [`MetricsEngine`] apply+undo probes (never trading an
-//!    intra-domain placement for a cross-domain one). The cost charged
+//!    intra-domain placement for a cross-domain one), skipping every
+//!    task whose incumbent cost already sits at its exact floor
+//!    ([`MetricsEngine::cost_floor_without`]). The cost charged
 //!    per migration follows the [`crate::remap`] model: `state_volume ·
 //!    hops`, with hops measured on the *healthy* network — the proxy for
 //!    shipping the task's checkpointed state from stable storage along
@@ -106,6 +108,9 @@ pub struct RepairReport {
     pub max_contention_before: u64,
     /// Max per-link message contention after repair.
     pub max_contention_after: u64,
+    /// Exact apply+undo probes the probe-improve pass ran (0 when it was
+    /// skipped or the repair escalated). Not rendered by `Display`.
+    pub improve_probes: usize,
     /// Whether the repair search ran to completion or was cut short by
     /// its [`Budget`] (the repaired mapping is valid either way; budgeted
     /// placement just falls back to load-only choices).
@@ -277,14 +282,29 @@ pub fn repair_mapping_cached(
 
     // ---- level 2: migrate tasks off dead processors ----
     let mut assignment = mapping.assignment.clone();
-    let displaced: Vec<usize> = (0..n)
-        .filter(|&t| !degraded.is_alive(assignment[t]))
-        .collect();
+    let is_displaced: Vec<bool> = assignment.iter().map(|&p| !degraded.is_alive(p)).collect();
+    let displaced: Vec<usize> = (0..n).filter(|&t| is_displaced[t]).collect();
 
     let mut load = vec![0usize; degraded.network().num_procs()];
     for (t, p) in assignment.iter().enumerate() {
-        if !displaced.contains(&t) {
+        if !is_displaced[t] {
             load[p.index()] += 1;
+        }
+    }
+
+    // `peers[t]` = (neighbor, volume) per edge incident to displaced task
+    // `t`, so scoring a candidate home walks the task's own edges only.
+    let mut peers: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+    for (_, e) in tg.all_edges() {
+        let (s, d) = (e.src.index(), e.dst.index());
+        if s == d {
+            continue;
+        }
+        if is_displaced[s] {
+            peers[s].push((d, e.volume));
+        }
+        if is_displaced[d] {
+            peers[d].push((s, e.volume));
         }
     }
 
@@ -310,13 +330,12 @@ pub fn repair_mapping_cached(
             .map(|d| d.domain_of(mapping.assignment[t]));
         let home = if completion == Completion::Optimal {
             best_new_home(
-                tg,
                 degraded,
                 &degraded_table,
                 &assignment,
                 &load,
                 bound,
-                t,
+                &peers[t],
                 opts.domains.as_deref().zip(home_domain),
             )
         } else {
@@ -386,6 +405,13 @@ pub fn repair_mapping_cached(
     // scalar cost of a candidate migration is one apply+undo probe, so
     // each migrated task re-examines every surviving processor under the
     // load bound and keeps a strictly better home when one exists.
+    //
+    // Branch-and-bound: `cost_floor_without(t)` is the cost with `t`
+    // lifted out of the ledgers, which no placement of `t` can beat. When
+    // the incumbent already sits at that floor no candidate is strictly
+    // cheaper, so the whole scan is skipped — the bound is exact, and the
+    // accepted moves are those of the exhaustive scan.
+    let mut improve_probes = 0usize;
     if !migrated.is_empty() && completion == Completion::Optimal {
         let mut improved = 0usize;
         repaired = {
@@ -406,6 +432,9 @@ pub fn repair_mapping_cached(
                     );
                     break;
                 }
+                if engine.cost_floor_without(t) >= cur_cost {
+                    continue;
+                }
                 let cur = engine.mapping().assignment[t];
                 let mut best: Option<(u64, ProcId)> = None;
                 for p in degraded.alive_procs() {
@@ -423,6 +452,7 @@ pub fn repair_mapping_cached(
                         }
                     }
                     if engine.apply(Edit::Reassign { task: t, proc: p }).is_ok() {
+                        improve_probes += 1;
                         let cost = engine.scalar_cost();
                         engine.undo();
                         if cost < cur_cost && best.is_none_or(|b| (cost, p) < b) {
@@ -454,12 +484,12 @@ pub fn repair_mapping_cached(
     let tasks_migrated = (0..n)
         .filter(|&t| repaired.assignment[t] != mapping.assignment[t])
         .count();
-    let migration_cost: u64 = (0..n)
-        .map(|t| {
-            u64::from(healthy_table.dist(mapping.assignment[t], repaired.assignment[t]))
-                * opts.state_volume
-        })
-        .sum();
+    let migration_cost = migration_cost(
+        &healthy_table,
+        &mapping.assignment,
+        &repaired.assignment,
+        opts.state_volume,
+    );
     let edges_rerouted = repaired
         .routes
         .iter()
@@ -491,27 +521,27 @@ pub fn repair_mapping_cached(
         avg_dilation_after,
         max_contention_before,
         max_contention_after,
+        improve_probes,
         completion,
         notes,
     };
     Ok((repaired, report))
 }
 
-/// The best surviving processor for displaced task `t`: minimum
-/// communication affinity (Σ volume × distance to already-placed
-/// neighbors), ties broken toward lower load then lower id. With a
-/// domain map, candidates are restricted to the task's home domain
-/// first; the scan only widens cross-domain when the domain offers no
-/// capacity. `None` if every surviving processor is at the load bound.
-#[allow(clippy::too_many_arguments)]
+/// The best surviving processor for a displaced task with the given
+/// `(neighbor, volume)` edges: minimum communication affinity (Σ volume ×
+/// distance to already-placed neighbors), ties broken toward lower load
+/// then lower id. With a domain map, candidates are restricted to the
+/// task's home domain first; the scan only widens cross-domain when the
+/// domain offers no capacity. `None` if every surviving processor is at
+/// the load bound.
 fn best_new_home(
-    tg: &TaskGraph,
     degraded: &DegradedNetwork,
     table: &RouteTable,
     assignment: &[ProcId],
     load: &[usize],
     bound: usize,
-    t: usize,
+    peers: &[(usize, u64)],
     prefer: Option<(&DomainMap, u32)>,
 ) -> Option<ProcId> {
     let scan = |intra_only: bool| -> Option<ProcId> {
@@ -527,25 +557,17 @@ fn best_new_home(
                 }
             }
             let mut affinity = 0u64;
-            for phase in &tg.comm_phases {
-                for e in &phase.edges {
-                    let other = if e.src.index() == t {
-                        e.dst.index()
-                    } else if e.dst.index() == t {
-                        e.src.index()
-                    } else {
-                        continue;
-                    };
-                    let q = assignment[other];
-                    // Neighbors still stranded on dead processors are placed
-                    // later; skip them rather than route toward a corpse.
-                    if other != t && degraded.is_alive(q) {
-                        affinity += e.volume * u64::from(table.dist(p, q));
-                    }
+            for &(other, volume) in peers {
+                let q = assignment[other];
+                // Neighbors still stranded on dead processors are placed
+                // later; skip them rather than route toward a corpse.
+                if degraded.is_alive(q) {
+                    affinity =
+                        affinity.saturating_add(volume.saturating_mul(u64::from(table.dist(p, q))));
                 }
             }
             let key = (affinity, load[p.index()], p);
-            if best.is_none_or(|b| key < (b.0, b.1, b.2)) {
+            if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
         }
@@ -608,6 +630,19 @@ fn domain_split(
     (intra, cross)
 }
 
+/// `state_volume · hops` summed over the assignment diff, hops on the
+/// healthy network; saturating, like every other volume sum.
+fn migration_cost(
+    healthy_table: &RouteTable,
+    before: &[ProcId],
+    after: &[ProcId],
+    state_volume: u64,
+) -> u64 {
+    before.iter().zip(after).fold(0u64, |sum, (&old, &new)| {
+        sum.saturating_add(u64::from(healthy_table.dist(old, new)).saturating_mul(state_volume))
+    })
+}
+
 /// Whether a healthy-network route is unusable on the degraded machine:
 /// it visits a dead processor or crosses an out-of-service link.
 fn route_broken(degraded: &DegradedNetwork, path: &[ProcId]) -> bool {
@@ -666,9 +701,8 @@ fn escalate(
     let tasks_migrated = (0..tg.num_tasks())
         .filter(|&t| assignment[t] != old.assignment[t])
         .count();
-    let migration_cost: u64 = (0..tg.num_tasks())
-        .map(|t| u64::from(healthy_table.dist(old.assignment[t], assignment[t])) * opts.state_volume)
-        .sum();
+    let migration_cost =
+        migration_cost(healthy_table, &old.assignment, &assignment, opts.state_volume);
     let edges_rerouted = tg.comm_phases.iter().map(|p| p.edges.len()).sum();
     let (migrations_intra_domain, migrations_cross_domain) =
         domain_split(opts.domains.as_deref(), &old.assignment, &assignment);
@@ -691,6 +725,7 @@ fn escalate(
             avg_dilation_after,
             max_contention_before: 0, // caller fills
             max_contention_after,
+            improve_probes: 0,
             completion,
             notes: Vec::new(),
         },
