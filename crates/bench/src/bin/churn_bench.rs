@@ -11,9 +11,11 @@
 //! drive the controller with the **always-valid invariant asserted
 //! after every single event** — a validation failure, a panic, or a
 //! flap-storm window exceeding the configured migration cap exits
-//! non-zero so CI fails loudly. A journaled leg kills the session
-//! mid-stream and resumes it, demanding byte-identical state against an
-//! uninterrupted shadow. A hysteresis sweep over `state_volume` reports
+//! non-zero so CI fails loudly. Each leg reports events per second of
+//! `ingest` time, overall and over its first and last tenth (equal when
+//! an event costs what the live tasks cost). A journaled leg kills the
+//! session mid-stream and resumes it, demanding byte-identical state
+//! against an uninterrupted shadow. A hysteresis sweep over `state_volume` reports
 //! the steady-state contention vs. migration-traffic trade-off for
 //! EXPERIMENTS table A6.
 
@@ -21,7 +23,7 @@ use oregami::topology::builders;
 use oregami::{
     Budget, ChurnConfig, ChurnController, EventStream, StreamProfile, StreamSession,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Leg {
     profile: &'static str,
@@ -37,7 +39,13 @@ struct Leg {
     steady_comm: u64,
     final_comm: u64,
     live_tasks: usize,
+    /// Events per second of `ingest` time (validation not counted).
     events_per_sec: f64,
+    /// The same over the first and the last tenth of the stream: equal
+    /// when an event costs what the live set costs, apart when it costs
+    /// what the history costs.
+    events_per_sec_first_tenth: f64,
+    events_per_sec_last_tenth: f64,
 }
 
 fn cfg() -> ChurnConfig {
@@ -61,9 +69,23 @@ fn run_leg(
     let mut ctl = ChurnController::new(net.clone(), config.clone()).expect("controller");
     let mut rejected = 0u64;
     let mut comm_samples: Vec<u64> = Vec::new();
-    let started = Instant::now();
+    // The rates time `ingest` alone. `validate` cross-checks the
+    // controller's live index against a scan of every task ever spawned,
+    // so timing it too would report the harness, not the controller.
+    let tenth = (events / 10).max(1);
+    let mut ingest = Duration::ZERO;
+    let (mut first_tenth, mut last_tenth_from) = (Duration::ZERO, Duration::ZERO);
     for (i, ev) in EventStream::new(net, profile, seed, events, config.load_bound).enumerate() {
-        if ctl.ingest(&ev).is_err() {
+        if i as u64 == tenth {
+            first_tenth = ingest;
+        }
+        if i as u64 == events - tenth {
+            last_tenth_from = ingest;
+        }
+        let t0 = Instant::now();
+        let accepted = ctl.ingest(&ev).is_ok();
+        ingest += t0.elapsed();
+        if !accepted {
             rejected += 1;
         }
         if let Err(e) = ctl.validate() {
@@ -77,7 +99,7 @@ fn run_leg(
             comm_samples.push(ctl.total_comm_cost());
         }
     }
-    let wall = started.elapsed();
+    let rate = |n: u64, d: Duration| n as f64 / d.as_secs_f64().max(1e-9);
     let stats = ctl.stats().clone();
     if stats.max_window_migrations > config.migration_cap as u64 {
         eprintln!(
@@ -110,7 +132,9 @@ fn run_leg(
         steady_comm,
         final_comm: ctl.total_comm_cost(),
         live_tasks: ctl.num_live(),
-        events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
+        events_per_sec: rate(events, ingest),
+        events_per_sec_first_tenth: rate(tenth, first_tenth),
+        events_per_sec_last_tenth: rate(tenth, ingest - last_tenth_from),
     }
 }
 
@@ -207,7 +231,7 @@ fn main() {
     for l in &legs {
         println!(
             "  {:<10} {} accepted / {} rejected  {} forced + {} voluntary migrations \
-             ({} traffic)  steady comm {}  {:.0} ev/s",
+             ({} traffic)  steady comm {}  {:.0} ev/s (first tenth {:.0}, last tenth {:.0})",
             l.profile,
             l.accepted,
             l.rejected,
@@ -215,7 +239,9 @@ fn main() {
             l.voluntary_migrations,
             l.migration_traffic,
             l.steady_comm,
-            l.events_per_sec
+            l.events_per_sec,
+            l.events_per_sec_first_tenth,
+            l.events_per_sec_last_tenth
         );
     }
 
@@ -262,7 +288,8 @@ fn main() {
              \"forced_migrations\": {}, \"voluntary_migrations\": {}, \
              \"migration_traffic\": {}, \"escalations\": {}, \"probes\": {}, \
              \"max_window_migrations\": {}, \"steady_comm\": {}, \"final_comm\": {}, \
-             \"live_tasks\": {}, \"events_per_sec\": {:.0}}}",
+             \"live_tasks\": {}, \"events_per_sec\": {:.0}, \
+             \"events_per_sec_first_tenth\": {:.0}, \"events_per_sec_last_tenth\": {:.0}}}",
             l.profile,
             l.events,
             l.accepted,
@@ -276,7 +303,9 @@ fn main() {
             l.steady_comm,
             l.final_comm,
             l.live_tasks,
-            l.events_per_sec
+            l.events_per_sec,
+            l.events_per_sec_first_tenth,
+            l.events_per_sec_last_tenth
         )
     };
     let mut json = String::from("{\n");

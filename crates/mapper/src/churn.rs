@@ -408,6 +408,17 @@ struct ChurnEdge {
     volume: u64,
 }
 
+impl ChurnEdge {
+    /// The endpoint that is not `t`.
+    fn peer_of(&self, t: usize) -> usize {
+        if self.src == t {
+            self.dst
+        } else {
+            self.src
+        }
+    }
+}
+
 /// The streaming remapping controller. See the module docs for the
 /// invariant and the hysteresis policy.
 pub struct ChurnController {
@@ -419,8 +430,18 @@ pub struct ChurnController {
     domains: Option<std::sync::Arc<oregami_topology::DomainMap>>,
     tasks: Vec<TaskState>,
     edges: Vec<ChurnEdge>,
-    /// `adj[t]` = indices into `edges` incident to task `t`.
+    /// `adj[t]` = indices into `edges` of the live edges incident to task
+    /// `t` (pruned on depart, so a departed task's list is empty).
     adj: Vec<Vec<usize>>,
+    /// Ids of the live tasks, ascending. `tasks`, `ewma` and
+    /// `last_migrated` keep a slot for every task ever spawned (the
+    /// journal grammar needs dense ids and `state_record` prints them);
+    /// every event-path loop walks this index instead.
+    live: Vec<usize>,
+    /// Indices into `edges` of the live edges, ascending. An edge is
+    /// live iff both endpoints are; ids are never reused, so edges only
+    /// ever leave.
+    live_edges: Vec<usize>,
     failed_procs: BTreeSet<u32>,
     failed_links: BTreeSet<u32>,
     degraded: DegradedNetwork,
@@ -472,6 +493,8 @@ impl ChurnController {
             tasks: Vec::new(),
             edges: Vec::new(),
             adj: Vec::new(),
+            live: Vec::new(),
+            live_edges: Vec::new(),
             failed_procs: BTreeSet::new(),
             failed_links: BTreeSet::new(),
             degraded,
@@ -525,7 +548,7 @@ impl ChurnController {
 
     /// Live task count.
     pub fn num_live(&self) -> usize {
-        self.tasks.iter().filter(|t| t.alive).count()
+        self.live.len()
     }
 
     /// The processor of a live task, if it exists and is alive.
@@ -559,11 +582,7 @@ impl ChurnController {
         let mut c = 0u64;
         for &ei in &self.adj[t] {
             let e = &self.edges[ei];
-            let (a, b) = (e.src, e.dst);
-            if !self.tasks[a].alive || !self.tasks[b].alive {
-                continue;
-            }
-            let d = self.table.dist(self.tasks[a].proc, self.tasks[b].proc);
+            let d = self.table.dist(self.tasks[e.src].proc, self.tasks[e.dst].proc);
             if d != u32::MAX {
                 c = c.saturating_add(e.volume.saturating_mul(d as u64));
             }
@@ -576,11 +595,7 @@ impl ChurnController {
         let mut c = 0u64;
         for &ei in &self.adj[t] {
             let e = &self.edges[ei];
-            let peer = if e.src == t { e.dst } else { e.src };
-            if !self.tasks[peer].alive || peer == t {
-                continue;
-            }
-            let d = self.table.dist(q, self.tasks[peer].proc);
+            let d = self.table.dist(q, self.tasks[e.peer_of(t)].proc);
             if d != u32::MAX {
                 c = c.saturating_add(e.volume.saturating_mul(d as u64));
             }
@@ -599,31 +614,24 @@ impl ChurnController {
     /// Folds every live task's instantaneous cost (used after fault /
     /// recovery epochs, when every distance may have changed).
     fn fold_all_ewma(&mut self) {
-        for t in 0..self.tasks.len() {
-            if self.tasks[t].alive {
-                self.fold_ewma(t);
-            }
+        for i in 0..self.live.len() {
+            self.fold_ewma(self.live[i]);
         }
     }
 
     /// Total smoothed communication cost over live tasks, in plain
     /// (non-fixed-point) units.
     fn total_ewma(&self) -> u64 {
-        self.tasks
+        self.live
             .iter()
-            .enumerate()
-            .filter(|(_, t)| t.alive)
-            .map(|(i, _)| self.ewma[i] / EWMA_FP)
-            .sum()
+            .fold(0u64, |c, &t| c.saturating_add(self.ewma[t] / EWMA_FP))
     }
 
     /// Total instantaneous communication cost over active edges.
     pub fn total_comm_cost(&self) -> u64 {
         let mut c = 0u64;
-        for e in &self.edges {
-            if !self.tasks[e.src].alive || !self.tasks[e.dst].alive {
-                continue;
-            }
+        for &ei in &self.live_edges {
+            let e = &self.edges[ei];
             let d = self.table.dist(self.tasks[e.src].proc, self.tasks[e.dst].proc);
             if d != u32::MAX {
                 c = c.saturating_add(e.volume.saturating_mul(d as u64));
@@ -681,7 +689,10 @@ impl ChurnController {
                     ChurnEvent::Recover { .. } => self.stats.recoveries += 1,
                 }
                 self.stats.forced_migrations += out.forced_migrations;
-                self.stats.migration_traffic += out.migration_traffic;
+                self.stats.migration_traffic = self
+                    .stats
+                    .migration_traffic
+                    .saturating_add(out.migration_traffic);
                 if out.escalated {
                     self.stats.escalations += 1;
                 }
@@ -735,7 +746,7 @@ impl ChurnController {
                 let d = home.map_or(0, |h| self.table.dist(q, h));
                 (d, self.load_per_proc[q.index()], q.index())
             })
-            .ok_or(ChurnError::NoCapacity {
+            .ok_or_else(|| ChurnError::NoCapacity {
                 tasks: self.num_live() + 1,
                 capacity: self.degraded.num_alive() * bound,
             })?;
@@ -746,6 +757,7 @@ impl ChurnController {
             proc: q,
         });
         self.adj.push(Vec::new());
+        self.live.push(task);
         self.ewma.push(0);
         self.last_migrated.push(0);
         self.load_per_proc[q.index()] += 1;
@@ -759,6 +771,7 @@ impl ChurnController {
                 });
                 self.adj[p].push(ei);
                 self.adj[task].push(ei);
+                self.live_edges.push(ei);
                 self.fold_ewma(p);
             }
         }
@@ -776,22 +789,21 @@ impl ChurnController {
         let q = t.proc;
         self.load_per_proc[q.index()] -= 1;
         self.ewma[task] = 0;
-        // Peers lost an active edge; refresh their smoothed cost.
-        let peers: Vec<usize> = self.adj[task]
-            .iter()
-            .map(|&ei| {
-                let e = &self.edges[ei];
-                if e.src == task {
-                    e.dst
-                } else {
-                    e.src
-                }
-            })
-            .collect();
-        for p in peers {
-            if self.tasks[p].alive {
-                self.fold_ewma(p);
-            }
+        if let Ok(i) = self.live.binary_search(&task) {
+            self.live.remove(i);
+        }
+        // Its edges leave with it; peers lost an active edge, so refresh
+        // their smoothed cost.
+        let gone = std::mem::take(&mut self.adj[task]);
+        if !gone.is_empty() {
+            let edges = &self.edges;
+            self.live_edges
+                .retain(|&ei| edges[ei].src != task && edges[ei].dst != task);
+        }
+        for ei in gone {
+            let p = self.edges[ei].peer_of(task);
+            self.adj[p].retain(|&x| x != ei);
+            self.fold_ewma(p);
         }
         Ok(ChurnOutcome::default())
     }
@@ -866,26 +878,21 @@ impl ChurnController {
         let (degraded, table) = self.rebuild_degraded(&fp, &fl)?;
 
         let pre_cost = self.total_ewma();
-        // One pass over the task table (departed slots included, so it
-        // is much longer than the live set): stranded tasks as a list and
-        // as a mask, everyone's processor, and the survivors' load.
         let mut out = ChurnOutcome::default();
-        let mut is_displaced = vec![false; self.tasks.len()];
-        let mut displaced: Vec<usize> = Vec::new();
-        let mut assignment: Vec<ProcId> = Vec::with_capacity(self.tasks.len());
-        let mut load = vec![0usize; self.net.num_procs()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            assignment.push(t.proc);
-            if !t.alive {
-                continue;
-            }
-            if degraded.is_alive(t.proc) {
-                load[t.proc.index()] += 1;
-            } else {
-                is_displaced[i] = true;
-                displaced.push(i);
-            }
-        }
+        // Stranded tasks, ascending: the live ones whose processor the
+        // new epoch lost.
+        let displaced: Vec<usize> = self
+            .live
+            .iter()
+            .copied()
+            .filter(|&t| !degraded.is_alive(self.tasks[t].proc))
+            .collect();
+        // Survivors keep their load, and only alive processors are ever
+        // candidates, so the stale entries of the dead ones are not read.
+        let mut load = self.load_per_proc.clone();
+        // `(task, new home)` of every task this event moves, ascending
+        // by task.
+        let mut moves: Vec<(usize, ProcId)> = Vec::with_capacity(displaced.len());
 
         // Local pass: move each stranded task to the surviving processor
         // closest to its live peers with room under the bound. Every
@@ -901,11 +908,11 @@ impl ChurnController {
                     let mut c = 0u64;
                     for &ei in &self.adj[t] {
                         let e = &self.edges[ei];
-                        let peer = if e.src == t { e.dst } else { e.src };
-                        if !self.tasks[peer].alive || is_displaced[peer] {
+                        let at = self.tasks[e.peer_of(t)].proc;
+                        if !degraded.is_alive(at) {
                             continue;
                         }
-                        let d = table.dist(q, assignment[peer]);
+                        let d = table.dist(q, at);
                         if d != u32::MAX {
                             c = c.saturating_add(e.volume.saturating_mul(d as u64));
                         }
@@ -916,9 +923,11 @@ impl ChurnController {
                 Some(q) => {
                     // state comes off a checkpoint, charged on the
                     // healthy network's distance (remap's proxy).
-                    let hops = self.healthy_table.dist(assignment[t], q) as u64;
-                    out.migration_traffic += self.cfg.state_volume.saturating_mul(hops);
-                    assignment[t] = q;
+                    let hops = self.healthy_table.dist(self.tasks[t].proc, q) as u64;
+                    out.migration_traffic = out
+                        .migration_traffic
+                        .saturating_add(self.cfg.state_volume.saturating_mul(hops));
+                    moves.push((t, q));
                     load[q.index()] += 1;
                     out.forced_migrations += 1;
                 }
@@ -932,12 +941,14 @@ impl ChurnController {
         // Quality check on the locally-repaired mapping.
         let mut escalate = !local_ok;
         if local_ok && self.cfg.escalate_threshold_pct > 0 && pre_cost > 0 {
+            let home = |t: usize| match moves.binary_search_by_key(&t, |m| m.0) {
+                Ok(i) => moves[i].1,
+                Err(_) => self.tasks[t].proc,
+            };
             let mut post_cost = 0u64;
-            for e in &self.edges {
-                if !self.tasks[e.src].alive || !self.tasks[e.dst].alive {
-                    continue;
-                }
-                let d = table.dist(assignment[e.src], assignment[e.dst]);
+            for &ei in &self.live_edges {
+                let e = &self.edges[ei];
+                let d = table.dist(home(e.src), home(e.dst));
                 if d != u32::MAX {
                     post_cost = post_cost.saturating_add(e.volume.saturating_mul(d as u64));
                 }
@@ -950,23 +961,23 @@ impl ChurnController {
 
         if escalate {
             match self.escalated_repair(&degraded) {
-                Ok((rep_assignment, report)) => {
+                Ok((repaired, report)) => {
                     out.escalated = true;
                     out.completion = out.completion.worst(report.completion);
                     // Count real moves relative to the pre-fault mapping.
-                    let mut forced = 0u64;
+                    moves.clear();
                     let mut traffic = 0u64;
-                    for (t, st) in self.tasks.iter().enumerate() {
-                        if st.alive && rep_assignment[t] != st.proc {
-                            forced += 1;
-                            let hops =
-                                self.healthy_table.dist(st.proc, rep_assignment[t]) as u64;
-                            traffic += self.cfg.state_volume.saturating_mul(hops);
+                    for (&t, &q) in self.live.iter().zip(&repaired) {
+                        let from = self.tasks[t].proc;
+                        if q != from {
+                            let hops = self.healthy_table.dist(from, q) as u64;
+                            traffic =
+                                traffic.saturating_add(self.cfg.state_volume.saturating_mul(hops));
+                            moves.push((t, q));
                         }
                     }
-                    out.forced_migrations = forced;
+                    out.forced_migrations = moves.len() as u64;
                     out.migration_traffic = traffic;
-                    assignment = rep_assignment;
                 }
                 Err(e) => {
                     if !local_ok {
@@ -990,29 +1001,26 @@ impl ChurnController {
         self.failed_links = fl;
         self.degraded = degraded;
         self.table = table;
-        let mut new_load = vec![0usize; self.net.num_procs()];
-        for (t, st) in self.tasks.iter_mut().enumerate() {
-            st.proc = assignment[t];
-            if st.alive {
-                new_load[st.proc.index()] += 1;
-            }
+        for &(t, q) in &moves {
+            let from = std::mem::replace(&mut self.tasks[t].proc, q);
+            self.load_per_proc[from.index()] -= 1;
+            self.load_per_proc[q.index()] += 1;
         }
-        self.load_per_proc = new_load;
         self.fold_all_ewma();
         Ok(out)
     }
 
     /// Full repair from the pre-fault mapping via
     /// [`repair_mapping_budgeted`], translated through a compacted
-    /// live-task graph. Returns the repaired per-task assignment (indexed
-    /// by the controller's dense ids; departed tasks keep their old slot).
+    /// live-task graph. Returns the repaired assignment in compact ids,
+    /// i.e. parallel to `self.live`.
     fn escalated_repair(
         &self,
         degraded: &DegradedNetwork,
     ) -> Result<(Vec<ProcId>, crate::repair::RepairReport), ChurnError> {
         let (tg, live, assignment) = self.materialize();
         if live.is_empty() {
-            return Ok((self.tasks.iter().map(|t| t.proc).collect(), empty_report()));
+            return Ok((Vec::new(), empty_report()));
         }
         let routes = route_all_phases(
             &tg,
@@ -1037,37 +1045,24 @@ impl ChurnController {
         let (repaired, report) =
             repair_mapping_budgeted(&tg, &self.net, degraded, &mapping, &opts, &probe)
                 .map_err(ChurnError::Repair)?;
-        let mut full: Vec<ProcId> = self.tasks.iter().map(|t| t.proc).collect();
-        for (ci, &t) in live.iter().enumerate() {
-            full[t] = repaired.assignment[ci];
-        }
-        Ok((full, report))
+        Ok((repaired.assignment, report))
     }
 
     /// Compacts the live tasks into a routable [`TaskGraph`] (single comm
     /// phase of the active edges, per-task exec costs). Returns the
     /// graph, the compact→dense id translation, and the live assignment.
     pub fn materialize(&self) -> (TaskGraph, Vec<usize>, Vec<ProcId>) {
-        let live: Vec<usize> = (0..self.tasks.len())
-            .filter(|&t| self.tasks[t].alive)
-            .collect();
-        let mut back = vec![usize::MAX; self.tasks.len()];
-        for (ci, &t) in live.iter().enumerate() {
-            back[t] = ci;
-        }
+        // Ascending, so a task's compact id is its position here.
+        let live = self.live.clone();
         let mut tg = TaskGraph::new("churn");
         for &t in &live {
             tg.add_node(TaskNode::scalar("t", t as i64));
         }
         let ph = tg.add_phase("stream");
-        for e in &self.edges {
-            if self.tasks[e.src].alive && self.tasks[e.dst].alive {
-                tg.add_edge(
-                    ph,
-                    TaskId::new(back[e.src]),
-                    TaskId::new(back[e.dst]),
-                    e.volume,
-                );
+        for &ei in &self.live_edges {
+            let e = &self.edges[ei];
+            if let (Ok(a), Ok(b)) = (live.binary_search(&e.src), live.binary_search(&e.dst)) {
+                tg.add_edge(ph, TaskId::new(a), TaskId::new(b), e.volume);
             }
         }
         tg.add_exec_phase(
@@ -1128,10 +1123,12 @@ impl ChurnController {
             return;
         }
         // Worst smoothed task outside its debounce window.
-        let candidate = (0..self.tasks.len())
+        let candidate = self
+            .live
+            .iter()
+            .copied()
             .filter(|&t| {
-                self.tasks[t].alive
-                    && self.ewma[t] > 0
+                self.ewma[t] > 0
                     && (self.last_migrated[t] == 0
                         || self.stats.events - self.last_migrated[t]
                             >= self.cfg.debounce_events)
@@ -1162,7 +1159,7 @@ impl ChurnController {
         // Exact confirmation: apply the reassignment on a MetricsEngine
         // over the live graph, keep it only if the scalar cost drops.
         let (tg, live, assignment) = self.materialize();
-        let Some(ci) = live.iter().position(|&x| x == t) else {
+        let Ok(ci) = live.binary_search(&t) else {
             return;
         };
         let dnet = self.degraded.network().clone();
@@ -1197,24 +1194,13 @@ impl ChurnController {
                     self.stats.max_window_migrations =
                         self.stats.max_window_migrations.max(self.window_migrations);
                     out.voluntary_migrations += 1;
-                    out.migration_traffic += move_cost;
-                    self.stats.migration_traffic += move_cost;
+                    out.migration_traffic = out.migration_traffic.saturating_add(move_cost);
+                    self.stats.migration_traffic =
+                        self.stats.migration_traffic.saturating_add(move_cost);
                     self.fold_ewma(t);
-                    let peers: Vec<usize> = self.adj[t]
-                        .iter()
-                        .map(|&ei| {
-                            let e = &self.edges[ei];
-                            if e.src == t {
-                                e.dst
-                            } else {
-                                e.src
-                            }
-                        })
-                        .collect();
-                    for p in peers {
-                        if self.tasks[p].alive {
-                            self.fold_ewma(p);
-                        }
+                    for i in 0..self.adj[t].len() {
+                        let p = self.edges[self.adj[t][i]].peer_of(t);
+                        self.fold_ewma(p);
                     }
                 } else {
                     engine.undo();
@@ -1236,10 +1222,8 @@ impl ChurnController {
     /// violation as text.
     pub fn validate(&self) -> Result<(), String> {
         let mut load = vec![0usize; self.net.num_procs()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            if !t.alive {
-                continue;
-            }
+        for &i in &self.live {
+            let t = &self.tasks[i];
             if !self.degraded.is_alive(t.proc) {
                 return Err(format!("task {i} sits on dead processor {}", t.proc.0));
             }
@@ -1253,10 +1237,8 @@ impl ChurnController {
                 ));
             }
         }
-        for (ei, e) in self.edges.iter().enumerate() {
-            if !self.tasks[e.src].alive || !self.tasks[e.dst].alive {
-                continue;
-            }
+        for &ei in &self.live_edges {
+            let e = &self.edges[ei];
             let d = self.table.dist(self.tasks[e.src].proc, self.tasks[e.dst].proc);
             if d == u32::MAX {
                 return Err(format!(
@@ -1268,7 +1250,30 @@ impl ChurnController {
         if load != self.load_per_proc {
             return Err("internal load ledger out of sync".into());
         }
+        if !self.live_index_in_sync() {
+            return Err("internal live index out of sync".into());
+        }
         Ok(())
+    }
+
+    /// Cross-check of `live` and `live_edges` against a fresh scan of
+    /// the id tables — the one walk over the whole history outside
+    /// [`ChurnController::state_record`] — and of the live tasks' `adj`
+    /// lists against `live_edges`: every live edge listed at both ends,
+    /// and nothing else listed.
+    fn live_index_in_sync(&self) -> bool {
+        let alive = |t: usize| self.tasks[t].alive;
+        let live_tasks = (0..self.tasks.len()).filter(|&t| alive(t));
+        let live_edges = (0..self.edges.len())
+            .filter(|&ei| alive(self.edges[ei].src) && alive(self.edges[ei].dst));
+        let listed: usize = self.live.iter().map(|&t| self.adj[t].len()).sum();
+        live_tasks.eq(self.live.iter().copied())
+            && live_edges.eq(self.live_edges.iter().copied())
+            && listed == 2 * self.live_edges.len()
+            && self.live_edges.iter().all(|&ei| {
+                let e = &self.edges[ei];
+                self.adj[e.src].contains(&ei) && self.adj[e.dst].contains(&ei)
+            })
     }
 
     /// Canonical single-string state record: configuration, accepted
@@ -1329,15 +1334,12 @@ impl ChurnController {
         }
         let _ = write!(s, "],\"assignment\":[");
         let mut first = true;
-        for (i, t) in self.tasks.iter().enumerate() {
-            if !t.alive {
-                continue;
-            }
+        for &i in &self.live {
             if !first {
                 s.push(',');
             }
             first = false;
-            let _ = write!(s, "[{},{}]", i, t.proc.0);
+            let _ = write!(s, "[{},{}]", i, self.tasks[i].proc.0);
         }
         let _ = write!(
             s,
@@ -2121,6 +2123,101 @@ mod tests {
             Err(ChurnError::NoCapacity { .. })
         ));
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn huge_state_volume_saturates_instead_of_overflowing() {
+        let spawn = |c: &mut ChurnController, task, parent, volume| {
+            c.ingest(&ChurnEvent::Spawn {
+                task,
+                parent,
+                load: 1,
+                volume,
+            })
+            .unwrap();
+        };
+        // A fault that migrates. Task 0 and two children fill processor
+        // A, a third child sits next door; losing A strands three tasks,
+        // and three moves of `u64::MAX - 1` state units each overflow a
+        // plain sum. The local pass ignores edges between stranded tasks,
+        // so it scatters the heavy 0-1 and 0-2 edges and the quality
+        // check escalates: the repair's recount has to saturate too.
+        let cfg = ChurnConfig {
+            load_bound: 3,
+            state_volume: u64::MAX - 1,
+            probe_interval: 0,
+            ..ChurnConfig::default()
+        };
+        let mut c = ChurnController::new(builders::hypercube(3), cfg).unwrap();
+        spawn(&mut c, 0, None, 0);
+        spawn(&mut c, 1, Some(0), 1000);
+        spawn(&mut c, 2, Some(0), 1000);
+        spawn(&mut c, 3, Some(0), 8);
+        let a = c.task_proc(0).unwrap();
+        assert_eq!(c.task_proc(2), Some(a));
+        assert_ne!(c.task_proc(3), Some(a));
+        let out = c
+            .ingest(&ChurnEvent::Fault {
+                procs: vec![a],
+                links: vec![],
+            })
+            .unwrap();
+        assert!(out.escalated);
+        assert!(out.forced_migrations >= 3);
+        assert_eq!(out.migration_traffic, u64::MAX);
+        assert_eq!(c.stats().migration_traffic, u64::MAX);
+        c.validate().unwrap();
+        // The fold into the running total: a second saturated event.
+        c.ingest(&ChurnEvent::Recover {
+            procs: vec![a],
+            links: vec![],
+        })
+        .unwrap();
+        let b = c.task_proc(0).unwrap();
+        let out = c
+            .ingest(&ChurnEvent::Fault {
+                procs: vec![b],
+                links: vec![],
+            })
+            .unwrap();
+        assert!(out.migration_traffic > 0);
+        assert_eq!(c.stats().migration_traffic, u64::MAX);
+        c.validate().unwrap();
+
+        // A voluntary move. The hysteresis rule compares a smoothed cost
+        // of at most `u64::MAX / 16` with the migration cost, so the state
+        // volume stays under that; the running total starts one short of
+        // the top. Task 2 lands a hop from its parent behind task 1, which
+        // then leaves, and the `u64::MAX / 2` edge pulls task 2 home.
+        let cfg = ChurnConfig {
+            load_bound: 2,
+            state_volume: u64::MAX / 64,
+            ewma_shift: 1,
+            probe_interval: 4,
+            debounce_events: 4,
+            ..ChurnConfig::default()
+        };
+        let mut c = ChurnController::new(builders::hypercube(3), cfg).unwrap();
+        c.stats.migration_traffic = u64::MAX - 1;
+        spawn(&mut c, 0, None, 0);
+        spawn(&mut c, 1, Some(0), 0);
+        spawn(&mut c, 2, Some(0), u64::MAX / 2);
+        assert_ne!(c.task_proc(2), c.task_proc(0));
+        // the fourth event is a decision point
+        let out = c.ingest(&ChurnEvent::Depart { task: 1 }).unwrap();
+        assert_eq!(out.voluntary_migrations, 1);
+        assert_eq!(out.migration_traffic, u64::MAX / 64);
+        c.validate().unwrap();
+        assert_eq!(c.task_proc(2), c.task_proc(0));
+        assert_eq!(c.stats().migration_traffic, u64::MAX);
+
+        // `total_ewma`: seventeen saturated tasks overflow a plain sum.
+        let mut c = small();
+        for t in 0..17 {
+            spawn(&mut c, t, None, 0);
+        }
+        c.ewma.fill(u64::MAX);
+        assert_eq!(c.total_ewma(), u64::MAX);
     }
 
     #[test]

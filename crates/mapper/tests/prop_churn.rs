@@ -5,7 +5,9 @@
 //! network, and the whole run must be a pure function of the accepted
 //! event sequence.
 
-use oregami_mapper::churn::{ChurnConfig, ChurnController, ChurnEvent, EventStream, StreamProfile};
+use oregami_mapper::churn::{
+    ChurnConfig, ChurnController, ChurnEvent, ChurnStats, EventStream, StreamProfile,
+};
 use oregami_topology::{builders, LinkId, MachineModel, Network, ProcId};
 use proptest::prelude::*;
 
@@ -197,4 +199,204 @@ proptest! {
         prop_assert_eq!(ea, eb);
         prop_assert_eq!(a.state_record(), b.state_record());
     }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Three seeded 20k-event streams on the `churn_stream` workload's
+/// shape (hypercube 4, bound 8, generator at 7, seed 11), pinned to the
+/// values taken on the commit before the controller got its live index:
+/// the `state_record()` and `snapshot_json()` digests, a chained digest
+/// of every per-event `Result<ChurnOutcome, ChurnError>`, and the full
+/// `ChurnStats`. Any change to the controller's bookkeeping must
+/// reproduce them byte for byte.
+#[test]
+fn golden_streams_reproduce_the_pinned_state_and_stats() {
+    struct Golden {
+        profile: StreamProfile,
+        record: u64,
+        outcomes: u64,
+        snapshot: u64,
+        live: usize,
+        stats: ChurnStats,
+    }
+    let golden = [
+        Golden {
+            profile: StreamProfile::Bursty,
+            record: 0x14fb703a3d73f907,
+            outcomes: 0x78e6f0bc9dc65730,
+            snapshot: 0x920b6d145c722e0e,
+            live: 107,
+            stats: ChurnStats {
+                events: 20000,
+                rejected: 0,
+                spawns: 5166,
+                departures: 5059,
+                load_updates: 6050,
+                faults: 1863,
+                recoveries: 1862,
+                forced_migrations: 0,
+                voluntary_migrations: 44,
+                migration_traffic: 68,
+                probes: 238,
+                probe_rejected: 194,
+                escalations: 2,
+                degraded_completions: 0,
+                failed_escalations: 0,
+                max_window_migrations: 4,
+            },
+        },
+        Golden {
+            profile: StreamProfile::Diurnal,
+            record: 0xf5d6987c64485030,
+            outcomes: 0x428437de666aeb16,
+            snapshot: 0xf66f21910a91369e,
+            live: 24,
+            stats: ChurnStats {
+                events: 20000,
+                rejected: 0,
+                spawns: 2045,
+                departures: 2021,
+                load_updates: 14274,
+                faults: 832,
+                recoveries: 828,
+                forced_migrations: 1509,
+                voluntary_migrations: 13,
+                migration_traffic: 3099,
+                probes: 232,
+                probe_rejected: 219,
+                escalations: 42,
+                degraded_completions: 0,
+                failed_escalations: 0,
+                max_window_migrations: 2,
+            },
+        },
+        Golden {
+            profile: StreamProfile::FlapStorm,
+            record: 0xc6fc302b72a99570,
+            outcomes: 0x18c2f965993056a9,
+            snapshot: 0xd6a3e74e2f3d4a66,
+            live: 109,
+            stats: ChurnStats {
+                events: 20000,
+                rejected: 0,
+                spawns: 2107,
+                departures: 1998,
+                load_updates: 7360,
+                faults: 4269,
+                recoveries: 4266,
+                forced_migrations: 832,
+                voluntary_migrations: 42,
+                migration_traffic: 1732,
+                probes: 321,
+                probe_rejected: 279,
+                escalations: 2,
+                degraded_completions: 0,
+                failed_escalations: 0,
+                max_window_migrations: 3,
+            },
+        },
+    ];
+    for g in golden {
+        let name = g.profile.name();
+        let net = builders::hypercube(4);
+        let config = ChurnConfig {
+            load_bound: 8,
+            ..ChurnConfig::default()
+        };
+        let mut ctl = ChurnController::new(net.clone(), config.clone()).expect("controller");
+        let mut outcomes = 0xcbf2_9ce4_8422_2325u64;
+        let stream = EventStream::new(net, g.profile, 11, 20_000, config.load_bound - 1);
+        for (i, ev) in stream.enumerate() {
+            let r = ctl.ingest(&ev);
+            outcomes = fnv1a(format!("{outcomes:x} {r:?}").as_bytes());
+            if i % 500 == 0 {
+                ctl.validate()
+                    .unwrap_or_else(|e| panic!("{name} event {i}: {e}"));
+            }
+        }
+        ctl.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(ctl.stats(), &g.stats, "{name}: stats");
+        assert_eq!(ctl.num_live(), g.live, "{name}: live tasks");
+        assert_eq!(outcomes, g.outcomes, "{name}: per-event outcomes");
+        assert_eq!(
+            fnv1a(ctl.state_record().as_bytes()),
+            g.record,
+            "{name}: state record"
+        );
+        assert_eq!(
+            fnv1a(ctl.snapshot_json().as_bytes()),
+            g.snapshot,
+            "{name}: snapshot"
+        );
+    }
+}
+
+/// A fault costs what the live set costs, not what the history costs:
+/// the same 100 live tasks take the same 2 000 fault/recover flaps
+/// behind 200 and behind 200 000 departed slots. Walking the history
+/// made the long one about a hundred times slower; the bound of 20
+/// leaves room for cache misses on the larger tables and for noise.
+#[test]
+fn fault_cost_is_independent_of_departed_history() {
+    fn flaps_after(departed: usize) -> std::time::Duration {
+        let net = builders::hypercube(4);
+        let mut ctl = ChurnController::new(net, cfg()).expect("controller");
+        let mut next = 0usize;
+        let mut spawn = |ctl: &mut ChurnController, parent: Option<usize>| {
+            ctl.ingest(&ChurnEvent::Spawn {
+                task: next,
+                parent,
+                load: 1,
+                volume: 3,
+            })
+            .expect("spawn");
+            next += 1;
+            next - 1
+        };
+        // the history: children of one root that come and go
+        let root = spawn(&mut ctl, None);
+        for _ in 0..departed {
+            let t = spawn(&mut ctl, Some(root));
+            ctl.ingest(&ChurnEvent::Depart { task: t }).expect("depart");
+        }
+        // the live set: a chain of 99 more tasks under the root
+        let mut parent = root;
+        for _ in 0..99 {
+            parent = spawn(&mut ctl, Some(parent));
+        }
+        assert_eq!(ctl.num_live(), 100);
+        assert_eq!(ctl.num_tasks(), departed + 100);
+        let started = std::time::Instant::now();
+        for i in 0..2000u32 {
+            let links = vec![LinkId(i % 8)];
+            ctl.ingest(&ChurnEvent::Fault {
+                procs: Vec::new(),
+                links: links.clone(),
+            })
+            .expect("fault");
+            ctl.ingest(&ChurnEvent::Recover {
+                procs: Vec::new(),
+                links,
+            })
+            .expect("recover");
+        }
+        let took = started.elapsed();
+        ctl.validate().expect("valid after the flaps");
+        took
+    }
+    let short = flaps_after(200);
+    let long = flaps_after(200_000);
+    let ratio = long.as_secs_f64() / short.as_secs_f64().max(1e-9);
+    assert!(
+        ratio < 20.0,
+        "2000 flaps took {short:?} behind 200 departed slots and {long:?} behind 200000 ({ratio:.1}x)"
+    );
 }
