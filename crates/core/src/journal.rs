@@ -197,6 +197,22 @@ fn sync_parent_dir(path: &Path) -> Result<(), JournalError> {
     dir.sync_all().map_err(|e| Journal::io(path, e))
 }
 
+/// Replaces the file at `path` with `bytes` so that a crash at any point
+/// leaves either the old contents or the new, never a mixture: write a
+/// sibling temp file, fsync it, rename it over `path`, fsync the parent
+/// directory. Session sidecars that must stay readable across a crash are
+/// written this way.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp).map_err(|e| Journal::io(&tmp, e))?;
+    file.write_all(bytes).map_err(|e| Journal::io(&tmp, e))?;
+    file.sync_all().map_err(|e| Journal::io(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| Journal::io(path, e))?;
+    sync_parent_dir(path)
+}
+
 /// The outcome of [`recover`]: the surviving records plus an account of
 /// any torn tail.
 #[derive(Debug)]

@@ -81,6 +81,9 @@ pub use oregami_topology::{
 use oregami_graph::TaskGraph;
 use std::sync::{Arc, Mutex};
 
+/// The LaRCS text and parameter bindings a task graph was compiled from.
+type Source = Arc<(String, Vec<(String, i64)>)>;
+
 /// One complete run of the OREGAMI toolchain.
 #[derive(Clone, Debug)]
 pub struct OregamiResult {
@@ -94,9 +97,18 @@ pub struct OregamiResult {
     /// produced through [`Oregami::map_with_budget`] /
     /// [`Oregami::map_source_with_budget`].
     pub engine: Option<EngineReport>,
+    /// `None` for a prebuilt graph; otherwise what a session's `program`
+    /// edits splice into and recompile.
+    source: Option<Source>,
 }
 
 impl OregamiResult {
+    fn compiled_from(mut self, source: &str, params: &[(&str, i64)]) -> OregamiResult {
+        let params = params.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        self.source = Some(Arc::new((source.to_string(), params)));
+        self
+    }
+
     /// Whether a budget cut any search short: the mapping is valid but
     /// possibly worse than an unbudgeted run would produce.
     pub fn is_degraded(&self) -> bool {
@@ -127,41 +139,95 @@ pub struct EditRecord {
     pub delta: MetricsDelta,
 }
 
+/// What [`InteractiveSession::dispatch`] did with one [`ReplayOp`].
+#[derive(Debug)]
+pub enum Dispatched {
+    /// An edit applied; its metric delta.
+    Applied(MetricsDelta),
+    /// An undo ran; `None` when nothing was left to undo.
+    Undone(Option<MetricsDelta>),
+    /// A `program` edit recompiled and remapped the session's source; the
+    /// session now edits this result, its log and undo stack empty.
+    Recompiled(Box<OregamiResult>),
+}
+
+/// Why [`InteractiveSession::dispatch`] refused an op. Except for
+/// [`Journal`](DispatchError::Journal), the session is unchanged.
+#[derive(Debug)]
+pub enum DispatchError {
+    /// The engine rejected the edit (or the budget was spent).
+    Edit(EditError),
+    /// A churn-stream event: those belong to a [`StreamSession`].
+    Stream,
+    /// A `program` edit on a session mapped from a prebuilt graph.
+    NoSource,
+    /// The replacement rule did not splice into the source.
+    Rule(LarcsError),
+    /// The edited source did not compile or map.
+    Remap(OregamiError),
+    /// The caller's `persist` hook refused the new source.
+    Persist(String),
+    /// The program edit took effect but its journal could not be
+    /// restarted; journalling is detached.
+    Journal(String),
+}
+
+impl std::fmt::Display for DispatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DispatchError::Edit(e) => e.fmt(f),
+            DispatchError::Rule(e) => e.fmt(f),
+            DispatchError::Remap(e) => e.fmt(f),
+            DispatchError::Persist(e) | DispatchError::Journal(e) => f.write_str(e),
+            DispatchError::Stream => {
+                f.write_str("stream events (spawn/depart/load/recover) need a stream session")
+            }
+            DispatchError::NoSource => {
+                f.write_str("program edits need a session opened from a LaRCS source")
+            }
+        }
+    }
+}
+
+/// The frame a program edit's restarted journal opens with: which source
+/// the frames after it were recorded against (the stream journal's
+/// `config` frame is the precedent).
+fn source_pin(source: &str) -> String {
+    let crc = journal::crc32(source.as_bytes());
+    format!("source {} {crc:08x}", source.len())
+}
+
 /// A live METRICS session over one mapped result — the paper §5 loop
 /// ("the user modifies the mapping and the metrics are recomputed") as an
 /// API. Holds the incremental [`MetricsEngine`], the log of applied
 /// edits, and free-form annotations folded into every rendered report.
 ///
-/// Obtain one from [`Oregami::interactive`]; the session borrows the
-/// toolchain instance and the result it was opened on.
-pub struct InteractiveSession<'a> {
-    engine: MetricsEngine<'a>,
+/// Obtain one from [`Oregami::interactive`]. The session owns what it
+/// needs — a clone of the toolchain (sharing its caches), the source it
+/// was mapped from, and an owning engine — so it can be held across
+/// requests and moved between threads.
+pub struct InteractiveSession {
+    system: Oregami,
+    source: Option<Source>,
+    engine: MetricsEngine<'static>,
     log: Vec<EditRecord>,
     annotations: Vec<String>,
     journal: Option<Journal>,
     journal_error: Option<String>,
 }
 
-impl InteractiveSession<'_> {
+impl InteractiveSession {
     /// Applies one edit, logging it; returns the metric delta. A rejected
     /// edit leaves the session (and the log) unchanged. With a journal
     /// attached, the edit is framed to disk after it applies.
     pub fn apply(&mut self, edit: Edit) -> Result<MetricsDelta, EditError> {
-        let description = edit.to_string();
-        let record = replay::to_record(&ReplayOp::Apply(edit.clone()));
-        let delta = self.engine.apply(edit)?;
-        self.log.push(EditRecord {
-            description,
-            delta: delta.clone(),
-        });
-        self.journal_append(&record);
-        Ok(delta)
+        self.apply_budgeted(edit, &Budget::unlimited())
     }
 
-    /// Applies one edit under an execution budget: the budget is polled
-    /// before the edit and charged per ledger entry touched, so a replay
-    /// can be deadline-bounded like any other search.
-    pub fn apply_budgeted(&mut self, edit: Edit, budget: &Budget) -> Result<MetricsDelta, EditError> {
+    /// [`apply`](Self::apply) under an execution budget: the budget is
+    /// polled before the edit and charged per ledger entry touched, so a
+    /// replay can be deadline-bounded like any other search.
+    fn apply_budgeted(&mut self, edit: Edit, budget: &Budget) -> Result<MetricsDelta, EditError> {
         let description = edit.to_string();
         let record = replay::to_record(&ReplayOp::Apply(edit.clone()));
         let delta = self.engine.apply_budgeted(edit, budget)?;
@@ -185,6 +251,77 @@ impl InteractiveSession<'_> {
         Some(delta)
     }
 
+    /// Runs one op of the replay dialect — the single dispatcher behind
+    /// journal resume, the CLI's `--edits` replay and the daemon's
+    /// `session_edit`. Edits apply under `budget`. A `program` edit
+    /// rebuilds the session on the edited source; `persist(source, pin)`
+    /// runs once that edit has validated and before anything changes, so
+    /// a caller keeping its own record of the source (the daemon's
+    /// sidecar) writes it ahead of the journal restart. `pin` is the
+    /// frame the restarted journal opens with.
+    pub fn dispatch(
+        &mut self,
+        op: ReplayOp,
+        budget: &Budget,
+        persist: impl FnOnce(&str, &str) -> Result<(), String>,
+    ) -> Result<Dispatched, DispatchError> {
+        match op {
+            ReplayOp::Apply(edit) => self
+                .apply_budgeted(edit, budget)
+                .map(Dispatched::Applied)
+                .map_err(DispatchError::Edit),
+            ReplayOp::Undo => Ok(Dispatched::Undone(self.undo())),
+            ReplayOp::Stream(_) => Err(DispatchError::Stream),
+            ReplayOp::Program { phase, rule, text } => self
+                .rebuild_program(&phase, rule, &text, persist)
+                .map(|r| Dispatched::Recompiled(Box::new(r))),
+        }
+    }
+
+    /// The program-edit rebuild: splice the rule into the source through
+    /// the shared incremental front end (only the edited rule
+    /// re-expands), remap, and move the session onto the new result — all
+    /// validated before the old state is touched, so a rejected edit
+    /// leaves the session exactly as it was. Earlier edits described the
+    /// old mapping: the log resets and an attached journal restarts,
+    /// pinned to the new source.
+    fn rebuild_program(
+        &mut self,
+        phase: &str,
+        rule: usize,
+        text: &str,
+        persist: impl FnOnce(&str, &str) -> Result<(), String>,
+    ) -> Result<OregamiResult, DispatchError> {
+        let (source, params) = &**self.source.as_ref().ok_or(DispatchError::NoSource)?;
+        let edited = {
+            let mut db = self.system.frontend.lock().unwrap_or_else(|p| p.into_inner());
+            db.edit_rule(source, phase, rule, text)
+                .map_err(DispatchError::Rule)?
+        };
+        let params: Vec<(&str, i64)> = params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let result = self
+            .system
+            .map_source(&edited, &params)
+            .map_err(DispatchError::Remap)?;
+        let fresh = self.system.interactive(&result).map_err(DispatchError::Remap)?;
+        let pin = source_pin(&edited);
+        persist(&edited, &pin).map_err(DispatchError::Persist)?;
+        self.source = fresh.source;
+        self.engine = fresh.engine;
+        self.log.clear();
+        self.annotations.clear();
+        if let Some(old) = self.journal.take() {
+            match Journal::create(old.path()).and_then(|mut j| j.append(&pin).map(|()| j)) {
+                Ok(j) => self.journal = Some(j),
+                Err(e) => {
+                    self.journal_error = Some(format!("journalling abandoned: {e}"));
+                    return Err(DispatchError::Journal(e.to_string()));
+                }
+            }
+        }
+        Ok(result)
+    }
+
     /// Attaches a write-ahead journal: every subsequently applied edit
     /// (and undo) is framed, checksummed, and fsynced to it after it
     /// applies. Journalling is best-effort — an I/O failure detaches the
@@ -193,11 +330,6 @@ impl InteractiveSession<'_> {
     /// session.
     pub fn attach_journal(&mut self, journal: Journal) {
         self.journal = Some(journal);
-    }
-
-    /// The attached journal's path, when one is attached and healthy.
-    pub fn journal_path(&self) -> Option<&std::path::Path> {
-        self.journal.as_ref().map(Journal::path)
     }
 
     /// The latched warning from a failed journal append, if journalling
@@ -321,7 +453,7 @@ impl From<RepairError> for OregamiError {
 /// ([`map_graph`](Oregami::map_graph)).
 #[derive(Clone, Debug)]
 pub struct Oregami {
-    network: Network,
+    network: Arc<Network>,
     options: MapperOptions,
     cost_model: CostModel,
     parallelism: Parallelism,
@@ -336,7 +468,7 @@ impl Oregami {
     /// cache (clones share the cache).
     pub fn new(network: Network) -> Oregami {
         Oregami {
-            network,
+            network: Arc::new(network),
             options: MapperOptions::default(),
             cost_model: CostModel::default(),
             parallelism: Parallelism::Sequential,
@@ -443,7 +575,7 @@ impl Oregami {
         params: &[(&str, i64)],
     ) -> Result<OregamiResult, OregamiError> {
         let tg = self.compile_source(source, params)?;
-        self.map_graph(tg)
+        Ok(self.map_graph(tg)?.compiled_from(source, params))
     }
 
     /// Injects faults into the target network and repairs an existing
@@ -489,26 +621,27 @@ impl Oregami {
     /// ([`Edit::Reassign`] / [`Edit::Reroute`] / [`Edit::Fault`]) apply
     /// incrementally with per-edit metric deltas and undo, and
     /// [`InteractiveSession::report`] reads the full suite at any point.
-    /// The engine's route table is seeded from the instance's shared
-    /// cache, so opening a session never re-runs all-pairs routing on a
-    /// machine the toolchain has already seen.
-    pub fn interactive<'a>(
-        &'a self,
-        result: &'a OregamiResult,
-    ) -> Result<InteractiveSession<'a>, OregamiError> {
+    /// The session owns its inputs — the graph, mapping and network are
+    /// cloned once here, never per edit. The engine's route table is
+    /// seeded from the instance's shared cache, so opening a session
+    /// never re-runs all-pairs routing on a machine the toolchain has
+    /// already seen.
+    pub fn interactive(&self, result: &OregamiResult) -> Result<InteractiveSession, OregamiError> {
         let table = self
             .cache
             .get_or_build(&self.network)
             .map_err(oregami_mapper::MapError::from)?;
-        let engine = MetricsEngine::try_new_with_table(
-            &result.task_graph,
-            &self.network,
-            &result.report.mapping,
+        let engine = MetricsEngine::try_new_owned(
+            result.task_graph.clone(),
+            (*self.network).clone(),
+            result.report.mapping.clone(),
             &self.cost_model,
             table,
         )
         .map_err(|e| OregamiError::Map(oregami_mapper::MapError::Mapping(e)))?;
         Ok(InteractiveSession {
+            system: self.clone(),
+            source: result.source.clone(),
             engine,
             log: Vec::new(),
             annotations: Vec::new(),
@@ -522,62 +655,68 @@ impl Oregami {
     /// replays every journalled record through a fresh incremental
     /// engine, and re-attaches the journal in append mode so the resumed
     /// session keeps journalling where the old one stopped. Returns the
-    /// session plus the recovery record (replayed count, torn bytes).
+    /// session plus the recovery record (replayed edits, torn bytes).
+    ///
+    /// A journal restarted by a program edit begins with a frame pinning
+    /// the edited source. Such a journal replays only onto that source:
+    /// on any other, its frames describe a mapping this session never had,
+    /// so the session opens with zero edits on a fresh journal. The pin is
+    /// not an edit and is left out of the recovery's records.
     ///
     /// A journal that is readable but semantically stale — e.g. written
     /// against a different mapping — surfaces as
     /// [`OregamiError::Journal`] naming the offending frame.
-    pub fn resume<'a>(
-        &'a self,
-        result: &'a OregamiResult,
+    pub fn resume(
+        &self,
+        result: &OregamiResult,
         path: &std::path::Path,
-    ) -> Result<(InteractiveSession<'a>, JournalRecovery), OregamiError> {
-        let recovery =
-            journal::recover(path, true).map_err(|e| OregamiError::Journal(e.to_string()))?;
+    ) -> Result<(InteractiveSession, JournalRecovery), OregamiError> {
+        let journal_err = |e: journal::JournalError| OregamiError::Journal(e.to_string());
+        let mut recovery = journal::recover(path, true).map_err(journal_err)?;
         let mut session = self.interactive(result)?;
-        for (i, record) in recovery.records.iter().enumerate() {
-            let frame = i + 1;
-            match replay::parse_line(record) {
-                Ok(Some(ReplayOp::Apply(edit))) => {
-                    session.apply(edit).map_err(|e| {
-                        OregamiError::Journal(format!(
-                            "{}: frame {frame}: journalled edit rejected: {e}",
-                            path.display()
-                        ))
-                    })?;
-                }
-                Ok(Some(ReplayOp::Undo)) => {
-                    session.undo();
-                }
-                // journals only ever hold canonical records, but recovery
-                // must be total over whatever the file contains
-                Ok(None) => {}
-                Ok(Some(ReplayOp::Stream(_))) => {
-                    return Err(OregamiError::Journal(format!(
-                        "{}: frame {frame}: stream event in an edit-session journal \
-                         (resume it with --stream)",
-                        path.display()
-                    )));
-                }
-                Ok(Some(ReplayOp::Program { .. })) => {
-                    return Err(OregamiError::Journal(format!(
-                        "{}: frame {frame}: program edit in a metric-session journal \
-                         (program edits recompile and remap — they live in the \
-                         daemon's session meta, not the edit journal)",
-                        path.display()
-                    )));
-                }
-                Err(e) => {
-                    return Err(OregamiError::Journal(format!(
-                        "{}: frame {frame}: {e}",
-                        path.display()
-                    )));
+        if recovery.records.first().is_some_and(|r| r.starts_with("source ")) {
+            let pinned = recovery.records.remove(0);
+            let ours = session.source.as_ref().map(|s| source_pin(&s.0));
+            if ours.as_deref() != Some(pinned.as_str()) {
+                recovery.records.clear();
+                let mut fresh = Journal::create(path).map_err(journal_err)?;
+                if let Some(pin) = &ours {
+                    fresh.append(pin).map_err(journal_err)?;
                 }
             }
         }
-        let journal =
-            Journal::open_append(path).map_err(|e| OregamiError::Journal(e.to_string()))?;
-        session.attach_journal(journal);
+        // program edits are never journalled (their source lives with
+        // whoever opened the session), so one in a journal is refused
+        let no_program = |_: &str, _: &str| {
+            Err("program edit in a metric-session journal (program edits recompile \
+                 and remap — they live in the daemon's session meta, not the edit \
+                 journal)"
+                .to_string())
+        };
+        for (i, record) in recovery.records.iter().enumerate() {
+            let fail = |why: String| {
+                OregamiError::Journal(format!("{}: frame {}: {why}", path.display(), i + 1))
+            };
+            let op = match replay::parse_line(record) {
+                Ok(Some(op)) => op,
+                // journals only ever hold canonical records, but recovery
+                // must be total over whatever the file contains
+                Ok(None) => continue,
+                Err(e) => return Err(fail(e)),
+            };
+            session
+                .dispatch(op, &Budget::unlimited(), no_program)
+                .map_err(|e| {
+                    fail(match e {
+                        DispatchError::Edit(e) => format!("journalled edit rejected: {e}"),
+                        DispatchError::Stream => "stream event in an edit-session journal \
+                                                  (resume it with --stream)"
+                            .to_string(),
+                        other => other.to_string(),
+                    })
+                })?;
+        }
+        session.attach_journal(Journal::open_append(path).map_err(journal_err)?);
         Ok((session, recovery))
     }
 
@@ -605,6 +744,7 @@ impl Oregami {
             report,
             metrics,
             engine: None,
+            source: None,
         })
     }
 
@@ -619,7 +759,9 @@ impl Oregami {
         budget: &Budget,
     ) -> Result<OregamiResult, OregamiError> {
         let tg = self.compile_source(source, params)?;
-        self.map_with_budget(tg, chain, budget)
+        Ok(self
+            .map_with_budget(tg, chain, budget)?
+            .compiled_from(source, params))
     }
 
     /// Maps a task graph through the fallback-chain engine under an
@@ -675,6 +817,7 @@ impl Oregami {
             report: outcome.report,
             metrics,
             engine: Some(outcome.engine),
+            source: None,
         })
     }
 }
@@ -840,7 +983,7 @@ mod tests {
 
         let mut session = sys.interactive(&r).unwrap();
         session.attach_journal(Journal::create(&path).unwrap());
-        assert_eq!(session.journal_path(), Some(path.as_path()));
+        assert_eq!(session.journal.as_ref().map(Journal::path), Some(path.as_path()));
         for (task, proc) in [(0, 7), (1, 6)] {
             session
                 .apply(Edit::Reassign {
@@ -906,6 +1049,102 @@ mod tests {
         assert!(!rec2.truncated);
         assert_eq!(rec2.records.len(), 4);
         assert_eq!(again.snapshot(), after);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn program_edit_rebuilds_the_session_and_pins_its_journal() {
+        use oregami_topology::ProcId;
+        let src = "algorithm ring(n);\n\
+                   nodetype cell: 0..n-1;\n\
+                   comphase step:\n\
+                   forall i in 0..n-1 where i < n-1 { cell(i) -> cell(i+1); }\n\
+                   exephase update cost 2;\n\
+                   phaseexpr (step; update)^2;\n";
+        let sys = Oregami::new(builders::ring(4));
+        let old = sys.map_source(src, &[("n", 6)]).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "oregami-core-program-{}.jrnl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let unlimited = Budget::unlimited();
+        let program = |text: &str| replay::parse_line(text).unwrap().unwrap();
+
+        let mut session = sys.interactive(&old).unwrap();
+        session.attach_journal(Journal::create(&path).unwrap());
+        session
+            .apply(Edit::Reassign { task: 0, proc: ProcId(1) })
+            .unwrap();
+        // refused edits leave the session, and the caller's record, alone
+        let before = session.snapshot();
+        let refused = session.dispatch(
+            program("program nophase 0 cell(0) -> cell(1);"),
+            &unlimited,
+            |_, _| panic!("nothing to persist for a refused edit"),
+        );
+        assert!(matches!(refused, Err(DispatchError::Rule(_))));
+        let refused = session.dispatch(
+            program("program step 0 forall i in 0..n-1 where i < n-1 { cell(i) -> cell(i+1) volume 5; }"),
+            &unlimited,
+            |_, _| Err("disk full".to_string()),
+        );
+        assert!(matches!(refused, Err(DispatchError::Persist(_))));
+        assert!(matches!(
+            session.dispatch(program("depart 3"), &unlimited, |_, _| Ok(())),
+            Err(DispatchError::Stream)
+        ));
+        assert_eq!(session.snapshot(), before);
+        assert_eq!(session.edit_log().len(), 1);
+
+        let mut persisted = None;
+        let new = match session.dispatch(
+            program("program step 0 forall i in 0..n-1 where i < n-1 { cell(i) -> cell(i+1) volume 5; }"),
+            &unlimited,
+            |source, pin| {
+                persisted = Some((source.to_string(), pin.to_string()));
+                Ok(())
+            },
+        ) {
+            Ok(Dispatched::Recompiled(new)) => *new,
+            other => panic!("expected a recompile, got {other:?}"),
+        };
+        let (source, pin) = persisted.expect("persist ran");
+        assert!(source.contains("volume 5"));
+        assert_eq!(new.source.as_ref().unwrap().0, source);
+        assert!(session.edit_log().is_empty());
+        assert_eq!(session.snapshot().max_link_volume, 5);
+        assert_eq!(journal::recover(&path, false).unwrap().records, vec![pin]);
+        session
+            .apply(Edit::Reassign { task: 1, proc: ProcId(2) })
+            .unwrap();
+        let after = session.snapshot();
+        drop(session);
+
+        // onto the edited source the journal replays, the pin uncounted
+        let (resumed, recovery) = sys.resume(&new, &path).unwrap();
+        assert_eq!(recovery.records, vec!["reassign 1 2"]);
+        assert_eq!(resumed.snapshot(), after);
+        drop(resumed);
+        // onto any other source its frames are stale: zero edits, and a
+        // fresh journal for the source actually resumed
+        let (stale, recovery) = sys.resume(&old, &path).unwrap();
+        assert!(recovery.records.is_empty());
+        assert_eq!(stale.snapshot(), sys.interactive(&old).unwrap().snapshot());
+        drop(stale);
+        assert_eq!(
+            journal::recover(&path, false).unwrap().records,
+            vec![source_pin(src)]
+        );
+
+        // a result mapped from a prebuilt graph has no source to edit
+        let mut graph_only = sys
+            .interactive(&sys.map_graph(old.task_graph.clone()).unwrap())
+            .unwrap();
+        assert!(matches!(
+            graph_only.dispatch(program("program step 0 cell(0) -> cell(1);"), &unlimited, |_, _| Ok(())),
+            Err(DispatchError::NoSource)
+        ));
         let _ = std::fs::remove_file(&path);
     }
 

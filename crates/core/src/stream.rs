@@ -210,11 +210,6 @@ impl StreamSession {
         &self.controller
     }
 
-    /// The journal path, when journaling is active.
-    pub fn journal_path(&self) -> Option<&Path> {
-        self.journal.as_ref().map(|j| j.path())
-    }
-
     /// The latched journal failure, if appends started failing.
     pub fn journal_error(&self) -> Option<&str> {
         self.journal_error.as_deref()

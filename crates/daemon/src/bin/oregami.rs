@@ -20,9 +20,9 @@ use oregami::metrics::schedule;
 use oregami::replay::{self, ReplayOp};
 use oregami::topology::{LinkId, Network, ProcId};
 use oregami::{
-    Budget, ChaosConfig, ChurnConfig, CostModel, EditError, FallbackChain, FaultSet, Journal,
-    MapperOptions, MetricsDelta, Oregami, OregamiError, RepairOptions, StreamError,
-    StreamSession, SupervisorConfig,
+    Budget, ChaosConfig, ChurnConfig, CostModel, DispatchError, Dispatched, EditError,
+    FallbackChain, FaultSet, Journal, MapperOptions, MetricsDelta, Oregami, OregamiError,
+    RepairOptions, StreamError, StreamSession, SupervisorConfig,
 };
 use oregami_daemon::json::{obj, Json};
 use oregami_daemon::topo::parse_target;
@@ -468,6 +468,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The `--deadline-ms` / `--max-steps` budget (unlimited without them).
+fn budget_of(deadline_ms: Option<u64>, max_steps: Option<u64>) -> Budget {
+    let mut budget = Budget::unlimited();
+    if let Some(ms) = deadline_ms {
+        budget = budget.with_deadline(Duration::from_millis(ms));
+    }
+    if let Some(steps) = max_steps {
+        budget = budget.with_max_steps(steps);
+    }
+    budget
+}
+
 /// One compact line summarising what an edit changed.
 fn delta_line(d: &MetricsDelta) -> String {
     let opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |x| x.to_string());
@@ -512,7 +524,7 @@ fn run() -> Result<ExitCode, CliError> {
     if args.stream.is_some() {
         return run_stream(&args);
     }
-    let mut source = args.source.clone().ok_or_else(|| {
+    let source = args.source.clone().ok_or_else(|| {
         format!("no program given (--program or --file)\n\n{}", usage())
     })?;
     let net = args
@@ -587,19 +599,17 @@ fn run() -> Result<ExitCode, CliError> {
         || args.threads > 1
         || supervise;
     let mut result = if budgeted {
-        let mut budget = Budget::unlimited();
-        if let Some(ms) = args.deadline_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(steps) = args.max_steps {
-            budget = budget.with_max_steps(steps);
-        }
         let chain = match &args.chain {
             Some(spec) => FallbackChain::parse(spec).map_err(CliError::Usage)?,
             None if args.fallback => FallbackChain::full(),
             None => FallbackChain::default(),
         };
-        system.map_source_with_budget(&source, &params, &chain, &budget)?
+        system.map_source_with_budget(
+            &source,
+            &params,
+            &chain,
+            &budget_of(args.deadline_ms, args.max_steps),
+        )?
     } else {
         system.map_source(&source, &params)?
     };
@@ -683,87 +693,59 @@ fn run() -> Result<ExitCode, CliError> {
         if let Some(path) = &args.edits {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
-            let mut replay_budget = Budget::unlimited();
-            if let Some(ms) = args.deadline_ms {
-                replay_budget = replay_budget.with_deadline(Duration::from_millis(ms));
-            }
-            if let Some(steps) = args.max_steps {
-                replay_budget = replay_budget.with_max_steps(steps);
-            }
+            // a fresh budget: the replay's deadline and step quota are its
+            // own, not what the mapping left over
+            let budget = budget_of(args.deadline_ms, args.max_steps);
             println!("-- interactive replay from {path} --");
-            'replay: for (lineno, raw) in text.lines().enumerate() {
+            for (lineno, raw) in text.lines().enumerate() {
                 let n = lineno + 1;
                 let op = match replay::parse_line(raw) {
                     Ok(Some(op)) => op,
                     Ok(None) => continue,
                     Err(e) => return Err(CliError::Usage(format!("{path}:{n}: {e}"))),
                 };
-                match op {
-                    ReplayOp::Undo => match session.undo() {
-                        Some(delta) => {
-                            println!("{path}:{n}: undo");
-                            println!("{}", delta_line(&delta));
-                        }
-                        None => println!("{path}:{n}: undo (nothing to undo)"),
-                    },
-                    ReplayOp::Stream(_) => {
-                        return Err(CliError::Usage(format!(
-                            "{path}:{n}: stream events (spawn/depart/load/recover) \
-                             replay with --stream, not --edits"
-                        )));
+                match &op {
+                    ReplayOp::Apply(edit) => println!("{path}:{n}: {edit}"),
+                    ReplayOp::Program { phase, rule, text } => {
+                        println!("{path}:{n}: program {phase} {rule} {text}")
                     }
-                    ReplayOp::Program {
-                        phase,
-                        rule,
-                        text: new_text,
-                    } => {
-                        // A program edit changes the computation itself, not
-                        // just its placement: splice the rule at its recorded
-                        // span through the incremental front end (only the
-                        // edited rule re-elaborates), remap, and restart the
-                        // session on the new graph. Earlier edits described
-                        // the old mapping, so the edit log resets — and any
-                        // active journal restarts fresh for the same reason.
-                        println!("{path}:{n}: program {phase} {rule} {new_text}");
-                        let new_source = {
-                            let frontend = system.frontend();
-                            let mut db = frontend.lock().unwrap_or_else(|p| p.into_inner());
-                            db.edit_rule(&source, &phase, rule, &new_text)
-                                .map_err(|e| CliError::Usage(format!("{path}:{n}: {e}")))?
-                        };
-                        let new_result = system.map_source(&new_source, &params)?;
-                        drop(session);
-                        source = new_source;
-                        result = new_result;
-                        session = system.interactive(&result)?;
-                        if let Some(jpath) = args.journal.as_ref().or(args.resume.as_ref()) {
-                            let journal = Journal::create(std::path::Path::new(jpath))
-                                .map_err(|e| {
-                                    CliError::Usage(format!("cannot restart journal: {e}"))
-                                })?;
-                            session.attach_journal(journal);
-                        }
+                    ReplayOp::Undo | ReplayOp::Stream(_) => {}
+                }
+                match session.dispatch(op, &budget, |_, _| Ok(())) {
+                    Ok(Dispatched::Applied(delta)) => println!("{}", delta_line(&delta)),
+                    Ok(Dispatched::Undone(Some(delta))) => {
+                        println!("{path}:{n}: undo");
+                        println!("{}", delta_line(&delta));
+                    }
+                    Ok(Dispatched::Undone(None)) => println!("{path}:{n}: undo (nothing to undo)"),
+                    // A program edit changes the computation itself, not
+                    // just its placement: the session recompiled, remapped
+                    // and restarted on the new graph (edit log reset, any
+                    // active journal restarted); everything below reports
+                    // on the new result.
+                    Ok(Dispatched::Recompiled(remapped)) => {
+                        result = *remapped;
                         println!(
                             "  recompiled: {} tasks remapped; session restarted",
                             result.task_graph.num_tasks()
                         );
                     }
-                    ReplayOp::Apply(edit) => {
-                        println!("{path}:{n}: {edit}");
-                        match session.apply_budgeted(edit, &replay_budget) {
-                            Ok(delta) => println!("{}", delta_line(&delta)),
-                            Err(EditError::Budget(c)) => {
-                                session.annotate(format!(
-                                    "replay stopped early at {path}:{n}: {c}"
-                                ));
-                                replay_degraded = true;
-                                break 'replay;
-                            }
-                            Err(e) => {
-                                return Err(CliError::Usage(format!("{path}:{n}: {e}")));
-                            }
-                        }
+                    Err(DispatchError::Edit(EditError::Budget(c))) => {
+                        session.annotate(format!("replay stopped early at {path}:{n}: {c}"));
+                        replay_degraded = true;
+                        break;
                     }
+                    Err(DispatchError::Stream) => {
+                        return Err(CliError::Usage(format!(
+                            "{path}:{n}: stream events (spawn/depart/load/recover) \
+                             replay with --stream, not --edits"
+                        )));
+                    }
+                    Err(DispatchError::Remap(e)) => return Err(e.into()),
+                    Err(DispatchError::Journal(e)) => {
+                        return Err(CliError::Usage(format!("cannot restart journal: {e}")));
+                    }
+                    Err(e) => return Err(CliError::Usage(format!("{path}:{n}: {e}"))),
                 }
             }
         }
@@ -941,13 +923,7 @@ fn run_stream(args: &Args) -> Result<ExitCode, CliError> {
         .topology
         .clone()
         .ok_or_else(|| CliError::Usage(format!("no --topology given\n\n{}", usage())))?;
-    let mut budget = Budget::unlimited();
-    if let Some(ms) = args.deadline_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(steps) = args.max_steps {
-        budget = budget.with_max_steps(steps);
-    }
+    let budget = budget_of(args.deadline_ms, args.max_steps);
     let mut session = if let Some(jpath) = &args.resume {
         let (session, recovery) = StreamSession::resume(net, std::path::Path::new(jpath))?;
         if recovery.truncated {

@@ -20,8 +20,9 @@
 //!   fairness and panic isolation.
 //! * [`coalesce`] — identical in-flight computations dedup onto one
 //!   run whose result fans out to every waiter.
-//! * [`sessions`] — journaled interactive sessions as actor threads;
-//!   the WAL plus a meta sidecar make a SIGKILL'd daemon resumable
+//! * [`sessions`] — journaled edit and stream sessions in one table of
+//!   owned values, each behind its own mutex; the WAL plus an atomically
+//!   replaced meta sidecar make a SIGKILL'd daemon resumable
 //!   byte-identically with `--resume`.
 //! * [`server`] — the accept loop, dispatch, and graceful drain.
 //! * [`client`] — the synchronous client the CLI and bench use.

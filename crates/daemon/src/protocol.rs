@@ -94,6 +94,12 @@ pub struct MapSpec {
 }
 
 impl MapSpec {
+    /// The bindings in the borrowed form the toolchain's `map_source*`
+    /// entry points take.
+    pub(crate) fn param_refs(&self) -> Vec<(&str, i64)> {
+        self.params.iter().map(|(k, v)| (k.as_str(), *v)).collect()
+    }
+
     /// Buckets the budget into a coarse class so "effectively the same
     /// patience" requests coalesce while a 10 ms and a 10 s deadline
     /// never share a computation.
@@ -203,7 +209,7 @@ fn get_session(msg: &Json) -> Result<String, WireError> {
     Ok(name)
 }
 
-fn parse_spec(msg: &Json) -> Result<MapSpec, WireError> {
+pub(crate) fn parse_spec(msg: &Json) -> Result<MapSpec, WireError> {
     let source = match (get_str(msg, "program")?, get_str(msg, "source")?) {
         (Some(_), Some(_)) => return Err(bad("give 'program' or 'source', not both")),
         (Some(name), None) => {

@@ -12,8 +12,8 @@
 //! Graceful drain (SIGTERM or a `shutdown` request): admission starts
 //! shedding with `shutting_down`, the listener closes and the socket
 //! file is unlinked, queued jobs run to completion and their responses
-//! flush, session actors park (journals intact, so `--resume` restores
-//! them), connections are shut down, readers joined.
+//! flush, the session table is emptied (journals intact, so `--resume`
+//! restores them), connections are shut down, readers joined.
 
 use crate::admission::AdmissionGate;
 use crate::coalesce::{Coalescer, Payload, Waiter};
@@ -22,11 +22,11 @@ use crate::protocol::{self, MapSpec, Op, KIND_BAD_REQUEST, KIND_INTERNAL, KIND_S
 use crate::scheduler::{Job, Scheduler};
 use crate::sessions::{metric_json, SessionRegistry};
 use crate::wire::{self, WireError};
-use oregami::graph::TaskGraph;
 use oregami::topology::{LinkId, ProcId};
 use oregami::{
-    Budget, ChaosConfig, FallbackChain, FaultSet, MapperOptions, Oregami, OregamiError,
-    OregamiResult, RepairOptions, RouteTableCache, StageKind, SupervisorConfig, SupervisorState,
+    Budget, ChaosConfig, CostModel, FallbackChain, FaultSet, MapperOptions, MetricsEngine, Oregami,
+    OregamiError, OregamiResult, RepairOptions, RouteTableCache, StageKind, SupervisorConfig,
+    SupervisorState,
 };
 
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -296,7 +296,7 @@ impl Server {
         let _ = std::fs::remove_file(&self.socket);
         // queued compute jobs finish and their responses flush first
         daemon.sched.drain();
-        // session actors park; journals and meta files stay for --resume
+        // sessions drop; journals and meta files stay for --resume
         daemon.sessions.shutdown();
         // now unblock every reader still waiting on its client
         for s in conns
@@ -380,6 +380,11 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 };
                 respond(&to_response(req.id, &payload));
             }
+            // Session operations run here, on the connection's thread,
+            // each under its own session's lock. The guard turns a panic
+            // into a typed `session` error for this one request: the
+            // session it happened in is poisoned, the connection and
+            // every other session carry on.
             Op::SessionOpen { name, spec } => {
                 let r = if draining {
                     Err((
@@ -387,12 +392,13 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                         "daemon is draining; no new sessions".to_string(),
                     ))
                 } else {
-                    daemon.sessions.open(&name, spec)
+                    isolated("session", || daemon.sessions.open(&name, spec))
                 };
                 respond(&to_response(req.id, &r));
             }
             Op::SessionEdit { name, line } => {
-                respond(&to_response(req.id, &daemon.sessions.edit(&name, &line)));
+                let r = isolated("session", || daemon.sessions.edit(&name, &line));
+                respond(&to_response(req.id, &r));
             }
             Op::SessionStream {
                 name,
@@ -400,22 +406,20 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 load_bound,
                 events,
             } => {
-                respond(&to_response(
-                    req.id,
-                    &daemon.sessions.stream(
-                        &name,
-                        topology.as_deref(),
-                        load_bound,
-                        &events,
-                        draining,
-                    ),
-                ));
+                let r = isolated("session", || {
+                    daemon
+                        .sessions
+                        .stream(&name, topology.as_deref(), load_bound, &events, draining)
+                });
+                respond(&to_response(req.id, &r));
             }
             Op::SessionSnapshot { name } => {
-                respond(&to_response(req.id, &daemon.sessions.snapshot(&name)));
+                let r = isolated("session", || daemon.sessions.snapshot(&name));
+                respond(&to_response(req.id, &r));
             }
             Op::SessionClose { name } => {
-                respond(&to_response(req.id, &daemon.sessions.close(&name)));
+                let r = isolated("session", || daemon.sessions.close(&name));
+                respond(&to_response(req.id, &r));
             }
             Op::Map(spec) => {
                 dispatch_compute(daemon, conn_id, req.id, "map", spec, &writer, draining)
@@ -473,17 +477,23 @@ fn dispatch_compute(
             let t0 = Instant::now();
             // second line of defence behind the scheduler's catch: if
             // execute itself panics, every waiter still gets an answer
-            let payload = match catch_unwind(AssertUnwindSafe(|| d.execute(op_name, &spec))) {
-                Ok(p) => p,
-                Err(_) => Err((
-                    KIND_INTERNAL.to_string(),
-                    "request panicked; worker isolated it".to_string(),
-                )),
-            };
+            let payload = isolated(KIND_INTERNAL, || d.execute(op_name, &spec));
             d.gate.observe_service(t0.elapsed());
             d.coalescer.publish(&key, &payload);
         }),
     });
+}
+
+/// Runs one request's work with panics contained: a panic becomes a
+/// typed error of `kind` for that request instead of unwinding the
+/// thread that serves it.
+fn isolated(kind: &str, work: impl FnOnce() -> Payload) -> Payload {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+        Err((
+            kind.to_string(),
+            "request panicked; worker isolated it".to_string(),
+        ))
+    })
 }
 
 fn to_response(id: u64, payload: &Payload) -> Json {
@@ -513,20 +523,6 @@ fn error_payload(e: &OregamiError) -> (String, String) {
 type SystemAndDomains = Result<(Oregami, Option<Arc<oregami::DomainMap>>), (String, String)>;
 
 impl Daemon {
-    /// Compiles (or fetches) the task graph for `spec` through the
-    /// shared incremental front end: the `Db` memoizes by content
-    /// fingerprint at every stage, so a repeat of `(source, params)` is
-    /// a pure cache hit and a lightly edited source re-expands only the
-    /// rules that changed.
-    fn compile_cached(&self, spec: &MapSpec) -> Result<TaskGraph, OregamiError> {
-        let params: Vec<(&str, i64)> = spec.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let mut db = self
-            .frontend
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Ok((*db.compile(&spec.source, &params)?).clone())
-    }
-
     /// A toolchain instance for one request: shared route-table cache,
     /// shared supervisor breaker state, per-request (or daemon-wide)
     /// chaos injection. Machine specs (`mesh-boards:...`) also yield the
@@ -582,12 +578,15 @@ impl Daemon {
         Ok(compression)
     }
 
+    /// Compiles `spec`'s source through the shared incremental front end
+    /// (a repeat of `(source, params)` is a pure cache hit; a lightly
+    /// edited source re-expands only the rules that changed) and maps it
+    /// under the request's budget.
     fn map_budgeted(
         &self,
         system: &Oregami,
         spec: &MapSpec,
     ) -> Result<OregamiResult, (String, String)> {
-        let tg = self.compile_cached(spec).map_err(|e| error_payload(&e))?;
         let chain = match &spec.chain {
             Some(s) => FallbackChain::parse(s).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?,
             None => FallbackChain::default(),
@@ -600,7 +599,7 @@ impl Daemon {
             budget = budget.with_max_steps(n);
         }
         system
-            .map_with_budget(tg, &chain, &budget)
+            .map_source_with_budget(&spec.source, &spec.param_refs(), &chain, &budget)
             .map_err(|e| error_payload(&e))
     }
 
@@ -623,12 +622,28 @@ impl Daemon {
                 Ok(out)
             }
             "metrics" => {
-                let session = system.interactive(&result).map_err(|e| error_payload(&e))?;
+                // a borrowed engine over the result: nothing is cloned
+                // just to read the figures back
+                let table = self
+                    .cache
+                    .get_or_build(system.network())
+                    .map_err(|e| error_payload(&OregamiError::Map(e.into())))?;
+                let engine = MetricsEngine::try_new_with_table(
+                    &result.task_graph,
+                    system.network(),
+                    &result.report.mapping,
+                    &CostModel::default(),
+                    table,
+                )
+                .map_err(|e| error_payload(&OregamiError::Map(e.into())))?;
                 Ok(obj()
                     .field("program", spec.label.as_str())
                     .field("topology", spec.topology.as_str())
-                    .field("metrics", metric_json(&session.snapshot()))
-                    .field("report", session.report().render())
+                    .field("metrics", metric_json(&engine.snapshot()))
+                    .field(
+                        "report",
+                        oregami::metrics::report_from_engine(&engine).render(),
+                    )
                     .build())
             }
             "repair" => {

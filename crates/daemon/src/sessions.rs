@@ -1,61 +1,53 @@
 //! Crash-safe interactive sessions hosted inside the daemon.
 //!
-//! An interactive session borrows its `Oregami` instance and mapped
-//! result, so each daemon session runs as an **actor**: a dedicated
-//! thread that owns the whole stack — network, system, result, session
-//! — on its own frames, and serves commands from an mpsc channel. The
-//! registry maps session names to command senders.
+//! Both session kinds are owned values ([`InteractiveSession`],
+//! [`StreamSession`]), so the registry is one table: name →
+//! `Arc<Mutex<Option<Session>>>`. The table lock is held only to look a
+//! name up, reserve it, or remove it; each operation then runs under its
+//! own session's mutex on the connection thread that asked, so a long
+//! replay or event batch serialises only with that session.
 //!
 //! Crash safety reuses the journal WAL (`core::journal`): every applied
 //! edit is framed, checksummed, and fsync'd to
 //! `<state-dir>/<name>.jrnl` before the response goes out, and a
-//! sidecar `<name>.meta.json` (written once at open) records how to
-//! rebuild the session's inputs. A SIGKILL'd daemon restarted with
-//! `--resume` rescans the state dir, re-maps each session's program
+//! sidecar `<name>.meta.json` records how to rebuild the session's
+//! inputs. The sidecar is written before the journal it describes and
+//! replaced atomically, so a crash leaves the old sidecar or the new
+//! one, never a torn one. A SIGKILL'd daemon restarted with `--resume`
+//! rescans the state dir, re-maps each session's program
 //! (deterministic), and replays its journal — restoring the exact
 //! session state, verified byte-for-byte by the kill-and-restart test.
 
 use crate::json::{obj, Json};
-use crate::protocol::{MapSpec, KIND_BAD_REQUEST, KIND_SHUTTING_DOWN};
+use crate::protocol::{self, MapSpec, KIND_BAD_REQUEST, KIND_SHUTTING_DOWN};
 use crate::topo::parse_topology;
-use oregami::replay::{self, ReplayOp};
+use oregami::journal::{self, Journal};
+use oregami::replay;
 use oregami::{
-    Budget, ChurnConfig, InteractiveSession, Journal, MapperOptions, MetricSnapshot,
-    MetricsDelta, Oregami, RouteTableCache, StreamError, StreamSession,
+    Budget, ChurnConfig, DispatchError, Dispatched, InteractiveSession, MapperOptions,
+    MetricSnapshot, MetricsDelta, Oregami, RouteTableCache, StreamError, StreamSession,
 };
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Commands served by a session actor.
-enum SessionCmd {
-    Edit {
-        line: String,
-        reply: mpsc::Sender<Result<Json, (String, String)>>,
-    },
-    Snapshot {
-        reply: mpsc::Sender<Json>,
-    },
-    Close {
-        reply: mpsc::Sender<()>,
-    },
+/// Each lives in its own [`Slot`] allocation, so the variants' sizes are
+/// not worth a second box.
+#[allow(clippy::large_enum_variant)]
+enum Session {
+    /// An edit session and the spec its sidecar was written from (a
+    /// `program` edit rewrites the sidecar with the new source).
+    Edit(InteractiveSession, MapSpec),
+    Stream(StreamSession),
 }
 
-struct SessionHandle {
-    tx: mpsc::Sender<SessionCmd>,
-    join: JoinHandle<()>,
-}
+/// `None` is a name with nothing behind it: an open still building, or a
+/// session closed while another request held the slot.
+type Slot = Arc<Mutex<Option<Session>>>;
 
-/// The daemon's session table: edit-session actors plus owned
-/// churn-stream sessions (no actor needed — [`StreamSession`] borrows
-/// nothing). Each stream session sits behind its own mutex so a long
-/// event batch (engine probes, escalated repairs) serializes only with
-/// that session — the registry map lock is held just long enough to
-/// look the session up, mirroring the per-session isolation edit
-/// sessions get from their actors.
+/// The daemon's session table.
 pub struct SessionRegistry {
     state_dir: PathBuf,
     cache: Arc<RouteTableCache>,
@@ -63,17 +55,21 @@ pub struct SessionRegistry {
     /// `program` rule edits all compile through it, so a session edit
     /// re-expands only the rule that changed.
     frontend: Arc<Mutex<oregami::larcs::Db>>,
-    sessions: Mutex<HashMap<String, SessionHandle>>,
-    streams: Mutex<HashMap<String, Arc<Mutex<StreamSession>>>>,
+    sessions: Mutex<HashMap<String, Slot>>,
     /// Torn-tail truncations observed while resuming journals — a
     /// monitoring counter, not just a one-shot warning.
-    truncations: Arc<AtomicU64>,
+    truncations: AtomicU64,
 }
 
-type OpResult = Result<Json, (String, String)>;
+type Failure = (String, String);
+type OpResult = Result<Json, Failure>;
 
-fn internal(msg: &str) -> (String, String) {
-    ("session".to_string(), msg.to_string())
+fn internal(msg: impl Into<String>) -> Failure {
+    ("session".to_string(), msg.into())
+}
+
+fn bad_request(msg: impl Into<String>) -> Failure {
+    (KIND_BAD_REQUEST.to_string(), msg.into())
 }
 
 impl SessionRegistry {
@@ -87,23 +83,18 @@ impl SessionRegistry {
             cache,
             frontend,
             sessions: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashMap::new()),
-            truncations: Arc::new(AtomicU64::new(0)),
+            truncations: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, SessionHandle>> {
-        self.sessions.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_streams(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Mutex<StreamSession>>>> {
-        self.streams.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The table lock. Every update under it is one insert or remove, so
+    /// the map is valid even if a holder panicked.
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Slot>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn count(&self) -> usize {
-        self.lock().len() + self.lock_streams().len()
+        self.lock().len()
     }
 
     /// Torn-tail truncations recovered across every resume so far.
@@ -119,24 +110,111 @@ impl SessionRegistry {
         self.state_dir.join(format!("{name}.meta.json"))
     }
 
-    /// Opens a fresh journaled session. Fails if the name is taken.
-    pub fn open(&self, name: &str, spec: MapSpec) -> OpResult {
+    /// Runs `op` on the named session, holding that session's lock and no
+    /// other. A poisoned lock means an earlier operation panicked part-way
+    /// through an update: the state behind it is not trusted, and every
+    /// later operation gets a typed error until the session is closed.
+    fn with<T>(
+        &self,
+        name: &str,
+        op: impl FnOnce(&mut Session) -> Result<T, Failure>,
+    ) -> Result<T, Failure> {
+        let none = || bad_request(format!("no session '{name}'"));
+        let slot = self.lock().get(name).map(Arc::clone).ok_or_else(none)?;
+        let mut guard = slot
+            .lock()
+            .map_err(|_| internal("an earlier operation on this session panicked; close it"))?;
+        op(guard.as_mut().ok_or_else(none)?)
+    }
+
+    /// Reserves `name` and builds its session, or reports the name taken
+    /// (`Ok(None)`). The reservation is made under the table lock before
+    /// `build` touches any file, so of two requests opening one name
+    /// exactly one writes a sidecar and a journal; `build` itself runs
+    /// without the table lock, and the name is given back if it fails or
+    /// panics.
+    fn open_with(
+        &self,
+        name: &str,
+        build: impl FnOnce() -> Result<(Session, Json), Failure>,
+    ) -> Result<Option<Json>, Failure> {
+        let slot = Slot::default();
         {
-            let table = self.lock();
+            let mut table = self.lock();
             if table.contains_key(name) {
-                return Err((
-                    KIND_BAD_REQUEST.to_string(),
-                    format!("session '{name}' already exists"),
-                ));
+                return Ok(None);
+            }
+            table.insert(name.to_string(), Arc::clone(&slot));
+        }
+        let built = catch_unwind(AssertUnwindSafe(build))
+            .unwrap_or_else(|_| Err(internal("session open panicked")));
+        match built {
+            Ok((session, info)) => {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(session);
+                Ok(Some(info))
+            }
+            Err(e) => {
+                self.lock().remove(name);
+                Err(e)
             }
         }
-        if self.lock_streams().contains_key(name) {
-            return Err((
-                KIND_BAD_REQUEST.to_string(),
-                format!("'{name}' is a stream session"),
-            ));
+    }
+
+    /// Opens a fresh journaled session. Fails if the name is taken.
+    pub fn open(&self, name: &str, spec: MapSpec) -> OpResult {
+        if let Some(opened) = self.open_with(name, || self.build_edit(name, spec, false))? {
+            return Ok(opened);
         }
-        self.spawn_actor(name, spec, false)
+        let is_stream = self.with(name, |s| Ok(matches!(s, Session::Stream(_))));
+        Err(bad_request(if is_stream.unwrap_or(false) {
+            format!("'{name}' is a stream session")
+        } else {
+            format!("session '{name}' already exists")
+        }))
+    }
+
+    /// Maps `spec` and opens an edit session on the result — fresh, or
+    /// with `resume` replaying the journal already on disk.
+    fn build_edit(&self, name: &str, spec: MapSpec, resume: bool) -> Result<(Session, Json), Failure> {
+        let net = parse_topology(&spec.topology).map_err(bad_request)?;
+        let system = Oregami::new(net)
+            .with_cache(Arc::clone(&self.cache))
+            .with_frontend(Arc::clone(&self.frontend))
+            .with_options(MapperOptions {
+                load_bound: spec.load_bound,
+                ..MapperOptions::default()
+            });
+        let result = system
+            .map_source(&spec.source, &spec.param_refs())
+            .map_err(|e| ("map".to_string(), e.to_string()))?;
+        let journal_path = self.journal_path(name);
+        let (session, replayed) = if resume {
+            let (s, recovery) = system
+                .resume(&result, &journal_path)
+                .map_err(|e| internal(e.to_string()))?;
+            if recovery.truncated {
+                self.truncations.fetch_add(1, Ordering::Relaxed);
+            }
+            (s, recovery.records.len())
+        } else {
+            // meta first, journal second: a crash in between leaves a meta
+            // file without a journal, which resume reports and skips — never
+            // a journal that can't be interpreted
+            write_meta(&self.meta_path(name), &spec, None).map_err(internal)?;
+            let mut s = system
+                .interactive(&result)
+                .map_err(|e| ("map".to_string(), e.to_string()))?;
+            s.attach_journal(Journal::create(&journal_path).map_err(|e| internal(e.to_string()))?);
+            (s, 0)
+        };
+        let opened = obj()
+            .field("session", name)
+            .field("resumed", replayed)
+            .field("tasks", result.task_graph.num_tasks())
+            .field("procs", system.network().num_procs())
+            .field("snapshot", snapshot_json(name, &session))
+            .build();
+        Ok((Session::Edit(session, spec), opened))
     }
 
     /// Opens (on first use, when `topology` is given) and feeds a
@@ -152,79 +230,65 @@ impl SessionRegistry {
         events: &[String],
         draining: bool,
     ) -> OpResult {
-        if self.lock().contains_key(name) {
-            return Err((
-                KIND_BAD_REQUEST.to_string(),
-                format!("'{name}' is an edit session; stream events need a stream session"),
-            ));
-        }
-        // Hold the map lock only to look up (or create) the session's
-        // slot; the batch itself runs under the session's own mutex so
-        // other stream sessions keep ingesting concurrently.
-        let session = {
-            let mut streams = self.lock_streams();
-            if !streams.contains_key(name) {
-                if draining {
-                    return Err((
-                        KIND_SHUTTING_DOWN.to_string(),
-                        "daemon is draining; no new sessions".to_string(),
-                    ));
-                }
-                let topo = topology.ok_or_else(|| {
-                    (
-                        KIND_BAD_REQUEST.to_string(),
-                        format!("no stream session '{name}'; give 'topology' to open one"),
-                    )
-                })?;
-                let net =
-                    parse_topology(topo).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?;
+        if !self.lock().contains_key(name) {
+            if draining {
+                return Err((
+                    KIND_SHUTTING_DOWN.to_string(),
+                    "daemon is draining; no new sessions".to_string(),
+                ));
+            }
+            let topo = topology.ok_or_else(|| {
+                bad_request(format!("no stream session '{name}'; give 'topology' to open one"))
+            })?;
+            // losing a race for the name just means feeding the winner
+            self.open_with(name, || {
+                let net = parse_topology(topo).map_err(bad_request)?;
                 let cfg = ChurnConfig {
                     load_bound: load_bound.unwrap_or(ChurnConfig::default().load_bound),
                     ..ChurnConfig::default()
                 };
                 // meta first, journal second: same crash ordering as edit
-                // sessions — a gap between the two is reported, never
-                // misinterpreted
-                write_stream_meta(&self.meta_path(name), topo, load_bound)
-                    .map_err(|e| internal(&e))?;
+                // sessions
+                write_stream_meta(&self.meta_path(name), topo, load_bound).map_err(internal)?;
                 let session = StreamSession::create(net, cfg, &self.journal_path(name))
-                    .map_err(|e| ("session".to_string(), e.to_string()))?;
-                streams.insert(name.to_string(), Arc::new(Mutex::new(session)));
-            }
-            Arc::clone(streams.get(name).expect("ensured above"))
-        };
-        let mut session = session
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let budget = Budget::unlimited();
-        let mut accepted = 0u64;
-        let mut rejected = Vec::new();
-        for (i, line) in events.iter().enumerate() {
-            match session.ingest_line(line, &budget) {
-                Ok(Some(_)) => accepted += 1,
-                Ok(None) => {}
-                Err(StreamError::Churn(e)) => rejected.push(
-                    obj().field("event", i).field("message", e.to_string()).build(),
-                ),
-                Err(e) => {
-                    return Err((
-                        KIND_BAD_REQUEST.to_string(),
-                        format!("event {i}: {e} ({accepted} earlier event(s) were applied)"),
-                    ))
+                    .map_err(|e| internal(e.to_string()))?;
+                Ok((Session::Stream(session), Json::Null))
+            })?;
+        }
+        self.with(name, |session| {
+            let Session::Stream(session) = session else {
+                return Err(bad_request(format!(
+                    "'{name}' is an edit session; stream events need a stream session"
+                )));
+            };
+            let budget = Budget::unlimited();
+            let mut accepted = 0u64;
+            let mut rejected = Vec::new();
+            for (i, line) in events.iter().enumerate() {
+                match session.ingest_line(line, &budget) {
+                    Ok(Some(_)) => accepted += 1,
+                    Ok(None) => {}
+                    Err(StreamError::Churn(e)) => rejected.push(
+                        obj().field("event", i).field("message", e.to_string()).build(),
+                    ),
+                    Err(e) => {
+                        return Err(bad_request(format!(
+                            "event {i}: {e} ({accepted} earlier event(s) were applied)"
+                        )))
+                    }
                 }
             }
-        }
-        let snapshot =
-            crate::json::parse(&session.snapshot_json()).unwrap_or(Json::Null);
-        let mut out = obj()
-            .field("session", name)
-            .field("accepted", accepted)
-            .field("rejected", Json::Arr(rejected))
-            .field("snapshot", snapshot);
-        if let Some(w) = session.journal_error() {
-            out = out.field("journal_warning", w);
-        }
-        Ok(out.build())
+            let snapshot = crate::json::parse(&session.snapshot_json()).unwrap_or(Json::Null);
+            let mut out = obj()
+                .field("session", name)
+                .field("accepted", accepted)
+                .field("rejected", Json::Arr(rejected))
+                .field("snapshot", snapshot);
+            if let Some(w) = session.journal_error() {
+                out = out.field("journal_warning", w);
+            }
+            Ok(out.build())
+        })
     }
 
     /// Rebuilds every session recorded in the state dir (its meta file
@@ -243,388 +307,161 @@ impl SessionRegistry {
             let Some(name) = file.strip_suffix(".meta.json") else {
                 continue;
             };
-            let name = name.to_string();
-            match self.resume_one(&name) {
-                Ok(_) => resumed.push(name),
-                Err((_, msg)) => failed.push((name, msg)),
+            match self.open_with(name, || self.resume_one(name)) {
+                Ok(Some(_)) => resumed.push(name.to_string()),
+                Ok(None) => failed.push((name.to_string(), "already open".to_string())),
+                Err((_, msg)) => failed.push((name.to_string(), msg)),
             }
         }
         resumed.sort();
         (resumed, failed)
     }
 
-    fn resume_one(&self, name: &str) -> OpResult {
+    /// The one resume path: read the sidecar, then rebuild whichever kind
+    /// of session it describes from its journal.
+    fn resume_one(&self, name: &str) -> Result<(Session, Json), Failure> {
         let meta_text = std::fs::read_to_string(self.meta_path(name))
-            .map_err(|e| internal(&format!("cannot read meta: {e}")))?;
+            .map_err(|e| internal(format!("cannot read meta: {e}")))?;
         let meta = crate::json::parse(&meta_text)
-            .map_err(|e| internal(&format!("corrupt meta: {e}")))?;
-        if !self.journal_path(name).exists() {
+            .map_err(|e| internal(format!("corrupt meta: {e}")))?;
+        let journal_path = self.journal_path(name);
+        if !journal_path.exists() {
             return Err(internal("meta present but journal missing"));
         }
         if meta.get("kind").and_then(Json::as_str) == Some("stream") {
-            return self.resume_stream(name, &meta);
-        }
-        let spec = spec_from_meta(&meta).map_err(|e| internal(&e))?;
-        self.spawn_actor(name, spec, true)
-    }
-
-    /// Rebuilds a churn-stream session from its journal (config frame +
-    /// accepted-event prefix) — byte-identical by the determinism
-    /// contract of [`StreamSession::resume`].
-    fn resume_stream(&self, name: &str, meta: &Json) -> OpResult {
-        let topo = meta
-            .get("topology")
-            .and_then(Json::as_str)
-            .ok_or_else(|| internal("stream meta missing 'topology'"))?;
-        let net = parse_topology(topo).map_err(|e| internal(&e))?;
-        let (session, recovery) = StreamSession::resume(net, &self.journal_path(name))
-            .map_err(|e| internal(&e.to_string()))?;
-        if recovery.truncated {
-            self.truncations.fetch_add(1, Ordering::Relaxed);
-        }
-        let events = session.controller().events();
-        self.lock_streams()
-            .insert(name.to_string(), Arc::new(Mutex::new(session)));
-        Ok(obj().field("session", name).field("resumed", events).build())
-    }
-
-    fn spawn_actor(&self, name: &str, spec: MapSpec, resume: bool) -> OpResult {
-        let (tx, rx) = mpsc::channel();
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let actor_name = name.to_string();
-        let cache = Arc::clone(&self.cache);
-        let frontend = Arc::clone(&self.frontend);
-        let journal_path = self.journal_path(name);
-        let meta_path = self.meta_path(name);
-        let truncations = Arc::clone(&self.truncations);
-        let join = std::thread::Builder::new()
-            .name(format!("oregamid-session-{name}"))
-            .spawn(move || {
-                actor(
-                    actor_name, spec, cache, frontend, journal_path, meta_path, resume,
-                    truncations, ready_tx, rx,
-                )
-            })
-            .map_err(|e| internal(&format!("cannot spawn session thread: {e}")))?;
-        match ready_rx.recv() {
-            Ok(Ok(info)) => {
-                self.lock().insert(name.to_string(), SessionHandle { tx, join });
-                Ok(info)
+            // byte-identical by the determinism contract of
+            // `StreamSession::resume`: config frame + accepted-event prefix
+            let topo = meta
+                .get("topology")
+                .and_then(Json::as_str)
+                .ok_or_else(|| internal("stream meta missing 'topology'"))?;
+            let net = parse_topology(topo).map_err(internal)?;
+            let (session, recovery) = StreamSession::resume(net, &journal_path)
+                .map_err(|e| internal(e.to_string()))?;
+            if recovery.truncated {
+                self.truncations.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Err(e)) => {
-                let _ = join.join();
-                Err(e)
-            }
-            Err(_) => {
-                let _ = join.join();
-                Err(internal("session worker died during open"))
+            return Ok((Session::Stream(session), Json::Null));
+        }
+        // A sidecar naming a `journal_pin` was written by a program edit,
+        // just before the edit restarted the journal with that pin as its
+        // first frame. A journal that does not open with it means the
+        // daemon died between the two steps: its frames were recorded
+        // against the previous source, so replace it with the empty
+        // pinned journal the edit was about to create.
+        if let Some(pin) = meta.get("journal_pin").and_then(Json::as_str) {
+            let on_disk = journal::recover(&journal_path, false)
+                .map_err(|e| internal(e.to_string()))?
+                .records;
+            if on_disk.first().map(String::as_str) != Some(pin) {
+                Journal::create(&journal_path)
+                    .and_then(|mut j| j.append(pin))
+                    .map_err(|e| internal(e.to_string()))?;
             }
         }
+        // the sidecar is a stored request, minus its display label
+        let mut spec = protocol::parse_spec(&meta).map_err(|e| internal(e.to_string()))?;
+        if let Some(label) = meta.get("label").and_then(Json::as_str) {
+            spec.label = label.to_string();
+        }
+        self.build_edit(name, spec, true)
     }
 
-    /// Applies one replay-dialect edit line (`reassign 3 1`, `undo`, …).
+    /// Applies one replay-dialect edit line (`reassign 3 1`, `undo`,
+    /// `program step 0 ...`). A `program` edit replaces the sidecar with
+    /// the edited source before the session's journal restarts.
     pub fn edit(&self, name: &str, line: &str) -> OpResult {
-        let (reply, rx) = mpsc::channel();
-        self.send(name, SessionCmd::Edit { line: line.to_string(), reply })?;
-        rx.recv().map_err(|_| internal("session worker died"))?
+        let meta_path = self.meta_path(name);
+        self.with(name, |session| {
+            let Session::Edit(session, spec) = session else {
+                return Err(bad_request(format!("no session '{name}'")));
+            };
+            let op = match replay::parse_line(line) {
+                Ok(Some(op)) => op,
+                Ok(None) => return Err(bad_request("empty edit line")),
+                Err(e) => return Err(bad_request(e)),
+            };
+            let done = session.dispatch(op, &Budget::unlimited(), |source, pin| {
+                let edited = MapSpec { source: source.to_string(), ..spec.clone() };
+                write_meta(&meta_path, &edited, Some(pin))?;
+                *spec = edited;
+                Ok(())
+            });
+            let delta = match done {
+                Ok(Dispatched::Applied(d)) => Some(d),
+                Ok(Dispatched::Undone(d)) => d,
+                Ok(Dispatched::Recompiled(result)) => {
+                    return Ok(obj()
+                        .field("recompiled", true)
+                        .field("tasks", result.task_graph.num_tasks())
+                        .field("snapshot", snapshot_json(name, session))
+                        .build())
+                }
+                Err(e) => {
+                    return Err(match e {
+                        DispatchError::Stream => bad_request(format!("{e} (op session_stream)")),
+                        DispatchError::NoSource | DispatchError::Rule(_) => {
+                            bad_request(e.to_string())
+                        }
+                        DispatchError::Remap(_) => ("map".to_string(), e.to_string()),
+                        _ => internal(e.to_string()),
+                    })
+                }
+            };
+            let mut out = obj()
+                .field("applied", line)
+                .field("edits", session.edit_log().len())
+                .field("delta", delta.as_ref().map_or(Json::Null, delta_json));
+            if let Some(warning) = session.journal_error() {
+                out = out.field("journal_warning", warning);
+            }
+            Ok(out.build())
+        })
     }
 
     /// A deterministic snapshot of the session's full state.
     pub fn snapshot(&self, name: &str) -> OpResult {
-        let stream = self.lock_streams().get(name).map(Arc::clone);
-        if let Some(s) = stream {
-            let s = s.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            return Ok(crate::json::parse(&s.snapshot_json()).unwrap_or(Json::Null));
-        }
-        let (reply, rx) = mpsc::channel();
-        self.send(name, SessionCmd::Snapshot { reply })?;
-        rx.recv().map_err(|_| internal("session worker died"))
+        self.with(name, |session| match session {
+            Session::Edit(session, _) => Ok(snapshot_json(name, session)),
+            Session::Stream(s) => Ok(crate::json::parse(&s.snapshot_json()).unwrap_or(Json::Null)),
+        })
     }
 
     /// Ends the session and deletes its journal and meta file (a closed
     /// session must not resurrect on the next `--resume`).
     pub fn close(&self, name: &str) -> OpResult {
-        if let Some(stream) = self.lock_streams().remove(name) {
-            // wait out any in-flight batch, then drop the session (and
-            // with it the journal handle) before deleting its files
-            drop(stream.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-            drop(stream);
-            let _ = std::fs::remove_file(self.journal_path(name));
-            let _ = std::fs::remove_file(self.meta_path(name));
-            return Ok(obj().field("session", name).field("closed", true).build());
+        let slot = self.lock().get(name).map(Arc::clone);
+        // wait out any in-flight operation, then take the session out of
+        // its slot (a poisoned session is closable like any other)
+        let session = slot.and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take());
+        if session.is_none() {
+            return Err(bad_request(format!("no session '{name}'")));
         }
-        let handle = self
-            .lock()
-            .remove(name)
-            .ok_or_else(|| (KIND_BAD_REQUEST.to_string(), format!("no session '{name}'")))?;
-        let (reply, rx) = mpsc::channel();
-        let _ = handle.tx.send(SessionCmd::Close { reply });
-        let _ = rx.recv();
-        let _ = handle.join.join();
+        // drop the journal handle, delete the files, and only then free
+        // the name, so a re-open of it cannot have its new files deleted
+        drop(session);
         let _ = std::fs::remove_file(self.journal_path(name));
         let _ = std::fs::remove_file(self.meta_path(name));
+        self.lock().remove(name);
         Ok(obj().field("session", name).field("closed", true).build())
     }
 
-    /// Joins every actor without touching journals or meta files, so a
-    /// drained daemon's sessions resume on the next start.
+    /// Drops every session without touching journals or meta files, so a
+    /// drained daemon's sessions resume on the next start. Every accepted
+    /// edit and event is already fsync'd; this waits out operations still
+    /// in flight and closes the journal handles.
     pub fn shutdown(&self) {
-        let handles: Vec<(String, SessionHandle)> = self.lock().drain().collect();
-        for (_, handle) in handles {
-            let (reply, rx) = mpsc::channel();
-            let _ = handle.tx.send(SessionCmd::Close { reply });
-            let _ = rx.recv();
-            let _ = handle.join.join();
+        let slots: Vec<Slot> = self.lock().drain().map(|(_, slot)| slot).collect();
+        for slot in slots {
+            slot.lock().unwrap_or_else(PoisonError::into_inner).take();
         }
-        // stream sessions just drop: every accepted event is already
-        // fsync'd, so their journals resume on the next start
-        self.lock_streams().clear();
     }
-
-    fn send(&self, name: &str, cmd: SessionCmd) -> Result<(), (String, String)> {
-        let table = self.lock();
-        let handle = table
-            .get(name)
-            .ok_or_else(|| (KIND_BAD_REQUEST.to_string(), format!("no session '{name}'")))?;
-        handle
-            .tx
-            .send(cmd)
-            .map_err(|_| internal("session worker died"))
-    }
-}
-
-/// The actor body: owns the whole session stack on this thread's
-/// frames, reports readiness (or the open failure) once, then serves
-/// commands until `Close` or the registry drops the sender.
-///
-/// A `program` edit (`program <comphase> <rule#> <text>`) splices the
-/// replacement rule into the session's LaRCS source through the shared
-/// incremental front end, recompiles (only the edited rule re-expands)
-/// and remaps — all validated *before* the old session is torn down, so
-/// a rejected edit leaves the session untouched. On success the actor
-/// rewrites the meta sidecar (meta first, as at open: a crash between
-/// meta and journal resumes the new source with zero edits, which is
-/// valid) and starts a fresh journal — the old frames described edits
-/// against the pre-edit mapping.
-#[allow(clippy::too_many_arguments)]
-fn actor(
-    name: String,
-    mut spec: MapSpec,
-    cache: Arc<RouteTableCache>,
-    frontend: Arc<Mutex<oregami::larcs::Db>>,
-    journal_path: PathBuf,
-    meta_path: PathBuf,
-    resume: bool,
-    truncations: Arc<AtomicU64>,
-    ready: mpsc::Sender<OpResult>,
-    rx: mpsc::Receiver<SessionCmd>,
-) {
-    let net = match parse_topology(&spec.topology) {
-        Ok(n) => n,
-        Err(e) => {
-            let _ = ready.send(Err((KIND_BAD_REQUEST.to_string(), e)));
-            return;
-        }
-    };
-    let system = Oregami::new(net)
-        .with_cache(cache)
-        .with_frontend(frontend)
-        .with_options(MapperOptions {
-            load_bound: spec.load_bound,
-            ..MapperOptions::default()
-        });
-    let params: Vec<(&str, i64)> = spec.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let mut result = match system.map_source(&spec.source, &params) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = ready.send(Err(("map".to_string(), e.to_string())));
-            return;
-        }
-    };
-    let (mut session, replayed) = if resume {
-        match system.resume(&result, &journal_path) {
-            Ok((s, recovery)) => {
-                if recovery.truncated {
-                    truncations.fetch_add(1, Ordering::Relaxed);
-                }
-                (s, recovery.records.len())
-            }
-            Err(e) => {
-                let _ = ready.send(Err(("session".to_string(), e.to_string())));
-                return;
-            }
-        }
-    } else {
-        // meta first, journal second: a crash in between leaves a meta
-        // file without a journal, which resume reports and skips — never
-        // a journal that can't be interpreted
-        if let Err(e) = write_meta(&meta_path, &spec) {
-            let _ = ready.send(Err(("session".to_string(), e)));
-            return;
-        }
-        let mut s = match system.interactive(&result) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = ready.send(Err(("map".to_string(), e.to_string())));
-                return;
-            }
-        };
-        match Journal::create(&journal_path) {
-            Ok(j) => s.attach_journal(j),
-            Err(e) => {
-                let _ = ready.send(Err(("session".to_string(), e.to_string())));
-                return;
-            }
-        }
-        (s, 0)
-    };
-    let opened = obj()
-        .field("session", name.as_str())
-        .field("resumed", replayed)
-        .field("tasks", result.task_graph.num_tasks())
-        .field("procs", system.network().num_procs())
-        .field("snapshot", snapshot_json(&name, &session))
-        .build();
-    if ready.send(Ok(opened)).is_err() {
-        return;
-    }
-    loop {
-        // Serve commands until the channel closes, a Close arrives, or a
-        // validated program edit asks for a rebuild.
-        let rebuild = loop {
-            let Ok(cmd) = rx.recv() else { return };
-            match cmd {
-                SessionCmd::Edit { line, reply } => {
-                    if let Ok(Some(ReplayOp::Program { phase, rule, text })) =
-                        replay::parse_line(&line)
-                    {
-                        match recompile_program(&system, &spec, &phase, rule, &text) {
-                            Ok((src, res)) => break Some((src, res, reply)),
-                            Err(e) => {
-                                let _ = reply.send(Err(e));
-                            }
-                        }
-                    } else {
-                        let _ = reply.send(apply_line(&mut session, &line));
-                    }
-                }
-                SessionCmd::Snapshot { reply } => {
-                    let _ = reply.send(snapshot_json(&name, &session));
-                }
-                SessionCmd::Close { reply } => {
-                    let _ = reply.send(());
-                    return;
-                }
-            }
-        };
-        let Some((new_source, new_result, reply)) = rebuild else {
-            return;
-        };
-        drop(session);
-        spec.source = new_source;
-        result = new_result;
-        if let Err(e) = write_meta(&meta_path, &spec) {
-            let _ = reply.send(Err(("session".to_string(), e)));
-            return;
-        }
-        session = match system.interactive(&result) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = reply.send(Err(("map".to_string(), e.to_string())));
-                return;
-            }
-        };
-        match Journal::create(&journal_path) {
-            Ok(j) => session.attach_journal(j),
-            Err(e) => {
-                let _ = reply.send(Err(("session".to_string(), e.to_string())));
-                return;
-            }
-        }
-        let _ = reply.send(Ok(obj()
-            .field("recompiled", true)
-            .field("tasks", result.task_graph.num_tasks())
-            .field("snapshot", snapshot_json(&name, &session))
-            .build()));
-    }
-}
-
-/// Validates and executes a `program` rule edit against the current
-/// spec: splice via the shared front end (parse-checked), then compile
-/// and remap the edited source. Nothing here touches the live session —
-/// an error leaves it serving exactly as before.
-fn recompile_program(
-    system: &Oregami,
-    spec: &MapSpec,
-    phase: &str,
-    rule: usize,
-    text: &str,
-) -> Result<(String, oregami::OregamiResult), (String, String)> {
-    let new_source = {
-        let frontend = system.frontend();
-        let mut db = frontend
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        db.edit_rule(&spec.source, phase, rule, text)
-            .map_err(|e| (KIND_BAD_REQUEST.to_string(), e.to_string()))?
-    };
-    let params: Vec<(&str, i64)> = spec.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let result = system
-        .map_source(&new_source, &params)
-        .map_err(|e| ("map".to_string(), e.to_string()))?;
-    Ok((new_source, result))
-}
-
-fn apply_line(session: &mut InteractiveSession<'_>, line: &str) -> OpResult {
-    let op = match replay::parse_line(line) {
-        Ok(Some(op)) => op,
-        Ok(None) => {
-            return Err((KIND_BAD_REQUEST.to_string(), "empty edit line".to_string()))
-        }
-        Err(e) => return Err((KIND_BAD_REQUEST.to_string(), e)),
-    };
-    let delta = match op {
-        ReplayOp::Undo => session.undo(),
-        ReplayOp::Apply(edit) => match session.apply(edit) {
-            Ok(d) => Some(d),
-            Err(e) => return Err(("session".to_string(), e.to_string())),
-        },
-        ReplayOp::Stream(_) => {
-            return Err((
-                KIND_BAD_REQUEST.to_string(),
-                "stream events (spawn/depart/load/recover) need a stream session \
-                 (op session_stream)"
-                    .to_string(),
-            ))
-        }
-        // program edits are intercepted by the actor loop (they rebuild
-        // the whole session); reaching here means no source is in scope
-        ReplayOp::Program { .. } => {
-            return Err((
-                KIND_BAD_REQUEST.to_string(),
-                "program edits need an edit session with a source in scope".to_string(),
-            ))
-        }
-    };
-    let mut out = obj().field("applied", line).field(
-        "edits",
-        session.edit_log().len(),
-    );
-    if let Some(d) = &delta {
-        out = out.field("delta", delta_json(d));
-    } else {
-        out = out.field("delta", Json::Null);
-    }
-    if let Some(warning) = session.journal_error() {
-        out = out.field("journal_warning", warning);
-    }
-    Ok(out.build())
 }
 
 /// Everything a client (or the kill-and-restart test) needs to compare
 /// session state byte-for-byte: rendered deterministically, field order
 /// fixed.
-fn snapshot_json(name: &str, session: &InteractiveSession<'_>) -> Json {
+fn snapshot_json(name: &str, session: &InteractiveSession) -> Json {
     let assignment: Vec<Json> = session
         .mapping()
         .assignment
@@ -667,7 +504,9 @@ pub fn delta_json(d: &MetricsDelta) -> Json {
         .build()
 }
 
-fn write_meta(path: &Path, spec: &MapSpec) -> Result<(), String> {
+/// `journal_pin` is the frame a program edit's restarted journal opens
+/// with (see [`SessionRegistry::resume_one`]); `None` at open.
+fn write_meta(path: &Path, spec: &MapSpec, journal_pin: Option<&str>) -> Result<(), String> {
     let params = Json::Obj(
         spec.params
             .iter()
@@ -682,9 +521,12 @@ fn write_meta(path: &Path, spec: &MapSpec) -> Result<(), String> {
         .field(
             "load_bound",
             spec.load_bound.map_or(Json::Null, Json::from),
-        )
-        .build();
-    write_meta_json(path, &meta)
+        );
+    let meta = match journal_pin {
+        Some(pin) => meta.field("journal_pin", pin),
+        None => meta,
+    };
+    write_meta_json(path, &meta.build())
 }
 
 /// Stream-session sidecar: just the topology (the churn config is
@@ -706,65 +548,15 @@ fn write_stream_meta(
 }
 
 fn write_meta_json(path: &Path, meta: &Json) -> Result<(), String> {
-    let text = meta.render();
-    std::fs::write(path, text).map_err(|e| format!("cannot write meta: {e}"))?;
-    // fsync so the sidecar survives the same crash the journal does
-    match std::fs::File::open(path) {
-        Ok(f) => {
-            let _ = f.sync_all();
-        }
-        Err(e) => return Err(format!("cannot sync meta: {e}")),
-    }
-    Ok(())
-}
-
-fn spec_from_meta(meta: &Json) -> Result<MapSpec, String> {
-    let topology = meta
-        .get("topology")
-        .and_then(Json::as_str)
-        .ok_or("meta missing 'topology'")?
-        .to_string();
-    let source = meta
-        .get("source")
-        .and_then(Json::as_str)
-        .ok_or("meta missing 'source'")?
-        .to_string();
-    let label = meta
-        .get("label")
-        .and_then(Json::as_str)
-        .unwrap_or("inline")
-        .to_string();
-    let mut params: Vec<(String, i64)> = match meta.get("params") {
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .map(|(k, v)| v.as_i64().map(|n| (k.clone(), n)).ok_or("bad param"))
-            .collect::<Result<_, _>>()?,
-        _ => Vec::new(),
-    };
-    params.sort();
-    let load_bound = meta
-        .get("load_bound")
-        .and_then(Json::as_u64)
-        .map(|n| n as usize);
-    Ok(MapSpec {
-        source,
-        label,
-        params,
-        topology,
-        deadline_ms: None,
-        max_steps: None,
-        chain: None,
-        load_bound,
-        fail_procs: Vec::new(),
-        fail_links: Vec::new(),
-        chaos: None,
-    })
+    journal::write_atomic(path, meta.render().as_bytes())
+        .map_err(|e| format!("cannot write meta: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oregami::larcs::programs;
+    use std::sync::Barrier;
 
     fn spec() -> MapSpec {
         MapSpec {
@@ -786,17 +578,51 @@ mod tests {
         }
     }
 
+    /// A six-cell chain on a four-ring, with one rule a `program` edit
+    /// can re-weight.
+    fn ring_spec() -> MapSpec {
+        MapSpec {
+            source: "algorithm ring(n);\n\
+                     nodetype cell: 0..n-1;\n\
+                     comphase step:\n\
+                     forall i in 0..n-1 where i < n-1 { cell(i) -> cell(i+1); }\n\
+                     exephase update cost 2;\n\
+                     phaseexpr (step; update)^2;\n"
+                .to_string(),
+            label: "inline".to_string(),
+            params: vec![("n".to_string(), 6)],
+            topology: "ring:4".to_string(),
+            ..spec()
+        }
+    }
+
+    const VOLUME_5: &str =
+        "program step 0 forall i in 0..n-1 where i < n-1 { cell(i) -> cell(i+1) volume 5; }";
+
     fn temp_dir(tag: &str) -> PathBuf {
         let mut d = std::env::temp_dir();
         d.push(format!("oregamid-sessions-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    fn registry(dir: &Path) -> SessionRegistry {
+        SessionRegistry::new(
+            dir.to_path_buf(),
+            Arc::new(RouteTableCache::new(4)),
+            Arc::new(Mutex::new(oregami::larcs::Db::new())),
+        )
+    }
+
+    fn edits(snapshot: &Json) -> u64 {
+        snapshot.get("edits").unwrap().as_u64().unwrap()
     }
 
     #[test]
     fn open_edit_snapshot_close_lifecycle() {
         let dir = temp_dir("lifecycle");
-        let reg = SessionRegistry::new(dir.clone(), Arc::new(RouteTableCache::new(4)), Arc::new(Mutex::new(oregami::larcs::Db::new())));
+        let reg = registry(&dir);
         let opened = reg.open("alpha", spec()).unwrap();
         assert_eq!(opened.get("resumed").unwrap().as_u64(), Some(0));
         assert!(dir.join("alpha.jrnl").exists());
@@ -811,12 +637,13 @@ mod tests {
         // a bad edit is a typed error, the session survives
         assert!(reg.edit("alpha", "reassign 9999 0").is_err());
         let snap = reg.snapshot("alpha").unwrap();
-        assert_eq!(snap.get("edits").unwrap().as_u64(), Some(1));
+        assert_eq!(edits(&snap), 1);
 
         reg.close("alpha").unwrap();
         assert!(!dir.join("alpha.jrnl").exists());
         assert!(!dir.join("alpha.meta.json").exists());
         assert!(reg.edit("alpha", "undo").is_err());
+        assert_eq!(reg.count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -825,18 +652,18 @@ mod tests {
         let dir = temp_dir("resume");
         let snap_before;
         {
-            let reg = SessionRegistry::new(dir.clone(), Arc::new(RouteTableCache::new(4)), Arc::new(Mutex::new(oregami::larcs::Db::new())));
+            let reg = registry(&dir);
             reg.open("beta", spec()).unwrap();
             reg.edit("beta", "reassign 3 1").unwrap();
             reg.edit("beta", "reassign 4 2").unwrap();
             reg.edit("beta", "undo").unwrap();
             reg.edit("beta", "reassign 5 0").unwrap();
             snap_before = reg.snapshot("beta").unwrap().render();
-            // drop WITHOUT close: simulates the daemon dying (journal and
-            // meta survive; actors are detached with the registry)
+            // shutdown WITHOUT close: what a dying daemon leaves behind
+            // (journal and meta survive)
             reg.shutdown();
         }
-        let reg = SessionRegistry::new(dir.clone(), Arc::new(RouteTableCache::new(4)), Arc::new(Mutex::new(oregami::larcs::Db::new())));
+        let reg = registry(&dir);
         let (resumed, failed) = reg.resume_all();
         assert_eq!(resumed, vec!["beta".to_string()]);
         assert!(failed.is_empty(), "{failed:?}");
@@ -845,6 +672,187 @@ mod tests {
         // and the resumed session keeps journalling
         reg.edit("beta", "undo").unwrap();
         reg.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn thread_count() -> usize {
+        std::fs::read_dir("/proc/self/task").unwrap().count()
+    }
+
+    /// Sessions are values in a table, not threads: opening ten of them
+    /// starts nothing. Other tests of this binary run concurrently and
+    /// do spawn threads, so the count is sampled until it holds still.
+    #[test]
+    fn edit_sessions_spawn_no_threads() {
+        let dir = temp_dir("threads");
+        let reg = registry(&dir);
+        // warm the shared caches so nothing lazily initialised is counted
+        reg.open("warm", spec()).unwrap();
+        let spawned_none = (0..50).any(|round| {
+            let before = thread_count();
+            for i in 0..10 {
+                reg.open(&format!("s{round}-{i}"), spec()).unwrap();
+            }
+            let after = thread_count();
+            for i in 0..10 {
+                reg.edit(&format!("s{round}-{i}"), "reassign 3 1").unwrap();
+                reg.close(&format!("s{round}-{i}")).unwrap();
+            }
+            after <= before
+        });
+        assert!(spawned_none, "opening edit sessions must not start threads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Racing opens of one name: exactly one wins, the rest are refused
+    /// before they touch the winner's files, and the winner's journal
+    /// resumes.
+    #[test]
+    fn concurrent_opens_of_one_name_admit_exactly_one() {
+        let dir = temp_dir("race-open");
+        let reg = registry(&dir);
+        let barrier = Barrier::new(8);
+        let outcomes: Vec<OpResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        reg.open("dup", spec())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 1);
+        for refused in outcomes.iter().filter_map(|r| r.as_ref().err()) {
+            assert_eq!(refused.0, KIND_BAD_REQUEST, "{refused:?}");
+        }
+        assert_eq!(reg.count(), 1);
+        reg.edit("dup", "reassign 3 1").unwrap();
+        let before = reg.snapshot("dup").unwrap().render();
+        reg.shutdown();
+
+        let reg = registry(&dir);
+        assert_eq!(reg.resume_all(), (vec!["dup".to_string()], Vec::new()));
+        assert_eq!(reg.snapshot("dup").unwrap().render(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An edit-session open racing a stream-session open of the same
+    /// name: one of them gets the name (and its `<name>.jrnl`), the other
+    /// a `bad_request`, whichever way the race falls.
+    #[test]
+    fn open_racing_stream_on_one_name_admits_exactly_one() {
+        let dir = temp_dir("race-kinds");
+        for round in 0..8 {
+            let reg = registry(&dir);
+            let name = format!("both{round}");
+            let barrier = Barrier::new(2);
+            let events = ["spawn 0 - 3 0".to_string()];
+            let (edit, stream) = std::thread::scope(|scope| {
+                let edit = scope.spawn(|| {
+                    barrier.wait();
+                    reg.open(&name, spec())
+                });
+                let stream = scope.spawn(|| {
+                    barrier.wait();
+                    reg.stream(&name, Some("hypercube:3"), None, &events, false)
+                });
+                (edit.join().unwrap(), stream.join().unwrap())
+            });
+            assert_ne!(edit.is_ok(), stream.is_ok(), "{edit:?} / {stream:?}");
+            let refused = edit.err().or(stream.err()).unwrap();
+            assert_eq!(refused.0, KIND_BAD_REQUEST, "{refused:?}");
+            let before = reg.snapshot(&name).unwrap().render();
+            reg.shutdown();
+
+            let reg = registry(&dir);
+            let (resumed, failed) = reg.resume_all();
+            assert!(failed.is_empty(), "{failed:?}");
+            assert!(resumed.contains(&name));
+            assert_eq!(reg.snapshot(&name).unwrap().render(), before);
+            reg.close(&name).unwrap();
+            reg.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic inside a session operation poisons that session only:
+    /// later operations on it are typed errors, its neighbours and the
+    /// table carry on, and it can still be closed.
+    #[test]
+    fn a_poisoned_session_is_a_typed_error_until_closed() {
+        let dir = temp_dir("poison");
+        let reg = registry(&dir);
+        reg.open("bad", spec()).unwrap();
+        reg.open("good", spec()).unwrap();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            reg.with("bad", |_| -> OpResult { panic!("injected mid-operation panic") })
+        }));
+        assert!(panicked.is_err());
+        for refused in [reg.edit("bad", "undo"), reg.snapshot("bad")] {
+            assert_eq!(refused.unwrap_err().0, "session");
+        }
+        reg.edit("good", "reassign 3 1").unwrap();
+        assert_eq!(reg.count(), 2);
+        reg.close("bad").unwrap();
+        assert!(!dir.join("bad.jrnl").exists());
+        reg.open("bad", spec()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The two states a crash inside a `program` edit can leave, built by
+    /// hand. The edit replaces the sidecar (temp file, then rename) and
+    /// only then restarts the journal.
+    #[test]
+    fn program_edit_crash_windows_resume_consistently() {
+        // The sidecar and journal of a ring session after two edits, and
+        // the sidecar a `volume 5` program edit would replace it with.
+        let dir = temp_dir("crash-window");
+        let (old_meta, old_journal, new_meta, after_edit);
+        {
+            let reg = registry(&dir);
+            reg.open("ring", ring_spec()).unwrap();
+            reg.edit("ring", "reassign 0 1").unwrap();
+            reg.edit("ring", "reassign 1 2").unwrap();
+            old_meta = std::fs::read(dir.join("ring.meta.json")).unwrap();
+            old_journal = std::fs::read(dir.join("ring.jrnl")).unwrap();
+            let r = reg.edit("ring", VOLUME_5).unwrap();
+            after_edit = r.get("snapshot").unwrap().render();
+            new_meta = std::fs::read(dir.join("ring.meta.json")).unwrap();
+            reg.shutdown();
+        }
+        assert!(String::from_utf8_lossy(&new_meta).contains("volume 5"));
+
+        // Crash before the rename: the new sidecar exists only as a
+        // (here half-written) temp file. The old source resumes with its
+        // full log.
+        std::fs::write(dir.join("ring.meta.json"), &old_meta).unwrap();
+        std::fs::write(dir.join("ring.jrnl"), &old_journal).unwrap();
+        std::fs::write(dir.join("ring.meta.json.tmp"), &new_meta[..new_meta.len() / 2]).unwrap();
+        let reg = registry(&dir);
+        assert_eq!(reg.resume_all(), (vec!["ring".to_string()], Vec::new()));
+        let snap = reg.snapshot("ring").unwrap();
+        assert_eq!(edits(&snap), 2);
+        assert!(!snap.render().contains("volume 5"));
+        reg.shutdown();
+
+        // Crash after the rename, before the journal restart: the new
+        // source beside the old frames. Those frames describe a mapping
+        // the new source never had; it resumes with an empty log, exactly
+        // as the edit's own reply showed it.
+        std::fs::write(dir.join("ring.meta.json"), &new_meta).unwrap();
+        std::fs::write(dir.join("ring.jrnl"), &old_journal).unwrap();
+        let reg = registry(&dir);
+        assert_eq!(reg.resume_all(), (vec!["ring".to_string()], Vec::new()));
+        assert_eq!(reg.snapshot("ring").unwrap().render(), after_edit);
+        // the restarted journal is live: an edit now survives a resume
+        reg.edit("ring", "reassign 1 0").unwrap();
+        let before = reg.snapshot("ring").unwrap().render();
+        reg.shutdown();
+        let reg = registry(&dir);
+        assert_eq!(reg.resume_all(), (vec!["ring".to_string()], Vec::new()));
+        assert_eq!(reg.snapshot("ring").unwrap().render(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

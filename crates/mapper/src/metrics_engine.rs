@@ -34,10 +34,12 @@
 //! bound on every reassign of one task, so a scan that cannot beat the
 //! incumbent is never started.
 //!
-//! Ownership is copy-on-write: the engine borrows the task graph and
-//! holds the network and mapping as [`Cow`]s, so the batch path ("build
-//! engine, read report") clones nothing; the first edit clones the
-//! mapping, and a `Fault` edit swaps in an owned degraded network.
+//! Ownership is copy-on-write: the engine holds the task graph, network
+//! and mapping as [`Cow`]s. The borrowed constructors ("build engine,
+//! read report", repair and churn probes) clone nothing; the first edit
+//! clones the mapping, and a `Fault` edit swaps in an owned degraded
+//! network. [`MetricsEngine::try_new_owned`] takes all three by value and
+//! yields a `MetricsEngine<'static>` a long-lived session can hold.
 
 use crate::budget::{Budget, Completion};
 use crate::mapping::{Mapping, MappingError};
@@ -322,7 +324,7 @@ enum UndoRecord {
 /// The stateful incremental METRICS engine. See the module docs.
 #[derive(Clone, Debug)]
 pub struct MetricsEngine<'a> {
-    tg: &'a TaskGraph,
+    tg: Cow<'a, TaskGraph>,
     net: Cow<'a, Network>,
     mapping: Cow<'a, Mapping>,
     model: CostModel,
@@ -361,7 +363,7 @@ impl<'a> MetricsEngine<'a> {
         mapping: &'a Mapping,
         model: &CostModel,
     ) -> Result<MetricsEngine<'a>, MappingError> {
-        Self::build(tg, Cow::Borrowed(net), Cow::Borrowed(mapping), model, None)
+        Self::build(Cow::Borrowed(tg), Cow::Borrowed(net), Cow::Borrowed(mapping), model, None)
     }
 
     /// [`MetricsEngine::try_new`] seeded with a prebuilt route table —
@@ -375,17 +377,43 @@ impl<'a> MetricsEngine<'a> {
         model: &CostModel,
         table: Arc<RouteTable>,
     ) -> Result<MetricsEngine<'a>, MappingError> {
-        Self::build(tg, Cow::Borrowed(net), Cow::Borrowed(mapping), model, Some(table))
+        Self::build(
+            Cow::Borrowed(tg),
+            Cow::Borrowed(net),
+            Cow::Borrowed(mapping),
+            model,
+            Some(table),
+        )
+    }
+
+    /// The owning mode: the engine takes its inputs by value and borrows
+    /// nothing, so it can outlive the call that built them (an
+    /// interactive session held across requests). Edits cost exactly
+    /// what they cost a borrowed engine.
+    pub fn try_new_owned(
+        tg: TaskGraph,
+        net: Network,
+        mapping: Mapping,
+        model: &CostModel,
+        table: Arc<RouteTable>,
+    ) -> Result<MetricsEngine<'static>, MappingError> {
+        MetricsEngine::build(
+            Cow::Owned(tg),
+            Cow::Owned(net),
+            Cow::Owned(mapping),
+            model,
+            Some(table),
+        )
     }
 
     fn build(
-        tg: &'a TaskGraph,
+        tg: Cow<'a, TaskGraph>,
         net: Cow<'a, Network>,
         mapping: Cow<'a, Mapping>,
         model: &CostModel,
         table: Option<Arc<RouteTable>>,
     ) -> Result<MetricsEngine<'a>, MappingError> {
-        mapping.validate(tg, &net)?;
+        mapping.validate(&tg, &net)?;
         let mut incident = vec![Vec::new(); tg.num_tasks()];
         for (k, phase) in tg.comm_phases.iter().enumerate() {
             for (i, e) in phase.edges.iter().enumerate() {
@@ -424,7 +452,7 @@ impl<'a> MetricsEngine<'a> {
     /// from-scratch path used at construction and after `Fault` edits
     /// (whose link re-identification invalidates link-indexed ledgers).
     fn rebuild_ledgers(&mut self) {
-        let tg = self.tg;
+        let tg: &TaskGraph = &self.tg;
         let net: &Network = &self.net;
         let mapping: &Mapping = &self.mapping;
         let nl = net.num_links();
@@ -641,7 +669,7 @@ impl<'a> MetricsEngine<'a> {
         if !self.mapping.routes.is_empty() {
             self.ensure_table()?;
             let table = self.table.as_deref().expect("ensured above");
-            let tg = self.tg;
+            let tg: &TaskGraph = &self.tg;
             let net: &Network = &self.net;
             let mapping: &Mapping = &self.mapping;
             for &(k, i) in &self.incident[task] {
@@ -684,7 +712,7 @@ impl<'a> MetricsEngine<'a> {
         new_proc: ProcId,
         new_routes: Vec<(usize, usize, Vec<ProcId>)>,
     ) -> Vec<(usize, usize, Vec<ProcId>)> {
-        let tg = self.tg;
+        let tg: &TaskGraph = &self.tg;
         let old_proc = self.mapping.assignment[task];
 
         // per-processor compute ledgers
@@ -950,7 +978,7 @@ impl<'a> MetricsEngine<'a> {
 
     /// The task graph the engine analyses.
     pub fn task_graph(&self) -> &TaskGraph {
-        self.tg
+        &self.tg
     }
 
     /// The current network (the degraded survivor network after `Fault`
@@ -1149,7 +1177,6 @@ impl<'a> MetricsEngine<'a> {
     /// # Panics
     /// If `task` is out of range.
     pub fn cost_floor_without(&mut self, task: usize) -> u64 {
-        let tg = self.tg;
         let proc = self.mapping.assignment[task].index();
         // route-less mappings (load-only analysis) have nothing ledgered
         let lifted = if self.mapping.routes.is_empty() {
@@ -1161,7 +1188,7 @@ impl<'a> MetricsEngine<'a> {
             let (k, i) = self.incident[task][idx];
             self.unledger_route(k, i, 0);
         }
-        for (x, ph) in tg.exec_phases.iter().enumerate() {
+        for (x, ph) in self.tg.exec_phases.iter().enumerate() {
             self.exec_per_proc[x][proc] -= ph.cost.of(task.into());
         }
         self.exec_dirty = true;
@@ -1172,7 +1199,7 @@ impl<'a> MetricsEngine<'a> {
             let (k, i) = self.incident[task][idx];
             self.ledger_route(k, i);
         }
-        for (x, ph) in tg.exec_phases.iter().enumerate() {
+        for (x, ph) in self.tg.exec_phases.iter().enumerate() {
             self.exec_per_proc[x][proc] += ph.cost.of(task.into());
         }
         self.exec_dirty = true;
