@@ -26,7 +26,7 @@ use oregami::{
     RouteTableCache,
 };
 use oregami_daemon::json::{obj, Json};
-use oregami_daemon::protocol::MapSpec;
+use oregami_daemon::request::MapSpec;
 use oregami_daemon::sessions::{metric_json, SessionRegistry};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};

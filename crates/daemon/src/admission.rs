@@ -15,6 +15,7 @@
 //! * **drain**: during graceful shutdown new work is refused with
 //!   `shutting_down` while queued work finishes.
 
+use crate::request::FailureClass;
 use oregami::{BreakerState, StageKind, SupervisorState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,9 +35,9 @@ pub enum Shed {
 impl Shed {
     pub fn kind(&self) -> &'static str {
         match self {
-            Shed::Overloaded(_) => crate::protocol::KIND_OVERLOADED,
-            Shed::Unserviceable(_) => crate::protocol::KIND_UNSERVICEABLE,
-            Shed::Draining => crate::protocol::KIND_SHUTTING_DOWN,
+            Shed::Overloaded(_) => FailureClass::Overloaded.kind(),
+            Shed::Unserviceable(_) => FailureClass::Unserviceable.kind(),
+            Shed::Draining => FailureClass::ShuttingDown.kind(),
         }
     }
 

@@ -9,6 +9,9 @@
 //!
 //! Exit codes: 0 clean drain, 2 usage/bind error.
 
+#![deny(clippy::too_many_lines)]
+
+use oregami_daemon::flags::{parsed, value};
 use oregami_daemon::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,8 +31,7 @@ extern "C" {
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
-fn usage() -> &'static str {
-    "oregamid — mapping-as-a-service daemon for the OREGAMI toolchain\n\
+const USAGE: &str = "oregamid — mapping-as-a-service daemon for the OREGAMI toolchain\n\
      \n\
      USAGE:\n\
        oregamid --socket PATH [options]\n\
@@ -62,86 +64,39 @@ fn usage() -> &'static str {
      error kinds: overloaded (shed — retry later), unserviceable,\n\
      shutting_down, bad_request, map, fault, repair, session, internal.\n\
      \n\
-     EXIT CODES: 0 clean drain (SIGTERM/SIGINT/shutdown op), 2 usage\n"
-}
+     EXIT CODES: 0 clean drain (SIGTERM/SIGINT/shutdown op), 2 usage\n";
 
 fn parse_config() -> Result<ServerConfig, String> {
+    // the two paths are filled in last: the state dir defaults off the socket
+    let mut config = ServerConfig::new("", "");
     let mut socket: Option<String> = None;
     let mut state_dir: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut max_queue: Option<usize> = None;
-    let mut resume = false;
-    let mut chaos: Option<String> = None;
-    let mut machine: Option<String> = None;
-    let mut boot_seed = 0u64;
-    let mut boot_dead = 0u32;
-    let mut route_budget: Option<usize> = None;
-    let mut it = std::env::args().skip(1);
-    let next_val = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => socket = Some(next_val(&mut it, "--socket")?),
-            "--state-dir" => state_dir = Some(next_val(&mut it, "--state-dir")?),
-            "--workers" => {
-                workers = Some(
-                    next_val(&mut it, "--workers")?
-                        .parse()
-                        .map_err(|_| "bad --workers value".to_string())?,
-                );
-            }
-            "--max-queue" => {
-                max_queue = Some(
-                    next_val(&mut it, "--max-queue")?
-                        .parse()
-                        .map_err(|_| "bad --max-queue value".to_string())?,
-                );
-            }
-            "--resume" => resume = true,
-            "--chaos" => chaos = Some(next_val(&mut it, "--chaos")?),
-            "--machine" => machine = Some(next_val(&mut it, "--machine")?),
-            "--boot-seed" => {
-                boot_seed = next_val(&mut it, "--boot-seed")?
-                    .parse()
-                    .map_err(|_| "bad --boot-seed value".to_string())?;
-            }
-            "--boot-dead" => {
-                boot_dead = next_val(&mut it, "--boot-dead")?
-                    .parse()
-                    .map_err(|_| "bad --boot-dead value".to_string())?;
-            }
-            "--route-budget" => {
-                route_budget = Some(
-                    next_val(&mut it, "--route-budget")?
-                        .parse()
-                        .map_err(|_| "bad --route-budget value".to_string())?,
-                );
-            }
+    let argv: &mut dyn Iterator<Item = String> = &mut std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--socket" => socket = Some(value(argv, flag)?),
+            "--state-dir" => state_dir = Some(value(argv, flag)?),
+            "--workers" => config.workers = parsed::<usize>(argv, flag, "value")?.clamp(1, 64),
+            "--max-queue" => config.max_queue = parsed::<usize>(argv, flag, "value")?.max(1),
+            "--resume" => config.resume = true,
+            "--chaos" => config.chaos = Some(value(argv, flag)?),
+            "--machine" => config.machine = Some(value(argv, flag)?),
+            "--boot-seed" => config.boot_seed = parsed(argv, flag, "value")?,
+            "--boot-dead" => config.boot_dead_permille = parsed(argv, flag, "value")?,
+            "--route-budget" => config.route_budget = parsed::<usize>(argv, flag, "value")?.max(1),
             "-h" | "--help" => {
-                println!("{}", usage());
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument '{other}'\n\n{}", usage())),
+            other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
         }
     }
-    let socket = socket.ok_or_else(|| format!("--socket is required\n\n{}", usage()))?;
-    let state_dir = state_dir.unwrap_or_else(|| format!("{socket}.state"));
-    let mut config = ServerConfig::new(socket, state_dir);
-    if let Some(n) = workers {
-        config.workers = n.clamp(1, 64);
-    }
-    if let Some(n) = max_queue {
-        config.max_queue = n.max(1);
-    }
-    config.resume = resume;
-    config.chaos = chaos;
-    config.machine = machine;
-    config.boot_seed = boot_seed;
-    config.boot_dead_permille = boot_dead;
-    if let Some(n) = route_budget {
-        config.route_budget = n.max(1);
-    }
+    let socket = socket.ok_or_else(|| format!("--socket is required\n\n{USAGE}"))?;
+    config.state_dir = state_dir
+        .unwrap_or_else(|| format!("{socket}.state"))
+        .into();
+    config.socket = socket.into();
     Ok(config)
 }
 

@@ -11,8 +11,14 @@
 //! * [`wire`] — length-prefixed frames (u32 LE + payload, 1 MiB cap)
 //!   carrying [`json`] messages; malformed input of any kind surfaces
 //!   as a typed [`wire::WireError`], never a panic or a hang.
-//! * [`protocol`] — the request/response envelope and the coalescing
-//!   identity of a computation.
+//! * [`request`] — [`request::MapSpec`], the one description of a
+//!   map/repair request: its JSON form both ways, everything the CLI and
+//!   the daemon derive from it (toolchain, budget, chain, fault set,
+//!   repair options, coalescing identity), and the one table from a
+//!   toolchain error to a wire `kind` and a CLI exit code.
+//! * [`protocol`] — the request/response envelope and its ops.
+//! * [`topo`] — the one lowering of a topology or machine spec string to
+//!   a network, bounded by what its route table may allocate.
 //! * [`admission`] — the load-shedding gate: queue depth, deadline
 //!   feasibility against an EWMA of service times, breaker health, and
 //!   drain state are checked *before* work is queued.
@@ -26,12 +32,15 @@
 //!   byte-identically with `--resume`.
 //! * [`server`] — the accept loop, dispatch, and graceful drain.
 //! * [`client`] — the synchronous client the CLI and bench use.
+//! * [`flags`] — the flag-value helper the two binaries' parsers share.
 
 pub mod admission;
 pub mod client;
 pub mod coalesce;
+pub mod flags;
 pub mod json;
 pub mod protocol;
+pub mod request;
 pub mod scheduler;
 pub mod server;
 pub mod sessions;

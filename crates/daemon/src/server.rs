@@ -18,15 +18,14 @@
 use crate::admission::AdmissionGate;
 use crate::coalesce::{Coalescer, Payload, Waiter};
 use crate::json::{obj, Json};
-use crate::protocol::{self, MapSpec, Op, KIND_BAD_REQUEST, KIND_INTERNAL, KIND_SHUTTING_DOWN};
+use crate::protocol::{self, Op};
+use crate::request::{compress_machine_routes, Failure, FailureClass, MapSpec};
 use crate::scheduler::{Job, Scheduler};
-use crate::sessions::{metric_json, SessionRegistry};
+use crate::sessions::{assignment_json, metric_json, SessionRegistry};
 use crate::wire::{self, WireError};
-use oregami::topology::{LinkId, ProcId};
 use oregami::{
-    Budget, ChaosConfig, CostModel, FallbackChain, FaultSet, MapperOptions, MetricsEngine, Oregami,
-    OregamiError, OregamiResult, RepairOptions, RouteTableCache, StageKind, SupervisorConfig,
-    SupervisorState,
+    ChaosConfig, CostModel, MetricsEngine, Oregami, OregamiError, OregamiResult, RouteTableCache,
+    StageKind, SupervisorConfig, SupervisorState,
 };
 
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -376,7 +375,7 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 };
                 let payload = match r {
                     Ok(formatted) => Ok(obj().field("formatted", formatted).build()),
-                    Err(e) => Err((KIND_BAD_REQUEST.to_string(), e.to_string())),
+                    Err(e) => Err(FailureClass::BadRequest.fail(e.to_string())),
                 };
                 respond(&to_response(req.id, &payload));
             }
@@ -387,17 +386,14 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
             // every other session carry on.
             Op::SessionOpen { name, spec } => {
                 let r = if draining {
-                    Err((
-                        KIND_SHUTTING_DOWN.to_string(),
-                        "daemon is draining; no new sessions".to_string(),
-                    ))
+                    Err(FailureClass::ShuttingDown.fail("daemon is draining; no new sessions"))
                 } else {
-                    isolated("session", || daemon.sessions.open(&name, spec))
+                    isolated(FailureClass::Session, || daemon.sessions.open(&name, spec))
                 };
                 respond(&to_response(req.id, &r));
             }
             Op::SessionEdit { name, line } => {
-                let r = isolated("session", || daemon.sessions.edit(&name, &line));
+                let r = isolated(FailureClass::Session, || daemon.sessions.edit(&name, &line));
                 respond(&to_response(req.id, &r));
             }
             Op::SessionStream {
@@ -406,7 +402,7 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 load_bound,
                 events,
             } => {
-                let r = isolated("session", || {
+                let r = isolated(FailureClass::Session, || {
                     daemon
                         .sessions
                         .stream(&name, topology.as_deref(), load_bound, &events, draining)
@@ -414,11 +410,11 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 respond(&to_response(req.id, &r));
             }
             Op::SessionSnapshot { name } => {
-                let r = isolated("session", || daemon.sessions.snapshot(&name));
+                let r = isolated(FailureClass::Session, || daemon.sessions.snapshot(&name));
                 respond(&to_response(req.id, &r));
             }
             Op::SessionClose { name } => {
-                let r = isolated("session", || daemon.sessions.close(&name));
+                let r = isolated(FailureClass::Session, || daemon.sessions.close(&name));
                 respond(&to_response(req.id, &r));
             }
             Op::Map(spec) => {
@@ -477,7 +473,7 @@ fn dispatch_compute(
             let t0 = Instant::now();
             // second line of defence behind the scheduler's catch: if
             // execute itself panics, every waiter still gets an answer
-            let payload = isolated(KIND_INTERNAL, || d.execute(op_name, &spec));
+            let payload = isolated(FailureClass::Internal, || d.execute(op_name, &spec));
             d.gate.observe_service(t0.elapsed());
             d.coalescer.publish(&key, &payload);
         }),
@@ -485,15 +481,11 @@ fn dispatch_compute(
 }
 
 /// Runs one request's work with panics contained: a panic becomes a
-/// typed error of `kind` for that request instead of unwinding the
+/// typed error of `class` for that request instead of unwinding the
 /// thread that serves it.
-fn isolated(kind: &str, work: impl FnOnce() -> Payload) -> Payload {
-    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
-        Err((
-            kind.to_string(),
-            "request panicked; worker isolated it".to_string(),
-        ))
-    })
+fn isolated(class: FailureClass, work: impl FnOnce() -> Payload) -> Payload {
+    catch_unwind(AssertUnwindSafe(work))
+        .unwrap_or_else(|_| Err(class.fail("request panicked; worker isolated it")))
 }
 
 fn to_response(id: u64, payload: &Payload) -> Json {
@@ -503,104 +495,40 @@ fn to_response(id: u64, payload: &Payload) -> Json {
     }
 }
 
-/// Maps a toolchain error onto a wire error kind (mirrors the CLI's
-/// exit-code classes).
-fn error_payload(e: &OregamiError) -> (String, String) {
-    let kind = match e {
-        OregamiError::Map(oregami::mapper::MapError::Unserviceable(_)) => {
-            protocol::KIND_UNSERVICEABLE
-        }
-        OregamiError::Map(_) | OregamiError::Larcs(_) => "map",
-        OregamiError::Fault(_) => "fault",
-        OregamiError::Repair(_) => "repair",
-        OregamiError::Journal(_) | OregamiError::Churn(_) => "session",
-    };
-    (kind.to_string(), e.to_string())
+fn bad_request(msg: String) -> Failure {
+    FailureClass::BadRequest.fail(msg)
 }
 
-/// A toolchain plus the lowered domain map when the request's target was
-/// a hierarchical machine spec, or a `(kind, message)` wire error.
-type SystemAndDomains = Result<(Oregami, Option<Arc<oregami::DomainMap>>), (String, String)>;
-
 impl Daemon {
-    /// A toolchain instance for one request: shared route-table cache,
-    /// shared supervisor breaker state, per-request (or daemon-wide)
-    /// chaos injection. Machine specs (`mesh-boards:...`) also yield the
-    /// lowered domain map for blast-radius-aware repair.
-    fn system_for(&self, spec: &MapSpec) -> SystemAndDomains {
-        let (net, domains) =
-            crate::topo::parse_target(&spec.topology).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?;
+    /// A toolchain instance for one request: the spec's own lowering and
+    /// options, plus what is the daemon's — shared route-table cache,
+    /// shared front end, shared supervisor breaker state, per-request (or
+    /// daemon-wide) chaos injection. Machine specs (`mesh-boards:...`)
+    /// also yield the lowered domain map for blast-radius-aware repair.
+    fn system_for(&self, spec: &MapSpec) -> Result<(Oregami, Option<Arc<oregami::DomainMap>>), Failure> {
+        let (system, domains) = spec.toolchain().map_err(bad_request)?;
         let mut sup = SupervisorConfig::default().with_state(Arc::clone(&self.supervisor));
+        // parsed per request: every request replays the spec's storm from
+        // its start (a `ChaosConfig` clone would share one event counter)
         if let Some(c) = spec.chaos.as_ref().or(self.chaos.as_ref()) {
-            let chaos =
-                ChaosConfig::parse(c).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?;
-            sup = sup.with_chaos(chaos);
+            sup = sup.with_chaos(ChaosConfig::parse(c).map_err(bad_request)?);
         }
-        let system = Oregami::new(net)
+        let system = system
             .with_cache(Arc::clone(&self.cache))
             .with_frontend(Arc::clone(&self.frontend))
-            .with_options(MapperOptions {
-                load_bound: spec.load_bound,
-                ..MapperOptions::default()
-            })
             .with_supervisor(sup);
         Ok((system, domains))
-    }
-
-    /// Compresses a machine mapping's routing tables against the
-    /// hardware budget, recording the result for `health`. Over-budget
-    /// tables are a typed `repair` error: the mapping cannot be loaded.
-    fn compress_machine_routes(
-        &self,
-        system: &Oregami,
-        result: &OregamiResult,
-    ) -> Result<oregami::RouteCompression, (String, String)> {
-        let routes: Vec<&[ProcId]> = result
-            .report
-            .mapping
-            .routes
-            .iter()
-            .flatten()
-            .map(Vec::as_slice)
-            .collect();
-        let compression = oregami::compress_routes(
-            system.network(),
-            routes,
-            oregami::CompressionConfig {
-                entries_per_proc: self.route_budget,
-            },
-        )
-        .map_err(|e| ("repair".to_string(), e.to_string()))?;
-        *self
-            .compression
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(compression.clone());
-        Ok(compression)
     }
 
     /// Compiles `spec`'s source through the shared incremental front end
     /// (a repeat of `(source, params)` is a pure cache hit; a lightly
     /// edited source re-expands only the rules that changed) and maps it
     /// under the request's budget.
-    fn map_budgeted(
-        &self,
-        system: &Oregami,
-        spec: &MapSpec,
-    ) -> Result<OregamiResult, (String, String)> {
-        let chain = match &spec.chain {
-            Some(s) => FallbackChain::parse(s).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?,
-            None => FallbackChain::default(),
-        };
-        let mut budget = Budget::unlimited();
-        if let Some(ms) = spec.deadline_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(n) = spec.max_steps {
-            budget = budget.with_max_steps(n);
-        }
+    fn map_budgeted(&self, system: &Oregami, spec: &MapSpec) -> Result<OregamiResult, Failure> {
+        let chain = spec.chain().map_err(bad_request)?;
         system
-            .map_source_with_budget(&spec.source, &spec.param_refs(), &chain, &budget)
-            .map_err(|e| error_payload(&e))
+            .map_source_with_budget(&spec.source, &spec.param_refs(), &chain, &spec.budget())
+            .map_err(|e| FailureClass::wire(&e))
     }
 
     /// Runs one compute operation to its result object (worker thread).
@@ -610,14 +538,20 @@ impl Daemon {
         match op_name {
             "map" => {
                 let mut out = map_json(spec, &system, &result);
-                if domains.is_some() {
-                    let c = self.compress_machine_routes(&system, &result)?;
-                    if let Json::Obj(fields) = &mut out {
-                        fields.push((
-                            "route_compression".to_string(),
-                            compression_json(&c, self.route_budget),
-                        ));
-                    }
+                if let (Some(_), Json::Obj(fields)) = (&domains, &mut out) {
+                    // a machine mapping must fit the routing hardware:
+                    // over budget is a typed `repair` error (it cannot be
+                    // loaded); the result is kept for `health`
+                    let c = compress_machine_routes(&system, &result, self.route_budget)
+                        .map_err(|e| FailureClass::Repair.fail(e.to_string()))?;
+                    fields.push((
+                        "route_compression".to_string(),
+                        compression_json(&c, self.route_budget),
+                    ));
+                    *self
+                        .compression
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(c);
                 }
                 Ok(out)
             }
@@ -627,7 +561,7 @@ impl Daemon {
                 let table = self
                     .cache
                     .get_or_build(system.network())
-                    .map_err(|e| error_payload(&OregamiError::Map(e.into())))?;
+                    .map_err(|e| FailureClass::wire(&OregamiError::Map(e.into())))?;
                 let engine = MetricsEngine::try_new_with_table(
                     &result.task_graph,
                     system.network(),
@@ -635,7 +569,7 @@ impl Daemon {
                     &CostModel::default(),
                     table,
                 )
-                .map_err(|e| error_payload(&OregamiError::Map(e.into())))?;
+                .map_err(|e| FailureClass::wire(&OregamiError::Map(e.into())))?;
                 Ok(obj()
                     .field("program", spec.label.as_str())
                     .field("topology", spec.topology.as_str())
@@ -647,21 +581,9 @@ impl Daemon {
                     .build())
             }
             "repair" => {
-                let mut faults = FaultSet::new();
-                for &p in &spec.fail_procs {
-                    faults.fail_proc(ProcId(p));
-                }
-                for &l in &spec.fail_links {
-                    faults.fail_link(LinkId(l));
-                }
-                let ropts = RepairOptions {
-                    load_bound: spec.load_bound,
-                    domains: domains.clone(),
-                    ..RepairOptions::default()
-                };
                 let rec = system
-                    .repair(&result, &faults, &ropts)
-                    .map_err(|e| error_payload(&e))?;
+                    .repair(&result, &spec.fault_set(), &spec.repair_options(domains.as_ref()))
+                    .map_err(|e| FailureClass::wire(&e))?;
                 let mut out = obj()
                     .field("program", spec.label.as_str())
                     .field("topology", spec.topology.as_str())
@@ -682,10 +604,7 @@ impl Daemon {
                 }
                 Ok(out.field("metrics", rec.metrics.render()).build())
             }
-            other => Err((
-                KIND_INTERNAL.to_string(),
-                format!("unknown compute op '{other}'"),
-            )),
+            other => Err(FailureClass::Internal.fail(format!("unknown compute op '{other}'"))),
         }
     }
 
@@ -806,13 +725,6 @@ fn compression_json(c: &oregami::RouteCompression, budget: usize) -> Json {
 /// The `map` result object: what was mapped, how, and what METRICS
 /// thought of it.
 fn map_json(spec: &MapSpec, system: &Oregami, result: &OregamiResult) -> Json {
-    let assignment: Vec<Json> = result
-        .report
-        .mapping
-        .assignment
-        .iter()
-        .map(|p| Json::from(u64::from(p.0)))
-        .collect();
     let mut out = obj()
         .field("program", spec.label.as_str())
         .field("topology", spec.topology.as_str())
@@ -820,7 +732,7 @@ fn map_json(spec: &MapSpec, system: &Oregami, result: &OregamiResult) -> Json {
         .field("procs", system.network().num_procs())
         .field("strategy", format!("{:?}", result.report.strategy))
         .field("degraded", result.is_degraded())
-        .field("assignment", Json::Arr(assignment));
+        .field("assignment", assignment_json(&result.report.mapping));
     if let Some(engine) = &result.engine {
         out = out.field(
             "engine",

@@ -19,13 +19,13 @@
 //! session state, verified byte-for-byte by the kill-and-restart test.
 
 use crate::json::{obj, Json};
-use crate::protocol::{self, MapSpec, KIND_BAD_REQUEST, KIND_SHUTTING_DOWN};
-use crate::topo::parse_topology;
+use crate::request::{Failure, FailureClass, MapSpec};
+use crate::topo::parse_target;
 use oregami::journal::{self, Journal};
 use oregami::replay;
 use oregami::{
-    Budget, ChurnConfig, DispatchError, Dispatched, InteractiveSession, MapperOptions,
-    MetricSnapshot, MetricsDelta, Oregami, RouteTableCache, StreamError, StreamSession,
+    Budget, ChurnConfig, DispatchError, Dispatched, InteractiveSession, MetricSnapshot,
+    MetricsDelta, RouteTableCache, StreamError, StreamSession,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,15 +61,14 @@ pub struct SessionRegistry {
     truncations: AtomicU64,
 }
 
-type Failure = (String, String);
 type OpResult = Result<Json, Failure>;
 
 fn internal(msg: impl Into<String>) -> Failure {
-    ("session".to_string(), msg.into())
+    FailureClass::Session.fail(msg)
 }
 
 fn bad_request(msg: impl Into<String>) -> Failure {
-    (KIND_BAD_REQUEST.to_string(), msg.into())
+    FailureClass::BadRequest.fail(msg)
 }
 
 impl SessionRegistry {
@@ -176,17 +175,13 @@ impl SessionRegistry {
     /// Maps `spec` and opens an edit session on the result — fresh, or
     /// with `resume` replaying the journal already on disk.
     fn build_edit(&self, name: &str, spec: MapSpec, resume: bool) -> Result<(Session, Json), Failure> {
-        let net = parse_topology(&spec.topology).map_err(bad_request)?;
-        let system = Oregami::new(net)
+        let (system, _) = spec.toolchain().map_err(bad_request)?;
+        let system = system
             .with_cache(Arc::clone(&self.cache))
-            .with_frontend(Arc::clone(&self.frontend))
-            .with_options(MapperOptions {
-                load_bound: spec.load_bound,
-                ..MapperOptions::default()
-            });
+            .with_frontend(Arc::clone(&self.frontend));
         let result = system
             .map_source(&spec.source, &spec.param_refs())
-            .map_err(|e| ("map".to_string(), e.to_string()))?;
+            .map_err(|e| FailureClass::wire(&e))?;
         let journal_path = self.journal_path(name);
         let (session, replayed) = if resume {
             let (s, recovery) = system
@@ -201,9 +196,7 @@ impl SessionRegistry {
             // file without a journal, which resume reports and skips — never
             // a journal that can't be interpreted
             write_meta(&self.meta_path(name), &spec, None).map_err(internal)?;
-            let mut s = system
-                .interactive(&result)
-                .map_err(|e| ("map".to_string(), e.to_string()))?;
+            let mut s = system.interactive(&result).map_err(|e| FailureClass::wire(&e))?;
             s.attach_journal(Journal::create(&journal_path).map_err(|e| internal(e.to_string()))?);
             (s, 0)
         };
@@ -232,24 +225,27 @@ impl SessionRegistry {
     ) -> OpResult {
         if !self.lock().contains_key(name) {
             if draining {
-                return Err((
-                    KIND_SHUTTING_DOWN.to_string(),
-                    "daemon is draining; no new sessions".to_string(),
-                ));
+                return Err(FailureClass::ShuttingDown.fail("daemon is draining; no new sessions"));
             }
             let topo = topology.ok_or_else(|| {
                 bad_request(format!("no stream session '{name}'; give 'topology' to open one"))
             })?;
             // losing a race for the name just means feeding the winner
             self.open_with(name, || {
-                let net = parse_topology(topo).map_err(bad_request)?;
+                let (net, _) = parse_target(topo).map_err(bad_request)?;
                 let cfg = ChurnConfig {
                     load_bound: load_bound.unwrap_or(ChurnConfig::default().load_bound),
                     ..ChurnConfig::default()
                 };
                 // meta first, journal second: same crash ordering as edit
                 // sessions
-                write_stream_meta(&self.meta_path(name), topo, load_bound).map_err(internal)?;
+                // sidecar: just the topology (the churn config is pinned
+                // inside the journal itself, as its first frame)
+                let meta = obj()
+                    .field("kind", "stream")
+                    .field("topology", topo)
+                    .field("load_bound", load_bound.map_or(Json::Null, Json::from));
+                write_meta_json(&self.meta_path(name), &meta.build()).map_err(internal)?;
                 let session = StreamSession::create(net, cfg, &self.journal_path(name))
                     .map_err(|e| internal(e.to_string()))?;
                 Ok((Session::Stream(session), Json::Null))
@@ -335,7 +331,7 @@ impl SessionRegistry {
                 .get("topology")
                 .and_then(Json::as_str)
                 .ok_or_else(|| internal("stream meta missing 'topology'"))?;
-            let net = parse_topology(topo).map_err(internal)?;
+            let (net, _) = parse_target(topo).map_err(internal)?;
             let (session, recovery) = StreamSession::resume(net, &journal_path)
                 .map_err(|e| internal(e.to_string()))?;
             if recovery.truncated {
@@ -359,11 +355,8 @@ impl SessionRegistry {
                     .map_err(|e| internal(e.to_string()))?;
             }
         }
-        // the sidecar is a stored request, minus its display label
-        let mut spec = protocol::parse_spec(&meta).map_err(|e| internal(e.to_string()))?;
-        if let Some(label) = meta.get("label").and_then(Json::as_str) {
-            spec.label = label.to_string();
-        }
+        // the sidecar is a stored request
+        let spec = MapSpec::from_json(&meta).map_err(|e| internal(e.to_string()))?;
         self.build_edit(name, spec, true)
     }
 
@@ -403,7 +396,7 @@ impl SessionRegistry {
                         DispatchError::NoSource | DispatchError::Rule(_) => {
                             bad_request(e.to_string())
                         }
-                        DispatchError::Remap(_) => ("map".to_string(), e.to_string()),
+                        DispatchError::Remap(_) => FailureClass::Map.fail(e.to_string()),
                         _ => internal(e.to_string()),
                     })
                 }
@@ -462,20 +455,19 @@ impl SessionRegistry {
 /// session state byte-for-byte: rendered deterministically, field order
 /// fixed.
 fn snapshot_json(name: &str, session: &InteractiveSession) -> Json {
-    let assignment: Vec<Json> = session
-        .mapping()
-        .assignment
-        .iter()
-        .map(|p| Json::from(u64::from(p.0)))
-        .collect();
     obj()
         .field("session", name)
         .field("edits", session.edit_log().len())
         .field("undo_depth", session.undo_depth())
-        .field("assignment", Json::Arr(assignment))
+        .field("assignment", assignment_json(session.mapping()))
         .field("metrics", metric_json(&session.snapshot()))
         .field("report", session.report().render())
         .build()
+}
+
+/// A mapping's task → processor vector.
+pub fn assignment_json(mapping: &oregami::Mapping) -> Json {
+    Json::Arr(mapping.assignment.iter().map(|p| Json::from(u64::from(p.0))).collect())
 }
 
 /// One metric snapshot as an ordered object.
@@ -504,46 +496,15 @@ pub fn delta_json(d: &MetricsDelta) -> Json {
         .build()
 }
 
+/// An edit session's sidecar is its request as [`MapSpec::to_json`]
+/// writes it, so [`MapSpec::from_json`] reads it back on resume.
 /// `journal_pin` is the frame a program edit's restarted journal opens
 /// with (see [`SessionRegistry::resume_one`]); `None` at open.
 fn write_meta(path: &Path, spec: &MapSpec, journal_pin: Option<&str>) -> Result<(), String> {
-    let params = Json::Obj(
-        spec.params
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::from(*v)))
-            .collect(),
-    );
-    let meta = obj()
-        .field("topology", spec.topology.as_str())
-        .field("source", spec.source.as_str())
-        .field("label", spec.label.as_str())
-        .field("params", params)
-        .field(
-            "load_bound",
-            spec.load_bound.map_or(Json::Null, Json::from),
-        );
-    let meta = match journal_pin {
-        Some(pin) => meta.field("journal_pin", pin),
-        None => meta,
-    };
-    write_meta_json(path, &meta.build())
-}
-
-/// Stream-session sidecar: just the topology (the churn config is
-/// pinned inside the journal itself, as its first frame).
-fn write_stream_meta(
-    path: &Path,
-    topology: &str,
-    load_bound: Option<usize>,
-) -> Result<(), String> {
-    let meta = obj()
-        .field("kind", "stream")
-        .field("topology", topology)
-        .field(
-            "load_bound",
-            load_bound.map_or(Json::Null, |n| Json::from(n as u64)),
-        )
-        .build();
+    let mut meta = spec.to_json();
+    if let (Json::Obj(fields), Some(pin)) = (&mut meta, journal_pin) {
+        fields.push(("journal_pin".to_string(), Json::from(pin)));
+    }
     write_meta_json(path, &meta)
 }
 
@@ -675,6 +636,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The sidecar is the request as `MapSpec::to_json` writes it. The
+    /// one the previous release wrote by hand (`source` and a `label` for
+    /// a builtin too, an explicit null `load_bound`) reads back as the
+    /// same request, and a machine target opens like a flat one.
+    #[test]
+    fn sidecar_is_the_serialised_request_and_the_old_field_set_still_resumes() {
+        let dir = temp_dir("sidecar");
+        let before;
+        {
+            let reg = registry(&dir);
+            let machine = MapSpec { topology: "mesh-boards:2x2x2x2".to_string(), ..spec() };
+            reg.open("delta", machine.clone()).unwrap();
+            reg.edit("delta", "reassign 3 1").unwrap();
+            before = reg.snapshot("delta").unwrap().render();
+            reg.shutdown();
+            let meta = std::fs::read_to_string(dir.join("delta.meta.json")).unwrap();
+            assert_eq!(meta, machine.to_json().render());
+            assert_eq!(MapSpec::from_json(&crate::json::parse(&meta).unwrap()).unwrap(), machine);
+        }
+        let old = obj()
+            .field("topology", "mesh-boards:2x2x2x2")
+            .field("source", programs::nbody())
+            .field("label", "nbody")
+            .field("params", obj().field("msgsize", 4i64).field("n", 16i64).field("s", 2i64).build())
+            .field("load_bound", Json::Null)
+            .build();
+        std::fs::write(dir.join("delta.meta.json"), old.render()).unwrap();
+        let reg = registry(&dir);
+        assert_eq!(reg.resume_all(), (vec!["delta".to_string()], Vec::new()));
+        assert_eq!(reg.snapshot("delta").unwrap().render(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn thread_count() -> usize {
         std::fs::read_dir("/proc/self/task").unwrap().count()
     }
@@ -725,7 +719,7 @@ mod tests {
         });
         assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 1);
         for refused in outcomes.iter().filter_map(|r| r.as_ref().err()) {
-            assert_eq!(refused.0, KIND_BAD_REQUEST, "{refused:?}");
+            assert_eq!(refused.0, "bad_request", "{refused:?}");
         }
         assert_eq!(reg.count(), 1);
         reg.edit("dup", "reassign 3 1").unwrap();
@@ -762,7 +756,7 @@ mod tests {
             });
             assert_ne!(edit.is_ok(), stream.is_ok(), "{edit:?} / {stream:?}");
             let refused = edit.err().or(stream.err()).unwrap();
-            assert_eq!(refused.0, KIND_BAD_REQUEST, "{refused:?}");
+            assert_eq!(refused.0, "bad_request", "{refused:?}");
             let before = reg.snapshot(&name).unwrap().render();
             reg.shutdown();
 

@@ -1,15 +1,14 @@
 //! Topology-spec parsing shared by the CLI and the daemon protocol:
 //! `hypercube:3`, `mesh2d:4x4`, `ring:8`, ... plus hierarchical machine
 //! specs (`mesh-boards:4x4x8x8`, `fat-tree:2x4`, `dragonfly:4x4x4`,
-//! `rc-array`) lowered through [`MachineModel`].
+//! `rc-array`) lowered through [`MachineModel`]. [`parse_target`] is the
+//! one way a spec string becomes a network; a spec past
+//! [`check_size`] — a typo like `hypercube:62`, or `complete:1048576` —
+//! comes back as a spec error before anything is allocated.
 
+use oregami::topology::routes::check_size;
 use oregami::topology::{builders, DomainMap, MachineModel, Network};
 use std::sync::Arc;
-
-/// Upper bound on processors a spec may request. A typo like
-/// `hypercube:62` must come back as a spec error, not an attempt to
-/// allocate 2^62 processors.
-pub const MAX_PROCS: usize = 1 << 20;
 
 /// Whether a spec names a hierarchical machine model rather than a flat
 /// topology.
@@ -31,8 +30,8 @@ pub fn parse_target(spec: &str) -> Result<(Network, Option<Arc<DomainMap>>), Str
     }
 }
 
-/// Builds a network from a `KIND[:ARGS]` spec string.
-pub fn parse_topology(spec: &str) -> Result<Network, String> {
+/// Builds a flat network from a `KIND[:ARGS]` spec string.
+fn parse_topology(spec: &str) -> Result<Network, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     let int = |s: &str| -> Result<usize, String> {
         s.parse().map_err(|_| format!("bad number '{s}' in topology '{spec}'"))
@@ -43,14 +42,14 @@ pub fn parse_topology(spec: &str) -> Result<Network, String> {
             .ok_or_else(|| format!("expected RxC in topology '{spec}'"))?;
         Ok((int(a)?, int(b)?))
     };
-    let guard = |procs: Option<usize>| -> Result<usize, String> {
-        match procs {
-            Some(p) if p <= MAX_PROCS => Ok(p),
-            _ => Err(format!(
-                "topology '{spec}' exceeds the {MAX_PROCS}-processor limit"
-            )),
-        }
+    // processors (saturated on overflow) and all-to-all links the spec
+    // asks for, checked before the builder reserves anything
+    let sized = |procs: Option<usize>, links: usize| -> Result<usize, String> {
+        let procs = procs.unwrap_or(usize::MAX);
+        check_size(procs, links).map_err(|e| format!("topology '{spec}': {e}"))?;
+        Ok(procs)
     };
+    let guard = |procs: Option<usize>| sized(procs, 0);
     Ok(match kind {
         "hypercube" => {
             let d = int(rest)?;
@@ -69,7 +68,10 @@ pub fn parse_topology(spec: &str) -> Result<Network, String> {
         }
         "ring" => builders::ring(guard(Some(int(rest)?))?),
         "chain" => builders::chain(guard(Some(int(rest)?))?),
-        "complete" => builders::complete(guard(Some(int(rest)?))?),
+        "complete" => {
+            let n = int(rest)?;
+            builders::complete(sized(Some(n), n.saturating_mul(n) / 2)?)
+        }
         "star" => builders::star(guard(Some(int(rest)?))?),
         "tree" => {
             let h = int(rest)?;
@@ -102,6 +104,27 @@ mod tests {
         assert!(parse_topology("hypercube:62").is_err());
         assert!(parse_topology("warp:9").is_err());
         assert!(parse_topology("mesh2d:4").is_err());
+    }
+
+    /// The bound is what a route table (`4n^2` bytes) and a dense link
+    /// list may allocate, not a processor count picked by hand: each of
+    /// these aborted the process on allocation before.
+    #[test]
+    fn specs_past_the_allocation_bound_are_errors_before_any_build() {
+        for spec in [
+            "complete:1048576",
+            "complete:8192",
+            "hypercube:17",
+            "hypercube:20",
+            "mesh-boards:32x32x32x32",
+            "dragonfly:2x1x4000",
+            "fat-tree:2x40",
+        ] {
+            let err = parse_target(spec).unwrap_err();
+            assert!(err.contains("processor limit"), "{spec}: {err}");
+        }
+        assert_eq!(parse_target("hypercube:10").unwrap().0.num_procs(), 1024);
+        assert_eq!(parse_target("complete:64").unwrap().0.num_links(), 64 * 63 / 2);
     }
 
     #[test]

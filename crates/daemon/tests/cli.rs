@@ -88,6 +88,62 @@ fn bad_arguments_fail_cleanly() {
     let out = oregami().output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no program"));
+    // --socket mode forwards the map flags and nothing else: a flag the
+    // daemon cannot honour is refused by name (before any connection is
+    // tried), not silently dropped
+    for local_only in [
+        &["--fail-board", "1"][..],
+        &["--boot-seed", "3"],
+        &["--boot-dead", "10"],
+        &["--route-budget", "64"],
+        &["--byte-time", "99"],
+        &["--hop-latency", "2"],
+        &["--startup", "5"],
+        &["--threads", "4"],
+        &["--supervise"],
+        &["--grace-ms", "50"],
+        &["--edits", "nosuchfile"],
+        &["--journal", "nosuchfile"],
+        &["--resume", "nosuchfile"],
+        &["--stream", "nosuchfile"],
+        &["--fault-sweep", "3"],
+        &["--timeline"],
+        &["--directives"],
+        &["--dot", "t.dot"],
+        &["--map-dot", "m.dot"],
+        &["--net-dot", "n.dot"],
+    ] {
+        let out = oregami()
+            .args(["--socket", "/nonexistent/oregamid.sock"])
+            .args(["--program", "jacobi", "--topology", "hypercube:2"])
+            .args(local_only)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{local_only:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {} only works on a local run", local_only[0])),
+            "{local_only:?}: {stderr}"
+        );
+    }
+    // the same holds beside --health, and the first such flag is the one named
+    let out = oregami()
+        .args(["--socket", "/nonexistent/oregamid.sock", "--health"])
+        .args(["--fault-sweep", "3", "--threads", "4"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--fault-sweep only works"));
+    // every forwarded flag still reaches the connect step
+    let out = oregami()
+        .args(["--socket", "/nonexistent/oregamid.sock"])
+        .args(["--program", "jacobi", "--topology", "hypercube:2", "-P", "n=2", "-B", "4"])
+        .args(["--deadline-ms", "50", "--max-steps", "9", "--chain", "identity", "--fallback"])
+        .args(["--fail-proc", "1", "--fail-link", "0", "--chaos", "seed=1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot connect"));
 }
 
 #[test]
@@ -363,6 +419,20 @@ fn oversized_topology_is_a_usage_error() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("processor limit"));
+    // under the old 2^20-processor guard these passed it and then aborted
+    // the process (exit 134) allocating a terabyte-scale link list or
+    // route table; the bound is now what those allocations may take
+    for spec in ["complete:1048576", "hypercube:20", "mesh-boards:32x32x32x32"] {
+        for flag in ["--topology", "--machine"] {
+            if flag == "--machine" && !spec.starts_with("mesh-boards") {
+                continue;
+            }
+            let out = oregami().args(["--program", "jacobi", flag, spec]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {spec}: {stderr}");
+            assert!(stderr.contains("processor limit"), "{flag} {spec}: {stderr}");
+        }
+    }
 }
 
 #[test]

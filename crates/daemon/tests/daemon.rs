@@ -762,3 +762,200 @@ fn machine_daemon_health_reports_domains_and_compression() {
         assert!(health.contains(key), "health JSON missing {key}: {health}");
     }
 }
+
+/// An oversized topology used to pass the parser's 2^20-processor guard
+/// and then abort the whole daemon on allocation — on the connection
+/// thread, inside `parse_request`, where no `catch_unwind` helps. It is a
+/// typed `bad_request` now, and the daemon keeps serving.
+#[test]
+fn oversized_topology_is_a_bad_request_and_the_daemon_survives() {
+    let socket = scratch("oversized.sock");
+    let state = scratch("oversized.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+    let handle = Server::start(ServerConfig::new(&socket, &state)).expect("start server");
+    let mut client = connect_within(&socket, Duration::from_secs(15));
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    for spec in ["complete:1048576", "hypercube:20", "mesh-boards:32x32x32x32"] {
+        for op in ["map", "repair", "metrics", "session_open", "session_stream"] {
+            let request = obj()
+                .field("op", op)
+                .field("session", "big")
+                .field("program", "jacobi")
+                .field("topology", spec)
+                .build();
+            let (kind, message) = client.request(&request).unwrap_err();
+            assert_eq!(kind, "bad_request", "{op} {spec}: {message}");
+            assert!(message.contains("processor limit"), "{op} {spec}: {message}");
+        }
+    }
+    let health = client.request(&obj().field("op", "health").build()).expect("health");
+    assert_eq!(health.get("service").and_then(Json::as_str), Some("healthy"));
+    assert_eq!(health.get("sessions").and_then(Json::as_u64), Some(0));
+    drop(client);
+    handle.shutdown();
+}
+
+/// What one front end said about a request: exit code / error kind
+/// folded onto the exit code, and the texts it showed.
+#[derive(Debug, PartialEq)]
+struct Said {
+    exit: i32,
+    /// The METRICS report (of the mapping, or of the repaired mapping).
+    report: String,
+    /// `(processors failed, links out of service, repair report)`.
+    repair: Option<(u64, u64, String)>,
+}
+
+/// `text` from `marker` to the blank line that ends a rendered report.
+fn block(text: &str, marker: &str) -> String {
+    let from = text.find(marker).unwrap_or_else(|| panic!("no {marker:?} in:\n{text}"));
+    let rest = &text[from..];
+    rest[..rest.find("\n\n").map_or(rest.len(), |at| at + 1)].to_string()
+}
+
+/// The number written just before `what` in `line`.
+fn number_before(line: &str, what: &str) -> Option<u64> {
+    let head = line[..line.find(what)?].trim_end();
+    let digits = head.len() - head.chars().rev().take_while(char::is_ascii_digit).count();
+    head[digits..].parse().ok()
+}
+
+fn cli_said(args: &[&str], repair: bool) -> Said {
+    let out = Command::new(env!("CARGO_BIN_EXE_oregami")).args(args).output().unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let exit = out.status.code().unwrap();
+    if !matches!(exit, 0 | 6) {
+        return Said { exit, report: String::new(), repair: None };
+    }
+    if !repair {
+        return Said { exit, report: block(&stdout, "== METRICS =="), repair: None };
+    }
+    // local: "-- fault injection: P processor(s) + L link(s) failed (N links out of service) --"
+    // socket: "daemon repaired '..' on T: P processor(s) failed, N link(s) out of service"
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("-- fault injection:") || l.starts_with("daemon repaired"))
+        .unwrap_or_else(|| panic!("no repair line in:\n{stdout}"));
+    let failed_procs = number_before(line, "processor(s)").expect("processors failed");
+    let failed_links = number_before(line, "links out of service")
+        .or_else(|| number_before(line, "link(s) out of service"))
+        .expect("links out of service");
+    let after = &stdout[stdout.find("== REPAIR ==").expect("repair report")..];
+    Said {
+        exit,
+        report: block(after, "== METRICS =="),
+        repair: Some((failed_procs, failed_links, block(after, "== REPAIR ==").trim_end().to_string())),
+    }
+}
+
+fn raw_said(client: &mut Client, request: &Json, repair: bool) -> (Said, Option<Vec<u64>>) {
+    use oregami_daemon::request::FailureClass;
+    match client.request(request) {
+        Err((kind, _)) => {
+            let exit = i32::from(FailureClass::from_kind(&kind).exit_code());
+            (Said { exit, report: String::new(), repair: None }, None)
+        }
+        Ok(reply) => {
+            let text = |key: &str| reply.get(key).and_then(Json::as_str).unwrap_or_default().to_string();
+            let count = |key: &str| reply.get(key).and_then(Json::as_u64).unwrap();
+            let degraded = reply.get("degraded").and_then(Json::as_bool) == Some(true);
+            let assignment = reply
+                .get("assignment")
+                .and_then(Json::as_arr)
+                .map(|a| a.iter().map(|p| p.as_u64().unwrap()).collect());
+            let said = Said {
+                exit: if degraded { 6 } else { 0 },
+                report: if repair { text("metrics") } else { text("report") },
+                repair: repair.then(|| {
+                    (count("failed_procs"), count("failed_links"), text("repair").trim_end().to_string())
+                }),
+            };
+            (said, assignment)
+        }
+    }
+}
+
+/// Task → processor, read back out of `--map-dot`'s clusters.
+fn assignment_of(map_dot: &Path) -> Vec<u64> {
+    let mut placed = Vec::new();
+    let mut proc = 0u64;
+    for line in std::fs::read_to_string(map_dot).unwrap().lines() {
+        let line = line.trim();
+        if let Some(p) = line.strip_prefix("subgraph cluster_p") {
+            proc = p.trim_end_matches(" {").parse().unwrap();
+        } else if let Some((task, _)) = line.strip_prefix('n').and_then(|l| l.split_once(" [label=")) {
+            placed.push((task.parse::<usize>().unwrap(), proc));
+        }
+    }
+    placed.sort_unstable();
+    assert!(placed.iter().enumerate().all(|(i, (t, _))| i == *t), "every task once");
+    placed.into_iter().map(|(_, p)| p).collect()
+}
+
+/// ROADMAP aim 3's "CLI ≡ daemon response", over the whole builtin
+/// corpus: a local `oregami` run, `oregami --socket`, and a raw frame are
+/// three routes to one answer. All three are built from the same
+/// `MapSpec`, so the METRICS report, the assignment, the repair report,
+/// the failed-element counts — and, where a request fails, the failure
+/// class — must agree.
+#[test]
+fn cli_local_socket_and_raw_replies_agree_on_every_builtin() {
+    let socket = scratch("diff.sock");
+    let state = scratch("diff.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+    std::fs::create_dir_all(&state).unwrap();
+    let handle = Server::start(ServerConfig::new(&socket, &state)).expect("start server");
+    let mut client = connect_within(&socket, Duration::from_secs(15));
+    client.set_timeout(Some(Duration::from_secs(120))).unwrap();
+    let sock = socket.to_str().unwrap();
+    let dot = state.join("map.dot");
+
+    let mut compared = 0;
+    for (program, _, samples) in oregami::larcs::programs::all_programs() {
+        for topology in ["hypercube:3", "mesh2d:3x3", "mesh-boards:2x2x2x2"] {
+            let what = format!("{program} on {topology}");
+            let base = ["--program", program, "--topology", topology];
+            let params = Json::Obj(samples.iter().map(|(k, v)| (k.to_string(), Json::from(*v))).collect());
+            let frame = |op: &str| {
+                obj().field("op", op).field("program", program).field("topology", topology)
+                    .field("params", params.clone())
+            };
+
+            // map: report three ways, assignment local vs raw
+            let local = cli_said(&[&base[..], &["--map-dot", dot.to_str().unwrap()]].concat(), false);
+            let remote = cli_said(&[&["--socket", sock], &base[..]].concat(), false);
+            let (raw, assignment) = raw_said(&mut client, &frame("map").build(), false);
+            assert_eq!(local, raw, "{what}: local run vs raw map reply");
+            assert_eq!(remote, raw, "{what}: --socket vs raw map reply");
+            if let Some(assignment) = assignment {
+                assert_eq!(assignment_of(&dot), assignment, "{what}: assignment");
+            }
+
+            // repair: a dead processor and a dead link the network survives,
+            // then a pair that cuts processor 0 off (exit 5 = kind `repair`)
+            for (proc, link, repairable) in [(4u64, 0u64, true), (1, 0, topology == "hypercube:3")] {
+                let (p, l) = (proc.to_string(), link.to_string());
+                let faults = ["--fail-proc", p.as_str(), "--fail-link", l.as_str()];
+                let local = cli_said(&[&base[..], &faults].concat(), true);
+                let remote = cli_said(&[&["--socket", sock], &base[..], &faults].concat(), true);
+                let one = |id: u64| Json::Arr(vec![Json::from(id)]);
+                let request = frame("repair").field("fail_procs", one(proc)).field("fail_links", one(link));
+                let (raw, _) = raw_said(&mut client, &request.build(), true);
+                assert_eq!(local, raw, "{what}: local repair vs raw repair reply");
+                assert_eq!(remote, raw, "{what}: --socket repair vs raw repair reply");
+                if repairable {
+                    assert!(raw.repair.is_some(), "{what}: {raw:?}");
+                } else {
+                    assert_eq!(raw.exit, 5, "{what}: {raw:?}");
+                }
+            }
+            compared += 1;
+        }
+    }
+    assert!(compared >= 30, "the corpus shrank to {compared} cases");
+    drop(client);
+    handle.shutdown();
+}

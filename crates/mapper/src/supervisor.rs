@@ -13,9 +13,11 @@
 //!   **detached** (its thread is abandoned, its partial step usage
 //!   charged back) and recorded as [`StageStatus::Hung`] — the chain
 //!   moves on and still serves the best remaining candidate;
-//! * transient failures (a panic, a typed error) are **retried** under
-//!   a bounded exponential backoff ([`RetryPolicy`]) while deadline
-//!   time remains;
+//! * a panic is a transient failure and is **retried** under a bounded
+//!   exponential backoff ([`RetryPolicy`]) while deadline time remains;
+//!   a typed [`MapError`] is a function of the request (an infeasible
+//!   load bound fails the same way every time), so it ends the stage's
+//!   attempts at once;
 //! * a per-stage **circuit breaker** ([`BreakerConfig`]) trips `Closed →
 //!   Open` after K consecutive panics/hangs, skips the stage
 //!   ([`StageStatus::CircuitOpen`]) while open, and re-probes one
@@ -50,8 +52,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Bounded retry with exponential backoff for transient stage failures
-/// (panics, typed errors). Hangs are never retried — by the time a
-/// stage is declared hung the deadline is already spent.
+/// (panics). Hangs are never retried — by the time a stage is declared
+/// hung the deadline is already spent — and neither are typed errors,
+/// which the same inputs would only reproduce.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 = never retry).
@@ -765,11 +768,10 @@ pub(crate) fn run_stages_supervised(
                     break; // deadline spent with nothing to show; move on
                 }
                 AttemptOutcome::Done(Ok(Err(e))) => {
-                    let cancelled = matches!(e, MapError::Cancelled);
+                    // a typed rejection is deterministic: retrying would
+                    // sleep and then fail the same way
                     outcome = RawOutcome::Failed(e);
-                    if cancelled {
-                        break;
-                    }
+                    break;
                 }
                 AttemptOutcome::Done(Ok(Ok((report, completion)))) => {
                     cfg.state.record_success(kind);
@@ -918,6 +920,41 @@ mod tests {
             state.admit(StageKind::Heuristic, &cfg),
             Admission::Run
         ));
+    }
+
+    /// A typed error is a function of the request: the stage is attempted
+    /// once and the supervisor neither sleeps a backoff nor spawns a
+    /// second worker for it. (That a panicked stage still retries is
+    /// `prop_supervisor::transient_panic_is_retried_and_recovers`.)
+    #[test]
+    fn typed_stage_error_ends_the_attempts_without_backoff() {
+        let tg = oregami_larcs::compile(&oregami_larcs::programs::jacobi(), &[("n", 8), ("iters", 2)])
+            .unwrap();
+        let net = oregami_topology::builders::hypercube(2);
+        let opts = MapperOptions {
+            load_bound: Some(1), // 64 tasks cannot fit on 4 processors
+            ..MapperOptions::default()
+        };
+        let cfg = SupervisorConfig::default().with_retry(RetryPolicy {
+            max_retries: 2,
+            backoff: Duration::from_secs(2),
+            backoff_cap: Duration::from_secs(2),
+        });
+        let t0 = Instant::now();
+        let raw = run_stages_supervised(
+            &tg,
+            &net,
+            &opts,
+            &FallbackChain { stages: vec![StageKind::Exhaustive] },
+            &Budget::unlimited(),
+            &Arc::new(RouteTableCache::new(2)),
+            &cfg,
+        );
+        assert!(matches!(raw[0].outcome, RawOutcome::Failed(_)));
+        assert_eq!(raw[0].attempts, 1);
+        assert!(t0.elapsed() < cfg.retry.backoff, "slept a backoff: {:?}", t0.elapsed());
+        // a typed error is not a breaker failure either
+        assert_eq!(cfg.state.breaker(StageKind::Exhaustive).consecutive_failures, 0);
     }
 
     #[test]

@@ -94,6 +94,15 @@ pub enum TopologyError {
         /// The hardware budget.
         budget: usize,
     },
+    /// The network is larger than [`check_size`](crate::routes::check_size)
+    /// admits: building it or its route table would take more memory than
+    /// [`MAX_TABLE_BYTES`](crate::routes::MAX_TABLE_BYTES).
+    TooLarge {
+        /// Most processors a network may have.
+        max_procs: usize,
+        /// Most links a network may have.
+        max_links: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -152,6 +161,12 @@ impl fmt::Display for TopologyError {
             } => write!(
                 f,
                 "routing table at processor {proc} needs {entries} entries after compression (hardware budget {budget})"
+            ),
+            TopologyError::TooLarge { max_procs, max_links } => write!(
+                f,
+                "network exceeds the {max_procs}-processor limit or the {max_links}-link \
+                 limit: a route table (4n^2 bytes) and a link list are capped at {} MiB",
+                crate::routes::MAX_TABLE_BYTES >> 20
             ),
         }
     }

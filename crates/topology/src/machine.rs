@@ -45,13 +45,10 @@
 
 use crate::fault::{FaultSet, TopologyError};
 use crate::network::{LinkId, Network, ProcId, TopologyKind};
+use crate::routes::check_size;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Upper bound on lowered machine size, matching the daemon's topology
-/// parser guard.
-pub const MAX_MACHINE_PROCS: usize = 1 << 20;
 
 /// Baseline for the fixed-point millis scales: a processor of speed 1000
 /// and a link of bandwidth 1000 behave exactly like the paper's
@@ -106,7 +103,8 @@ pub enum MachineKind {
 }
 
 impl MachineKind {
-    /// Total processors after lowering.
+    /// Total processors after lowering (saturating, so an absurd spec
+    /// reads as too large instead of wrapping to something small).
     pub fn num_procs(&self) -> usize {
         match *self {
             MachineKind::MeshBoards {
@@ -114,14 +112,38 @@ impl MachineKind {
                 board_cols,
                 mesh_rows,
                 mesh_cols,
-            } => board_rows * board_cols * mesh_rows * mesh_cols,
-            MachineKind::FatTree { arity, height } => arity.pow(height as u32),
+            } => board_rows
+                .saturating_mul(board_cols)
+                .saturating_mul(mesh_rows)
+                .saturating_mul(mesh_cols),
+            MachineKind::FatTree { arity, height } => {
+                arity.saturating_pow(u32::try_from(height).unwrap_or(u32::MAX))
+            }
             MachineKind::Dragonfly {
                 groups,
                 routers,
                 procs,
-            } => groups * routers * procs,
+            } => groups.saturating_mul(routers).saturating_mul(procs),
             MachineKind::RcArray { .. } => 64,
+        }
+    }
+
+    /// Links in the all-to-all parts of the lowering, the only ones that
+    /// outgrow the processor count: a dragonfly's processors per router,
+    /// routers per group, and groups.
+    fn dense_links(&self) -> usize {
+        let pairs = |n: usize| n.saturating_mul(n.saturating_sub(1)) / 2;
+        match *self {
+            MachineKind::Dragonfly {
+                groups,
+                routers,
+                procs,
+            } => pairs(procs)
+                .saturating_mul(routers)
+                .saturating_add(pairs(routers))
+                .saturating_mul(groups)
+                .saturating_add(pairs(groups)),
+            _ => 0,
         }
     }
 
@@ -635,15 +657,14 @@ impl MachineModel {
     ///
     /// # Panics
     /// On degenerate shapes (zero-sized dimensions, arity < 2, machines
-    /// over [`MAX_MACHINE_PROCS`]). Use [`MachineModel::parse`] for
-    /// untrusted input — it validates first.
+    /// past [`check_size`]). Use [`MachineModel::parse`] for untrusted
+    /// input — it validates first.
     pub fn lower(&self) -> LoweredMachine {
         let n = self.kind.num_procs();
         assert!(n > 0, "machine has no processors");
-        assert!(
-            n <= MAX_MACHINE_PROCS,
-            "machine too large: {n} processors (max {MAX_MACHINE_PROCS})"
-        );
+        if let Err(e) = check_size(n, self.kind.dense_links()) {
+            panic!("machine of {n} processors: {e}");
+        }
         // Each lowering pushes (u, v, level) links and per-proc paths.
         let mut links: Vec<(u32, u32)> = Vec::new();
         let mut levels: Vec<u8> = Vec::new();
@@ -920,9 +941,6 @@ impl MachineModel {
                 if d[0] < 2 {
                     return Err(format!("fat-tree arity must be >= 2, got {}", d[0]));
                 }
-                if d[0].checked_pow(d[1] as u32).is_none_or(|n| n > MAX_MACHINE_PROCS) {
-                    return Err(format!("fat-tree too large: {}^{}", d[0], d[1]));
-                }
                 MachineKind::FatTree { arity: d[0], height: d[1] }
             }
             "dragonfly" => {
@@ -947,12 +965,8 @@ impl MachineModel {
                 ))
             }
         };
-        if kind.num_procs() > MAX_MACHINE_PROCS {
-            return Err(format!(
-                "machine too large: {} processors (max {MAX_MACHINE_PROCS})",
-                kind.num_procs()
-            ));
-        }
+        check_size(kind.num_procs(), kind.dense_links())
+            .map_err(|e| format!("machine '{spec}': {e}"))?;
         let mut model = MachineModel::new(kind);
         if let MachineKind::RcArray { .. } = kind {
             model.reconfig_cost_millis = 40;

@@ -18,6 +18,31 @@ use crate::fault::{alive_components, TopologyError};
 use crate::network::{LinkId, Network, ProcId};
 use oregami_graph::traversal::bfs_distances;
 
+/// The most memory one all-pairs table may take. Every mapping path builds
+/// a [`RouteTable`] of `4·n²` bytes (`u32` hop counts), so this is what
+/// bounds the size of a network: 8192 processors. An allocation that fails
+/// aborts the process, which no `catch_unwind` contains, so the bound is
+/// checked before anything is reserved.
+pub const MAX_TABLE_BYTES: usize = 256 << 20;
+
+/// Admits a network of `procs` processors and `links` links, or reports
+/// [`TopologyError::TooLarge`]. Spec parsers call this before they build
+/// (`links` matters for the all-to-all kinds, whose link lists grow as
+/// `n²/2`); [`RouteTable::try_new`] calls it for networks built by hand.
+pub fn check_size(procs: usize, links: usize) -> Result<(), TopologyError> {
+    // a link costs about 64 bytes across `Network`'s link list, its
+    // endpoint index and the two adjacency entries
+    let max_links = MAX_TABLE_BYTES / 64;
+    let table_bytes = procs.checked_mul(procs).and_then(|sq| sq.checked_mul(4));
+    if table_bytes.is_some_and(|b| b <= MAX_TABLE_BYTES) && links <= max_links {
+        return Ok(());
+    }
+    Err(TopologyError::TooLarge {
+        max_procs: (MAX_TABLE_BYTES / 4).isqrt(),
+        max_links,
+    })
+}
+
 /// Precomputed all-pairs hop distances for a [`Network`], with shortest-path
 /// queries.
 #[derive(Clone, Debug)]
@@ -29,9 +54,10 @@ pub struct RouteTable {
 impl RouteTable {
     /// Runs BFS from every processor. A disconnected network is reported
     /// as [`TopologyError::Disconnected`] listing the connected
-    /// components.
+    /// components, one past [`check_size`] as [`TopologyError::TooLarge`].
     pub fn try_new(net: &Network) -> Result<RouteTable, TopologyError> {
         let n = net.num_procs();
+        check_size(n, net.num_links())?;
         let mut dist = Vec::with_capacity(n * n);
         for src in 0..n {
             let d = bfs_distances(net.adjacency(), src);
@@ -53,6 +79,7 @@ impl RouteTable {
     pub(crate) fn masked(net: &Network, alive: &[bool]) -> Result<RouteTable, TopologyError> {
         let n = net.num_procs();
         debug_assert_eq!(alive.len(), n);
+        check_size(n, net.num_links())?;
         let mut dist = vec![u32::MAX; n * n];
         for src in 0..n {
             if !alive[src] {
