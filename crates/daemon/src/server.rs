@@ -2,7 +2,8 @@
 //!
 //! One thread accepts connections (nonblocking, so it can poll the stop
 //! flag a SIGTERM handler sets); each connection gets a reader thread
-//! that parses frames and dispatches. Cheap operations — health,
+//! that parses frames and dispatches, and is tracked — a socket clone for
+//! drain, a join handle — only until its handler returns or unwinds. Cheap operations — health,
 //! session commands, shutdown — are answered inline on the reader.
 //! Compute operations (`map`/`repair`/`metrics`) pass the admission
 //! gate, coalesce with identical in-flight work, and run on the
@@ -28,6 +29,7 @@ use oregami::{
     StageKind, SupervisorConfig, SupervisorState,
 };
 
+use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -257,29 +259,33 @@ impl Server {
     /// final health/stats object.
     pub fn serve(self, stop: &AtomicBool) -> Json {
         let daemon = self.daemon;
-        let mut readers = Vec::new();
-        let conns: Arc<Mutex<Vec<UnixStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let conns = Conns::default();
         let mut next_conn = 0u64;
         loop {
             if stop.load(Ordering::SeqCst) || daemon.draining.load(Ordering::SeqCst) {
                 break;
+            }
+            // reap the readers whose clients have gone: a daemon holds
+            // handles (and descriptors, see `OpenConn`) for the connections
+            // it is serving, not for every one it has ever accepted
+            let mut i = 0;
+            while i < readers.len() {
+                if readers[i].is_finished() {
+                    let _ = readers.swap_remove(i).join();
+                } else {
+                    i += 1;
+                }
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     next_conn += 1;
                     let conn_id = next_conn;
                     let _ = stream.set_nonblocking(false);
-                    if let Ok(clone) = stream.try_clone() {
-                        conns
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(clone);
-                    }
                     let d = Arc::clone(&daemon);
-                    if let Ok(h) = std::thread::Builder::new()
-                        .name(format!("oregamid-conn-{conn_id}"))
-                        .spawn(move || handle_conn(&d, conn_id, stream))
-                    {
+                    if let Ok(h) = spawn_conn(&conns, conn_id, stream, move |stream| {
+                        handle_conn(&d, conn_id, stream)
+                    }) {
                         readers.push(h);
                     }
                 }
@@ -298,10 +304,10 @@ impl Server {
         // sessions drop; journals and meta files stay for --resume
         daemon.sessions.shutdown();
         // now unblock every reader still waiting on its client
-        for s in conns
+        for (_, s) in conns
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
+            .drain()
         {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
@@ -310,6 +316,55 @@ impl Server {
         }
         daemon.health_json()
     }
+}
+
+/// The connections being served, by connection id: a clone of each socket,
+/// which is what lets drain shut down a reader blocked on its client.
+type Conns = Arc<Mutex<HashMap<u64, UnixStream>>>;
+
+/// One connection's entry in [`Conns`], removed when this is dropped.
+struct OpenConn {
+    conns: Conns,
+    id: u64,
+}
+
+impl Drop for OpenConn {
+    fn drop(&mut self) {
+        self.conns
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&self.id);
+    }
+}
+
+/// Runs `handler` over `stream` on the connection's own thread, with the
+/// connection listed in `conns` for exactly as long as the handler runs:
+/// the entry goes when the handler returns, and when it panics, so the
+/// client of a handler that dies reads end-of-file instead of waiting on
+/// a socket nobody serves.
+fn spawn_conn(
+    conns: &Conns,
+    id: u64,
+    stream: UnixStream,
+    handler: impl FnOnce(UnixStream) + Send + 'static,
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    if let Ok(clone) = stream.try_clone() {
+        conns
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert(id, clone);
+    }
+    // moved into the thread; dropped there, or here if it never starts
+    let open = OpenConn {
+        conns: Arc::clone(conns),
+        id,
+    };
+    std::thread::Builder::new()
+        .name(format!("oregamid-conn-{id}"))
+        .spawn(move || {
+            let _open = open;
+            handler(stream)
+        })
 }
 
 /// One connection: read frames, dispatch, answer. Returns when the
@@ -744,4 +799,56 @@ fn map_json(spec: &MapSpec, system: &Oregami, result: &OregamiResult) -> Json {
         );
     }
     out.field("report", result.metrics.render()).build()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// A handler that panics must cost its client an end-of-file, not a
+    /// hang: the registry's clone of the socket goes with the handler, so
+    /// nothing keeps the connection open once the thread has unwound.
+    #[test]
+    fn a_panicking_handler_closes_its_connection() {
+        let conns = Conns::default();
+        let (served, mut client) = UnixStream::pair().expect("socket pair");
+        client
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("set timeout");
+        let handle = spawn_conn(&conns, 7, served, |_stream| {
+            panic!("handler dies mid-request");
+        })
+        .expect("spawn handler");
+        let mut buf = [0u8; 1];
+        let read = client.read(&mut buf).expect("end-of-file, not a timeout");
+        assert_eq!(read, 0, "the client must see the connection close");
+        assert!(handle.join().is_err(), "the handler did panic");
+        assert!(conns.lock().unwrap().is_empty(), "its entry is gone");
+    }
+
+    /// A handler that returns leaves nothing behind either, and while it
+    /// runs the registry can shut its socket down (what drain does).
+    #[test]
+    fn a_connection_is_listed_only_while_its_handler_runs() {
+        let conns = Conns::default();
+        let (served, _client) = UnixStream::pair().expect("socket pair");
+        let handle = spawn_conn(&conns, 1, served, |mut stream| {
+            // blocks until the registry's clone is shut down
+            let mut buf = [0u8; 1];
+            let _ = stream.read(&mut buf);
+        })
+        .expect("spawn handler");
+        let listed = conns
+            .lock()
+            .unwrap()
+            .get(&1)
+            .map(|s| s.try_clone().unwrap());
+        listed
+            .expect("listed while the handler runs")
+            .shutdown(std::net::Shutdown::Both)
+            .expect("shutdown");
+        handle.join().expect("handler returns");
+        assert!(conns.lock().unwrap().is_empty());
+    }
 }

@@ -4,7 +4,9 @@
 //! `rc-array`) lowered through [`MachineModel`]. [`parse_target`] is the
 //! one way a spec string becomes a network; a spec past
 //! [`check_size`] — a typo like `hypercube:62`, or `complete:1048576` —
-//! comes back as a spec error before anything is allocated.
+//! comes back as a spec error before anything is allocated, and so does
+//! one below the smallest shape its builder accepts (`ring:2`, `chain:1`,
+//! `mesh2d:0x3`, ...), which would otherwise trip the builder's assertion.
 
 use oregami::topology::routes::check_size;
 use oregami::topology::{builders, DomainMap, MachineModel, Network};
@@ -50,29 +52,49 @@ fn parse_topology(spec: &str) -> Result<Network, String> {
         Ok(procs)
     };
     let guard = |procs: Option<usize>| sized(procs, 0);
+    // the smallest shape a builder accepts: below it the builder asserts,
+    // so the spec is refused here, before any builder runs
+    let at_least = |got: usize, min: usize, what: &str| -> Result<usize, String> {
+        if got >= min {
+            Ok(got)
+        } else {
+            Err(format!("topology '{spec}': a {kind} needs {what}"))
+        }
+    };
     Ok(match kind {
         "hypercube" => {
-            let d = int(rest)?;
+            let d = at_least(int(rest)?, 1, "a dimension of at least 1")?;
             guard(1usize.checked_shl(d.min(63) as u32))?;
             builders::hypercube(d)
         }
         "mesh2d" => {
             let (r, c) = dims(rest)?;
+            at_least(r.min(c), 1, "at least one row and one column")?;
             guard(r.checked_mul(c))?;
             builders::mesh2d(r, c)
         }
         "torus2d" => {
             let (r, c) = dims(rest)?;
+            at_least(r.min(c), 1, "at least one row and one column")?;
             guard(r.checked_mul(c))?;
             builders::torus2d(r, c)
         }
-        "ring" => builders::ring(guard(Some(int(rest)?))?),
-        "chain" => builders::chain(guard(Some(int(rest)?))?),
+        "ring" => {
+            let n = at_least(int(rest)?, 3, "at least 3 processors")?;
+            builders::ring(guard(Some(n))?)
+        }
+        "chain" => {
+            let n = at_least(int(rest)?, 2, "at least 2 processors")?;
+            builders::chain(guard(Some(n))?)
+        }
         "complete" => {
-            let n = int(rest)?;
+            let n = at_least(int(rest)?, 2, "at least 2 processors")?;
             builders::complete(sized(Some(n), n.saturating_mul(n) / 2)?)
         }
-        "star" => builders::star(guard(Some(int(rest)?))?),
+        "star" => {
+            let n = at_least(int(rest)?, 2, "at least 2 processors")?;
+            builders::star(guard(Some(n))?)
+        }
         "tree" => {
             let h = int(rest)?;
             // a full binary tree of height h has 2^(h+1) - 1 nodes
@@ -125,6 +147,42 @@ mod tests {
         }
         assert_eq!(parse_target("hypercube:10").unwrap().0.num_procs(), 1024);
         assert_eq!(parse_target("complete:64").unwrap().0.num_links(), 64 * 63 / 2);
+    }
+
+    /// Each of these tripped an `assert!` in `topology::builders` before:
+    /// exit 101 from the CLI, a dead connection thread in the daemon.
+    #[test]
+    fn specs_below_a_builders_smallest_shape_are_errors_not_panics() {
+        for spec in [
+            "ring:2",
+            "ring:0",
+            "chain:1",
+            "mesh2d:0x3",
+            "mesh2d:3x0",
+            "torus2d:0x3",
+            "hypercube:0",
+            "star:1",
+            "complete:1",
+            "complete:0",
+        ] {
+            let err = parse_target(spec).unwrap_err();
+            let names_the_spec = err.starts_with(&format!("topology '{spec}': a "));
+            assert!(names_the_spec, "{spec}: {err}");
+        }
+        // the smallest shapes themselves build
+        for (spec, procs) in [
+            ("ring:3", 3),
+            ("chain:2", 2),
+            ("mesh2d:1x1", 1),
+            ("torus2d:1x1", 1),
+            ("hypercube:1", 2),
+            ("star:2", 2),
+            ("complete:2", 2),
+            ("tree:0", 1),
+            ("butterfly:0", 1),
+        ] {
+            assert_eq!(parse_target(spec).unwrap().0.num_procs(), procs, "{spec}");
+        }
     }
 
     #[test]

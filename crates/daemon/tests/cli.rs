@@ -144,6 +144,30 @@ fn bad_arguments_fail_cleanly() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot connect"));
+    // a flat topology below the smallest shape its builder accepts is a
+    // usage error naming the spec; each of these used to trip the
+    // builder's assertion (exit 101 and a backtrace)
+    for spec in [
+        "ring:2",
+        "chain:1",
+        "mesh2d:0x3",
+        "hypercube:0",
+        "star:1",
+        "complete:1",
+        "torus2d:3x0",
+    ] {
+        let out = oregami()
+            .args(["--program", "jacobi", "--topology", spec])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(
+            stderr.contains(&format!("topology '{spec}'")),
+            "{spec}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
 }
 
 #[test]

@@ -797,6 +797,107 @@ fn oversized_topology_is_a_bad_request_and_the_daemon_survives() {
     handle.shutdown();
 }
 
+/// A flat topology below its builder's smallest shape (`ring:2`) used to
+/// trip the builder's assertion on the connection thread, inside
+/// `parse_request`: the thread died and its client waited forever on a
+/// socket the daemon still held open. It is a typed `bad_request` naming
+/// the spec, and the same connection keeps being served.
+#[test]
+fn degenerate_topology_is_a_bad_request_on_a_connection_that_keeps_serving() {
+    let socket = scratch("degenerate.sock");
+    let state = scratch("degenerate.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+    let handle = Server::start(ServerConfig::new(&socket, &state)).expect("start server");
+    let mut client = connect_within(&socket, Duration::from_secs(15));
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    for spec in [
+        "ring:2",
+        "chain:1",
+        "mesh2d:0x3",
+        "hypercube:0",
+        "star:1",
+        "complete:1",
+    ] {
+        let request = obj()
+            .field("op", "map")
+            .field("program", "jacobi")
+            .field("topology", spec)
+            .build();
+        let (kind, message) = client.request(&request).unwrap_err();
+        assert_eq!(kind, "bad_request", "{spec}: {message}");
+        assert!(
+            message.contains(&format!("topology '{spec}'")),
+            "{spec}: {message}"
+        );
+        let health = client
+            .request(&obj().field("op", "health").build())
+            .expect("health");
+        assert_eq!(
+            health.get("service").and_then(Json::as_str),
+            Some("healthy"),
+            "{spec}"
+        );
+    }
+    drop(client);
+    handle.shutdown();
+}
+
+fn open_fds(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("read /proc/<pid>/fd")
+        .count()
+}
+
+/// The daemon used to keep a clone of every socket it had ever accepted
+/// (and the reader's `JoinHandle`) until shutdown: one descriptor per CLI
+/// invocation, so a default 1024-descriptor daemon stopped accepting after
+/// about a thousand. A connection's descriptors now go when its handler
+/// returns.
+#[test]
+fn closed_connections_do_not_accumulate_descriptors() {
+    let socket = scratch("fds.sock");
+    let state = scratch("fds.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+    let daemon = spawn_daemon(&socket, &state, &[]);
+    let mut client = connect_within(&socket, Duration::from_secs(15));
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    client
+        .request(&obj().field("op", "health").build())
+        .expect("health");
+    let pid = daemon.0.id();
+    let before = open_fds(pid);
+
+    for i in 0..600 {
+        let mut c = Client::connect(&socket).unwrap_or_else(|e| panic!("connect {i}: {e}"));
+        if i % 100 == 0 {
+            // a few of them talk before they go
+            c.request(&obj().field("op", "health").build())
+                .expect("health");
+        }
+    }
+    // the handlers notice their clients' hang-ups on their own threads
+    let t0 = Instant::now();
+    let mut after = open_fds(pid);
+    while after > before + 4 && t0.elapsed() < Duration::from_secs(20) {
+        std::thread::sleep(Duration::from_millis(50));
+        after = open_fds(pid);
+    }
+    assert!(
+        after <= before + 4,
+        "{before} descriptors before 600 connect-and-close clients, {after} after"
+    );
+    let health = client
+        .request(&obj().field("op", "health").build())
+        .expect("health");
+    assert_eq!(
+        health.get("service").and_then(Json::as_str),
+        Some("healthy")
+    );
+}
+
 /// What one front end said about a request: exit code / error kind
 /// folded onto the exit code, and the texts it showed.
 #[derive(Debug, PartialEq)]

@@ -44,6 +44,11 @@ pub fn greedy_premerge_budgeted(
     let n = g.num_nodes();
     let mut cluster_of: Vec<usize> = (0..n).collect();
     let mut size = vec![1usize; n];
+    // Each cluster's tasks as a list threaded through `next`, headed by the
+    // cluster's id (its smallest task): a merge relabels only the tasks of
+    // the cluster it drops, at most `max_cluster_size` of them.
+    let mut next = vec![usize::MAX; n];
+    let mut tail: Vec<usize> = (0..n).collect();
     let mut count = n;
     let mut stopped = None;
     // Repeated passes over the quotient graph: cluster-to-cluster weights
@@ -72,11 +77,13 @@ pub fn greedy_premerge_budgeted(
             }
             // merge cv into cu
             let (keep, drop) = (cu.min(cv), cu.max(cv));
-            for c in cluster_of.iter_mut() {
-                if *c == drop {
-                    *c = keep;
-                }
+            let mut t = drop;
+            while t != usize::MAX {
+                cluster_of[t] = keep;
+                t = next[t];
             }
+            next[tail[keep]] = drop;
+            tail[keep] = tail[drop];
             size[keep] += size[drop];
             size[drop] = 0;
             count -= 1;

@@ -37,50 +37,55 @@ pub fn nn_embed(
     let mut placed = vec![false; c];
     let mut proc_used = vec![false; p];
 
+    let weighted_degree: Vec<u64> = (0..c).map(|x| cluster_graph.weighted_degree(x)).collect();
     // Seed: heaviest cluster on a max-degree processor (a "central" spot).
     let seed_cluster = (0..c)
-        .max_by_key(|&x| (cluster_graph.weighted_degree(x), std::cmp::Reverse(x)))
+        .max_by_key(|&x| (weighted_degree[x], std::cmp::Reverse(x)))
         .unwrap();
     let seed_proc = (0..p)
         .max_by_key(|&q| (net.degree(ProcId(q as u32)), std::cmp::Reverse(q)))
         .unwrap();
-    placement[seed_cluster] = ProcId(seed_proc as u32);
-    placed[seed_cluster] = true;
-    proc_used[seed_proc] = true;
-
-    for _ in 1..c {
+    // Each cluster's weight to the clusters placed so far, brought up to
+    // date from the neighbours of each cluster as it is placed (saturating
+    // adds commute, so the sums are those a fresh scan per step would give).
+    let mut to_placed = vec![0u64; c];
+    let mut chosen = (seed_cluster, seed_proc);
+    for step in 1..=c {
+        let (x, q) = chosen;
+        placement[x] = ProcId(q as u32);
+        placed[x] = true;
+        proc_used[q] = true;
+        if step == c {
+            break;
+        }
+        cluster_graph.for_each_neighbor(x, |nb, w| {
+            to_placed[nb] = to_placed[nb].saturating_add(w);
+        });
         // next cluster: max total weight to placed clusters (ties: max
         // weighted degree, then smallest id for determinism)
         let next = (0..c)
             .filter(|&x| !placed[x])
-            .max_by_key(|&x| {
-                let to_placed: u64 = cluster_graph
-                    .neighbors(x)
-                    .iter()
-                    .filter(|(nb, _)| placed[*nb])
-                    .fold(0u64, |acc, &(_, w)| acc.saturating_add(w));
-                (to_placed, cluster_graph.weighted_degree(x), std::cmp::Reverse(x))
-            })
+            .max_by_key(|&x| (to_placed[x], weighted_degree[x], std::cmp::Reverse(x)))
             .unwrap();
         // best free processor: minimise weighted distance to placed
         // neighbors (ties: lowest id)
+        let anchors: Vec<(ProcId, u64)> = cluster_graph
+            .neighbors(next)
+            .into_iter()
+            .filter(|&(nb, _)| placed[nb])
+            .map(|(nb, w)| (placement[nb], w))
+            .collect();
         let best_proc = (0..p)
             .filter(|&q| !proc_used[q])
             .min_by_key(|&q| {
-                let cost: u64 = cluster_graph
-                    .neighbors(next)
-                    .iter()
-                    .filter(|(nb, _)| placed[*nb])
-                    .fold(0u64, |acc, &(nb, w)| {
-                        let d = u64::from(table.dist(ProcId(q as u32), placement[nb]));
-                        acc.saturating_add(w.saturating_mul(d))
-                    });
+                let cost = anchors.iter().fold(0u64, |acc, &(at, w)| {
+                    let d = u64::from(table.dist(ProcId(q as u32), at));
+                    acc.saturating_add(w.saturating_mul(d))
+                });
                 (cost, q)
             })
             .unwrap();
-        placement[next] = ProcId(best_proc as u32);
-        placed[next] = true;
-        proc_used[best_proc] = true;
+        chosen = (next, best_proc);
     }
     Ok(placement)
 }

@@ -56,6 +56,9 @@ pub fn mm_route(
         .collect();
     let dests: Vec<ProcId> = edges.iter().map(|e| assignment[e.dst.index()]).collect();
     let mut rounds = 0;
+    // `hop_links[p]`: the link to each neighbour of `p`, in neighbour
+    // order, resolved the first time a message stands on `p`.
+    let mut hop_links: Vec<Vec<usize>> = Vec::new();
 
     loop {
         // messages that still need to advance
@@ -65,27 +68,24 @@ pub fn mm_route(
         if active.is_empty() {
             break;
         }
+        hop_links.resize(net.num_procs(), Vec::new());
+        // The bipartite graph: left = messages, right = links. A message's
+        // candidate links depend only on where it stands and where it is
+        // going, neither of which changes within a hop level, so they are
+        // computed here once and the rounds below only drop the rows of
+        // the messages already served.
+        let mut adj: Vec<Vec<usize>> = active
+            .iter()
+            .map(|&m| {
+                let cur = *paths[m].last().unwrap();
+                candidate_links(net, table, &mut hop_links, cur, dests[m])
+            })
+            .collect();
         // Assign every active message a link for THIS hop level via
         // repeated matchings.
         let mut unassigned: Vec<usize> = active;
         let mut chosen: Vec<Option<ProcId>> = vec![None; edges.len()];
         while !unassigned.is_empty() {
-            // bipartite graph: left = unassigned messages, right = links
-            let adj: Vec<Vec<usize>> = unassigned
-                .iter()
-                .map(|&m| {
-                    let cur = *paths[m].last().unwrap();
-                    table
-                        .next_hops(net, cur, dests[m])
-                        .into_iter()
-                        .map(|next| {
-                            net.link_between(cur, next)
-                                .expect("next hop must be a link")
-                                .index()
-                        })
-                        .collect()
-                })
-                .collect();
             let matching = match matcher {
                 Matcher::Maximum => hopcroft_karp(unassigned.len(), net.num_links(), &adj),
                 Matcher::GreedyMaximal => {
@@ -94,6 +94,7 @@ pub fn mm_route(
             };
             rounds += 1;
             let mut still = Vec::new();
+            let mut still_adj = Vec::new();
             for (x, &m) in unassigned.iter().enumerate() {
                 match matching.left_to_right[x] {
                     Some(link) => {
@@ -102,7 +103,10 @@ pub fn mm_route(
                         let next = if a == cur { b } else { a };
                         chosen[m] = Some(next);
                     }
-                    None => still.push(m),
+                    None => {
+                        still.push(m);
+                        still_adj.push(std::mem::take(&mut adj[x]));
+                    }
                 }
             }
             assert!(
@@ -110,6 +114,7 @@ pub fn mm_route(
                 "matching made no progress — every active message has a candidate link"
             );
             unassigned = still;
+            adj = still_adj;
         }
         // advance all messages one hop
         for (m, c) in chosen.iter().enumerate() {
@@ -122,6 +127,37 @@ pub fn mm_route(
         paths,
         matching_rounds: rounds,
     }
+}
+
+/// The links a message standing on `cur` may take towards `dest`: one per
+/// neighbour on some shortest path, in neighbour order — the links of
+/// [`RouteTable::next_hops`], read off `hop_links` instead of one
+/// [`Network::link_between`] lookup per candidate. Empty when `dest` is
+/// unreachable.
+fn candidate_links(
+    net: &Network,
+    table: &RouteTable,
+    hop_links: &mut [Vec<usize>],
+    cur: ProcId,
+    dest: ProcId,
+) -> Vec<usize> {
+    let d = table.dist(cur, dest);
+    if d == u32::MAX {
+        return Vec::new();
+    }
+    let links = &mut hop_links[cur.index()];
+    if links.is_empty() {
+        links.extend(net.neighbors(cur).map(|w| {
+            net.link_between(cur, w)
+                .expect("next hop must be a link")
+                .index()
+        }));
+    }
+    net.neighbors(cur)
+        .zip(links.iter())
+        .filter(|&(w, _)| table.dist(w, dest).checked_add(1) == Some(d))
+        .map(|(_, &link)| link)
+        .collect()
 }
 
 /// Routes every phase of `tg`, producing the `routes` field of a

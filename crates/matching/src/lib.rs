@@ -9,9 +9,13 @@
 //! one round at a time. This crate provides:
 //!
 //! * [`max_weight_matching`] — maximum-weight matching in a general graph
-//!   (blossom algorithm with dual variables, `O(n³)`);
+//!   (blossom algorithm with dual variables over sparse storage: `O(n + m)`
+//!   memory, pops and scans that cost a vertex's degree rather than a row
+//!   of the usual `(2n+2)²` matrix, and the matching that dense formulation
+//!   returns, pair for pair — see [`mwm`]);
 //! * [`brute_force_max_weight_matching`] — exact exponential reference used
-//!   to validate the blossom implementation in tests;
+//!   to validate the blossom implementation in tests (the dense matrix
+//!   solver is the second oracle, in `tests/dense/`);
 //! * [`greedy_matching`] — linear-time greedy maximal matching (weight-
 //!   ordered), the cheap heuristic baseline;
 //! * [`bipartite`] — Hopcroft–Karp maximum bipartite matching and a greedy
