@@ -1,6 +1,7 @@
-//! Shared workload generators for the OREGAMI benchmarks and the
-//! `figures` binary (which regenerates every table/figure of the paper —
-//! see `DESIGN.md` §3 for the experiment index).
+//! Deterministic workload generators shared by the end-to-end benchmark
+//! (`e2e_bench/`, the repo's one timing harness) and the `figures`
+//! binary (which regenerates every table/figure of the paper — see
+//! `DESIGN.md` §3 for the experiment index).
 
 use oregami::graph::{TaskGraph, TaskId, WeightedGraph};
 use rand::rngs::StdRng;

@@ -1324,6 +1324,35 @@ mod tests {
         );
     }
 
+    /// The routing hardware bound at machine scale: a 1024-task Jacobi
+    /// sweep on the 1024-processor board machine compresses its route
+    /// tables under the 1024-entry per-processor budget.
+    #[test]
+    fn machine_routes_compress_under_the_hardware_budget_at_1024_procs() {
+        let lowered = MachineModel::parse("mesh-boards:4x4x8x8,bw=1000/250")
+            .unwrap()
+            .lower();
+        assert_eq!(lowered.net.num_procs(), 1024);
+        let sys = Oregami::new(lowered.net).with_options(MapperOptions {
+            load_bound: Some(2),
+            ..MapperOptions::default()
+        });
+        let r = sys
+            .map_source(&larcs::programs::jacobi(), &[("n", 32), ("iters", 2)])
+            .unwrap();
+        let routes = r.report.mapping.routes.iter().flatten().map(Vec::as_slice);
+        let c = compress_routes(
+            sys.network(),
+            routes,
+            CompressionConfig {
+                entries_per_proc: 1024,
+            },
+        )
+        .expect("a healthy mapping fits the hardware budget");
+        assert!(c.max_entries_per_proc <= 1024, "{c:?}");
+        assert!(c.compressed_entries < c.raw_entries, "{c:?}");
+    }
+
     #[test]
     fn cancelled_budget_surfaces_as_map_error() {
         let sys = Oregami::new(builders::hypercube(2));

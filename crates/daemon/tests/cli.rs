@@ -412,6 +412,110 @@ fn unbudgeted_small_chain_run_is_optimal_with_exit_0() {
     assert!(!text.contains("degraded mapping"));
 }
 
+/// A threaded fallback run reports its threads and serves exactly what
+/// the sequential run serves (the `--map-dot` views agree byte for byte).
+#[test]
+fn threaded_fallback_reports_threads_and_serves_the_sequential_mapping() {
+    let dir = std::env::temp_dir().join(format!("oregami-cli-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |extra: &[&str], dot: &str| {
+        let dot = dir.join(dot);
+        let out = oregami()
+            .args([
+                "--program", "jacobi", "--topology", "hypercube:2",
+                "-P", "n=2", "-P", "iters=1", "--fallback",
+                "--map-dot", dot.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        (String::from_utf8(out.stdout).unwrap(), std::fs::read_to_string(dot).unwrap())
+    };
+    let (seq, seq_map) = run(&[], "seq.dot");
+    let (par, par_map) = run(&["--threads", "4"], "par.dot");
+    assert!(par.contains("served by exhaustive (optimal)"), "{par}");
+    assert!(par.contains("[4 threads]"), "{par}");
+    assert!(!seq.contains("threads]"), "{seq}");
+    assert_eq!(par_map, seq_map);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--threads` only shows in the engine line when stages ran in
+/// parallel: a one-stage chain and a supervised chain run sequentially.
+#[test]
+fn sequential_runs_do_not_claim_threads() {
+    for extra in [
+        &["--threads", "4"][..],
+        &["--chain", "identity", "--threads", "4"],
+        &["--fallback", "--supervise", "--threads", "4"],
+    ] {
+        let out = oregami()
+            .args([
+                "--program", "jacobi", "--topology", "hypercube:2",
+                "-P", "n=2", "-P", "iters=1",
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let engine = text
+            .lines()
+            .find(|l| l.starts_with("engine: served by"))
+            .unwrap_or_else(|| panic!("{extra:?}: no engine line in\n{text}"));
+        assert!(!engine.contains("threads"), "{extra:?}: {engine}");
+    }
+}
+
+/// A threaded fault sweep repairs through the toolchain's shared route
+/// cache: the summary line reports cache hits.
+#[test]
+fn threaded_fault_sweep_hits_the_route_table_cache() {
+    let out = oregami()
+        .args([
+            "--program", "nbody", "--topology", "hypercube:3",
+            "--fault-sweep", "8", "--threads", "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(matches!(out.status.code(), Some(0 | 6)), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let hits: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("route-table cache: "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no route-table cache line in\n{text}"));
+    assert!(hits > 0, "{text}");
+}
+
+/// A journalled churn stream, then a resume of that journal with no new
+/// events: both runs end on a valid mapping.
+#[test]
+fn journalled_stream_resumes_to_a_valid_mapping() {
+    let dir = std::env::temp_dir().join(format!("oregami-cli-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stream = dir.join("w.stream");
+    let journal = dir.join("w.jrnl");
+    std::fs::write(
+        &stream,
+        "spawn 0 - 2 0\nspawn 1 0 3 4\nfault proc:3\nload 1 6\nrecover proc:3\ndepart 0\n",
+    )
+    .unwrap();
+    for (input, flag) in [(stream.to_str().unwrap(), "--journal"), ("/dev/null", "--resume")] {
+        let out = oregami()
+            .args(["--topology", "hypercube:3", "--stream", input, flag])
+            .arg(&journal)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("final mapping valid"), "{flag}: {text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn custom_chain_and_bad_chain_spec() {
     let out = oregami()

@@ -68,6 +68,13 @@ fn map_request(msgsize: i64) -> Json {
         .build()
 }
 
+fn with_field(mut request: Json, key: &str, value: Json) -> Json {
+    if let Json::Obj(fields) = &mut request {
+        fields.push((key.to_string(), value));
+    }
+    request
+}
+
 fn session_op(op: &str, name: &str) -> Json {
     obj().field("op", op).field("session", name).build()
 }
@@ -557,6 +564,129 @@ fn concurrent_storm_answers_every_request() {
         "{}",
         stats.render()
     );
+}
+
+/// Three storms in a row on one daemon — identical requests (coalesced),
+/// a mixed load with chaos on every fifth request (panics anywhere in
+/// the chain), and distinct stalled requests with hopeless deadlines
+/// against a queue smaller than the client count. Every request gets a
+/// reply or a typed error, the daemon still answers `health`, and no
+/// scheduler worker dies: stage panics stay inside the engine.
+#[test]
+fn uniform_chaos_and_overload_storms_kill_no_worker() {
+    let socket = scratch("phases.sock");
+    let state = scratch("phases.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+
+    let mut config = ServerConfig::new(&socket, &state);
+    config.workers = 4;
+    config.max_queue = 4;
+    let handle = Server::start(config).expect("start server");
+
+    const CLIENTS: u64 = 4;
+    const PER_CLIENT: u64 = 10;
+    let typed = [
+        "overloaded",
+        "unserviceable",
+        "shutting_down",
+        "map",
+        "fault",
+        "repair",
+        "internal",
+    ];
+    let storm = |request: fn(u64) -> Json| {
+        let barrier = Arc::new(Barrier::new(CLIENTS as usize));
+        let joins: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let sock = socket.clone();
+                let gate = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut client = connect_within(&sock, Duration::from_secs(15));
+                    client.set_timeout(Some(Duration::from_secs(120))).unwrap();
+                    gate.wait();
+                    (0..PER_CLIENT)
+                        .map(|i| client.request(&request(c * PER_CLIENT + i)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut answered = 0;
+        for join in joins {
+            for outcome in join.join().expect("storm client panicked") {
+                if let Err((kind, msg)) = outcome {
+                    assert!(
+                        typed.contains(&kind.as_str()),
+                        "untyped outcome {kind}: {msg}"
+                    );
+                }
+                answered += 1;
+            }
+        }
+        assert_eq!(answered, CLIENTS * PER_CLIENT);
+    };
+    storm(|_| map_request(4));
+    storm(|i| {
+        let req = map_request(1 + (i % 4) as i64);
+        if !i.is_multiple_of(5) {
+            return req;
+        }
+        let chaos = format!("seed={},panic=0.3,stall=0.2,stall-ms=5", 0xDAE0 + i);
+        with_field(req, "chaos", Json::from(chaos))
+    });
+    storm(|i| {
+        let chaos = format!("seed={},stall=1,stall-ms=20", 0xDAE0 + i);
+        let req = with_field(map_request(1 + i as i64), "chaos", Json::from(chaos));
+        with_field(req, "deadline_ms", Json::from(5u64))
+    });
+
+    let mut client = connect_within(&socket, Duration::from_secs(5));
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    client
+        .request(&obj().field("op", "health").build())
+        .expect("health after the storms");
+    drop(client);
+    let stats = handle.shutdown();
+    assert_eq!(
+        stats.get("panicked").and_then(Json::as_u64),
+        Some(0),
+        "{}",
+        stats.render()
+    );
+}
+
+/// `oregami --socket S --shutdown` stops a live `oregamid`: the client
+/// exits 0, the daemon process drains and exits 0, and `S` is gone.
+#[test]
+fn cli_shutdown_stops_the_daemon_and_removes_its_socket() {
+    let socket = scratch("cli-shutdown.sock");
+    let state = scratch("cli-shutdown.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+
+    let mut daemon = spawn_daemon(&socket, &state, &[]);
+    drop(connect_within(&socket, Duration::from_secs(15)));
+    let out = Command::new(env!("CARGO_BIN_EXE_oregami"))
+        .arg("--socket")
+        .arg(&socket)
+        .arg("--shutdown")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let t0 = Instant::now();
+    let status = loop {
+        if let Some(s) = daemon.0.try_wait().expect("try_wait") {
+            break s;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(15),
+            "daemon still running 15 s after --shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(30));
+    };
+    assert_eq!(status.code(), Some(0), "shutdown must exit 0, got {status:?}");
+    assert!(!socket.exists(), "socket file must be unlinked on shutdown");
 }
 
 /// With one slow worker and a tiny queue, a burst of distinct requests

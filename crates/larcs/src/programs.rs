@@ -224,7 +224,7 @@ phaseexpr ((exchange || backexchange); anneal)^sweeps;
 /// partition of the same mesh exchange as [`sor`]; its 8 comphases × 4
 /// rules = 32 distinct rules make it the stress program for the
 /// incremental front end — editing one rule leaves 31 cached fragments
-/// untouched (`larcs_bench`, EXPERIMENTS.md A8).
+/// untouched (`tests/prop_query.rs`, EXPERIMENTS.md A8).
 pub fn sor_multicolor() -> String {
     let mut s = String::from(
         "algorithm sormulticolor(n, iters);\n\nnodetype cell: (0..n-1, 0..n-1);\n",

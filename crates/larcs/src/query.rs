@@ -20,7 +20,8 @@
 //! through exactly the same assembly as the batch path
 //! ([`crate::elaborate`]), an incremental result is byte-identical to a
 //! from-scratch compile of the same source — property-tested in
-//! `tests/prop_query.rs` and re-verified edge-for-edge by `larcs_bench`.
+//! `tests/prop_query.rs`, which also counts one fragment miss per
+//! single-rule edit.
 //!
 //! One deliberate aliasing rule: two sources with identical token streams
 //! share one cached [`Program`], whose `src`/spans reflect the layout

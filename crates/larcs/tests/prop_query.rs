@@ -75,6 +75,35 @@ fn delete_rule(src: &str, c: usize) -> String {
     out.join("\n") + "\n"
 }
 
+/// A single-rule edit re-expands exactly the edited rule: over a session
+/// that edits every one of `sormulticolor`'s 32 rules (some twice, with a
+/// new volume), the rule-fragment cache takes one miss per edit and
+/// serves the other 31 rules from cache.
+#[test]
+fn single_rule_edit_re_expands_exactly_one_fragment() {
+    let params = [("n", 8i64), ("iters", 2)];
+    let mut db = Db::new();
+    let mut src = programs::sor_multicolor();
+    db.compile(&src, &params).unwrap();
+    let (hits0, misses0) = (db.elab_cache().hits, db.elab_cache().misses);
+    let edits = 40;
+    for e in 0..edits {
+        let (c, d) = (e % 32 / 4, e % 4);
+        let vol = (e % 7 + 2) as u64;
+        src = db
+            .edit_rule(&src, &format!("color{c}"), d, &rule_text(c, d, vol))
+            .unwrap();
+        let inc = db.compile(&src, &params).unwrap();
+        assert_eq!(*inc, compile(&src, &params).unwrap());
+    }
+    assert_eq!(
+        db.elab_cache().misses - misses0,
+        edits as u64,
+        "one fragment miss per edit"
+    );
+    assert_eq!(db.elab_cache().hits - hits0, 31 * edits as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -457,15 +457,21 @@ pub fn run_engine_with(
     cache.get_or_build(net)?;
     let start = Instant::now();
 
+    // Only the parallel runner overlaps stages; the report names the
+    // scheduling that actually happened, not the one the config asked
+    // for (a one-stage chain and a supervised chain run sequentially).
     let workers = config.parallelism.workers_for(chain.stages.len());
-    let raw = if let Some(sup) = &config.supervisor {
+    let (raw, parallelism) = if let Some(sup) = &config.supervisor {
         // Supervised execution is sequential: each stage runs on its own
         // watched worker thread, so parallel scheduling is overridden.
-        run_stages_supervised(tg, net, opts, chain, budget, &cache, sup)
+        let raw = run_stages_supervised(tg, net, opts, chain, budget, &cache, sup);
+        (raw, Parallelism::Sequential)
     } else if workers > 1 {
-        run_stages_parallel(tg, net, opts, chain, budget, &cache, workers)
+        let raw = run_stages_parallel(tg, net, opts, chain, budget, &cache, workers);
+        (raw, config.parallelism)
     } else {
-        run_stages_sequential(tg, net, opts, chain, budget, &cache)
+        let raw = run_stages_sequential(tg, net, opts, chain, budget, &cache);
+        (raw, Parallelism::Sequential)
     };
 
     // Fold the per-stage results back *in chain order* under the
@@ -475,117 +481,9 @@ pub fn run_engine_with(
     // result a later stage produced before its kill switch caught it is
     // discarded as Skipped, and the serving rule sees exactly the
     // candidates a sequential run would have seen.
-    let mut stages: Vec<StageReport> = Vec::with_capacity(chain.stages.len());
-    let mut best: Option<(MapperReport, u64, usize)> = None; // (report, cost, stage index)
-    let mut worst_completion = Completion::Optimal;
-    let mut stop = false;
-    let mut cancelled = false;
-
-    for (idx, raw_stage) in raw.into_iter().enumerate() {
-        let kind = chain.stages[idx];
-        let RawStage {
-            outcome,
-            elapsed,
-            steps,
-            attempts,
-        } = raw_stage;
-        if stop {
-            stages.push(StageReport {
-                stage: kind,
-                status: StageStatus::Skipped,
-                completion: None,
-                elapsed,
-                steps,
-                cost: None,
-                attempts,
-            });
-            continue;
-        }
-        match outcome {
-            RawOutcome::Candidate(report, completion) => {
-                let cost = candidate_cost(tg, net, &report.mapping, &config.cost_model);
-                worst_completion = worst_completion.worst(completion);
-                if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                    best = Some((report, cost, stages.len()));
-                }
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Candidate,
-                    completion: Some(completion),
-                    elapsed,
-                    steps,
-                    cost: Some(cost),
-                    attempts,
-                });
-                match completion {
-                    Completion::Optimal => stop = true,
-                    Completion::Cancelled => {
-                        stop = true;
-                        cancelled = true;
-                    }
-                    Completion::BudgetExhausted => {}
-                }
-            }
-            RawOutcome::Failed(e) => {
-                if matches!(e, MapError::Cancelled) {
-                    stop = true;
-                    cancelled = true;
-                }
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Failed(e.to_string()),
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::Panicked(msg) => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Panicked(msg),
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::Hung => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Hung,
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::CircuitOpen => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::CircuitOpen,
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::NotRun => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Skipped,
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-        }
+    let mut fold = ChainFold::new(tg, net, &config.cost_model, chain.stages.len());
+    for (&kind, raw_stage) in chain.stages.iter().zip(raw) {
+        fold.push(kind, raw_stage);
     }
 
     // Auto-selection rescue lap: when every search stage the chain *did*
@@ -596,56 +494,24 @@ pub fn run_engine_with(
     // unsupervised, uncancelled runs whose chain didn't already name it;
     // its candidate competes under the same lowest-cost serving rule.
     if config.supervisor.is_none()
-        && !cancelled
-        && worst_completion == Completion::BudgetExhausted
+        && !fold.cancelled
+        && fold.worst_completion == Completion::BudgetExhausted
         && !chain.stages.contains(&StageKind::Multilevel)
     {
-        let RawStage {
-            outcome,
-            elapsed,
-            steps,
-            attempts,
-        } = execute_stage(StageKind::Multilevel, tg, net, opts, budget, &cache);
-        match outcome {
-            RawOutcome::Candidate(report, completion) => {
-                let cost = candidate_cost(tg, net, &report.mapping, &config.cost_model);
-                worst_completion = worst_completion.worst(completion);
-                if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                    best = Some((report, cost, stages.len()));
-                }
-                stages.push(StageReport {
-                    stage: StageKind::Multilevel,
-                    status: StageStatus::Candidate,
-                    completion: Some(completion),
-                    elapsed,
-                    steps,
-                    cost: Some(cost),
-                    attempts,
-                });
-            }
-            RawOutcome::Failed(e) => stages.push(StageReport {
-                stage: StageKind::Multilevel,
-                status: StageStatus::Failed(e.to_string()),
-                completion: None,
-                elapsed,
-                steps,
-                cost: None,
-                attempts,
-            }),
-            RawOutcome::Panicked(msg) => stages.push(StageReport {
-                stage: StageKind::Multilevel,
-                status: StageStatus::Panicked(msg),
-                completion: None,
-                elapsed,
-                steps,
-                cost: None,
-                attempts,
-            }),
-            // execute_stage only produces the three outcomes above
-            RawOutcome::Hung | RawOutcome::CircuitOpen | RawOutcome::NotRun => {}
-        }
+        let rescue = execute_stage(StageKind::Multilevel, tg, net, opts, budget, &cache);
+        // the lap runs after the chain ended: an Optimal stage earlier in
+        // the chain must not fold it as skipped
+        fold.stop = false;
+        fold.push(StageKind::Multilevel, rescue);
     }
 
+    let ChainFold {
+        mut stages,
+        best,
+        worst_completion,
+        cancelled,
+        ..
+    } = fold;
     let sup_state = config.supervisor.as_ref().map(|s| &*s.state);
     match best {
         Some((report, _, idx)) => {
@@ -656,37 +522,136 @@ pub fn run_engine_with(
                 completion: worst_completion,
                 elapsed: start.elapsed(),
                 steps: budget.steps_used(),
-                parallelism: config.parallelism,
+                parallelism,
                 health,
                 stages,
             };
             Ok(EngineOutcome { report, engine })
         }
         None if cancelled => Err(MapError::Cancelled),
-        None => {
-            let details = stages
-                .iter()
-                .map(|s| {
-                    let fate = match &s.status {
-                        StageStatus::Failed(e) => e.clone(),
-                        StageStatus::Panicked(msg) => format!("panic: {msg}"),
-                        StageStatus::Skipped => "skipped".into(),
-                        StageStatus::Hung => "hung (worker detached)".into(),
-                        StageStatus::CircuitOpen => "circuit breaker open".into(),
-                        _ => "no candidate".into(),
-                    };
-                    format!("{}: {}", s.stage, fate)
-                })
-                .collect::<Vec<_>>()
-                .join("; ");
-            if config.supervisor.is_some() {
-                // A supervised run that serves nothing is the
-                // Unserviceable health verdict, as a typed error.
-                Err(MapError::Unserviceable(details))
-            } else {
-                Err(MapError::AllStagesFailed(details))
-            }
+        None => Err(unserved(&stages, config.supervisor.is_some())),
+    }
+}
+
+/// The error of a chain that produced no candidate, naming every
+/// stage's fate.
+fn unserved(stages: &[StageReport], supervised: bool) -> MapError {
+    let details = stages
+        .iter()
+        .map(|s| {
+            let fate = match &s.status {
+                StageStatus::Failed(e) => e.clone(),
+                StageStatus::Panicked(msg) => format!("panic: {msg}"),
+                StageStatus::Skipped => "skipped".into(),
+                StageStatus::Hung => "hung (worker detached)".into(),
+                StageStatus::CircuitOpen => "circuit breaker open".into(),
+                _ => "no candidate".into(),
+            };
+            format!("{}: {}", s.stage, fate)
+        })
+        .collect::<Vec<_>>()
+        .join("; ");
+    if supervised {
+        // A supervised run that serves nothing is the Unserviceable
+        // health verdict, as a typed error.
+        MapError::Unserviceable(details)
+    } else {
+        MapError::AllStagesFailed(details)
+    }
+}
+
+/// The chain-order fold: stage results in, stage reports and the
+/// cheapest candidate out, under the sequential chain semantics.
+struct ChainFold<'a> {
+    tg: &'a TaskGraph,
+    net: &'a Network,
+    cost_model: &'a CostModel,
+    stages: Vec<StageReport>,
+    /// The cheapest candidate so far: (report, cost, stage index).
+    best: Option<(MapperReport, u64, usize)>,
+    worst_completion: Completion,
+    /// An earlier stage ended the chain: later results fold as skipped.
+    stop: bool,
+    cancelled: bool,
+}
+
+impl<'a> ChainFold<'a> {
+    fn new(
+        tg: &'a TaskGraph,
+        net: &'a Network,
+        cost_model: &'a CostModel,
+        stages: usize,
+    ) -> ChainFold<'a> {
+        ChainFold {
+            tg,
+            net,
+            cost_model,
+            stages: Vec::with_capacity(stages),
+            best: None,
+            worst_completion: Completion::Optimal,
+            stop: false,
+            cancelled: false,
         }
+    }
+
+    /// Folds one stage's result in.
+    fn push(&mut self, kind: StageKind, raw: RawStage) {
+        let RawStage {
+            outcome,
+            elapsed,
+            steps,
+            attempts,
+        } = raw;
+        let (status, completion, cost) = if self.stop {
+            (StageStatus::Skipped, None, None)
+        } else {
+            self.status_of(outcome)
+        };
+        self.stages.push(StageReport {
+            stage: kind,
+            status,
+            completion,
+            elapsed,
+            steps,
+            cost,
+            attempts,
+        });
+    }
+
+    /// A live (not skipped) outcome's status, completion and cost; a
+    /// candidate competes for `best`, and an Optimal or cancelled result
+    /// ends the chain.
+    fn status_of(&mut self, outcome: RawOutcome) -> (StageStatus, Option<Completion>, Option<u64>) {
+        match outcome {
+            RawOutcome::Candidate(report, completion) => {
+                let cost = candidate_cost(self.tg, self.net, &report.mapping, self.cost_model);
+                self.worst_completion = self.worst_completion.worst(completion);
+                if self.best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
+                    self.best = Some((report, cost, self.stages.len()));
+                }
+                match completion {
+                    Completion::Optimal => self.stop = true,
+                    Completion::Cancelled => self.end_cancelled(),
+                    Completion::BudgetExhausted => {}
+                }
+                (StageStatus::Candidate, Some(completion), Some(cost))
+            }
+            RawOutcome::Failed(e) => {
+                if matches!(e, MapError::Cancelled) {
+                    self.end_cancelled();
+                }
+                (StageStatus::Failed(e.to_string()), None, None)
+            }
+            RawOutcome::Panicked(msg) => (StageStatus::Panicked(msg), None, None),
+            RawOutcome::Hung => (StageStatus::Hung, None, None),
+            RawOutcome::CircuitOpen => (StageStatus::CircuitOpen, None, None),
+            RawOutcome::NotRun => (StageStatus::Skipped, None, None),
+        }
+    }
+
+    fn end_cancelled(&mut self) {
+        self.stop = true;
+        self.cancelled = true;
     }
 }
 
@@ -1351,6 +1316,47 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, MapError::Cancelled));
+    }
+
+    #[test]
+    fn report_names_the_scheduling_that_ran_not_the_one_asked_for() {
+        let tg = jacobi16();
+        let net = builders::hypercube(2);
+        let run = |chain: &FallbackChain, config: EngineConfig| {
+            run_engine_with(
+                &tg,
+                &net,
+                &MapperOptions::default(),
+                chain,
+                &Budget::unlimited(),
+                &config,
+            )
+            .unwrap()
+            .engine
+        };
+        let four = || EngineConfig::default().threads(4);
+        // a one-stage chain has nothing to overlap: it runs sequentially
+        for stage in [StageKind::Heuristic, StageKind::Identity] {
+            let engine = run(
+                &FallbackChain {
+                    stages: vec![stage],
+                },
+                four(),
+            );
+            assert_eq!(engine.parallelism, Parallelism::Sequential, "{stage}");
+            assert!(!engine.to_string().contains("threads"), "{engine}");
+        }
+        // the supervisor runs a chain sequentially whatever was asked
+        let engine = run(
+            &FallbackChain::full(),
+            four().supervised(SupervisorConfig::default()),
+        );
+        assert_eq!(engine.parallelism, Parallelism::Sequential);
+        assert!(!engine.to_string().contains("threads"), "{engine}");
+        // a parallel run still reports its threads
+        let engine = run(&FallbackChain::full(), four());
+        assert_eq!(engine.parallelism, Parallelism::Threads(4));
+        assert!(engine.to_string().contains("[4 threads]"), "{engine}");
     }
 
     #[test]

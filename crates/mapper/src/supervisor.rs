@@ -34,7 +34,7 @@
 //! exit code 7).
 //!
 //! [`ChaosConfig`] is the seeded fault injector behind the chaos
-//! harness (`chaos_bench`, the supervisor property tests): per stage
+//! tests (`tests/prop_supervisor.rs`, the daemon's storms): per stage
 //! attempt it may inject a panic or a non-cooperative stall, driven by
 //! a deterministic counter-keyed stream, so every storm reproduces from
 //! its seed.

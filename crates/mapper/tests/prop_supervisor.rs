@@ -375,6 +375,53 @@ fn transient_panic_is_retried_and_recovers() {
     assert!(outcome.engine.to_string().contains("attempts"));
 }
 
+/// The breaker under seeded storms, not only in isolation: runs sharing
+/// one supervisor state trip some stage's breaker open and re-probe it
+/// half-open, while every storm still serves a valid mapping or fails
+/// typed.
+#[test]
+fn chaos_storms_trip_and_reprobe_the_breakers() {
+    quiet_panics();
+    let tg = jacobi16();
+    let net = builders::hypercube(2);
+    let chain = FallbackChain::full();
+    let state = Arc::new(SupervisorState::new());
+    for storm in 0..40u64 {
+        // no retries: a retry that succeeds right after a trip closes the
+        // breaker within the run, so failures must accumulate across runs
+        let sup = SupervisorConfig::default()
+            .with_retry(RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            })
+            .with_breaker(BreakerConfig {
+                cooldown: Duration::ZERO, // an open breaker probes next storm
+                ..BreakerConfig::default()
+            })
+            .with_chaos(ChaosConfig::new(0xC4A0 + storm).with_panic_prob(0.5))
+            .with_state(Arc::clone(&state));
+        let result = run_engine_with(
+            &tg,
+            &net,
+            &MapperOptions::default(),
+            &chain,
+            &Budget::unlimited(),
+            &EngineConfig::default().supervised(sup),
+        );
+        match result {
+            Ok(outcome) => outcome.report.mapping.validate(&tg, &net).unwrap(),
+            Err(MapError::Unserviceable(_)) => {}
+            Err(other) => panic!("storm {storm}: untyped failure {other}"),
+        }
+    }
+    let (trips, probes) = chain.stages.iter().fold((0, 0), |(t, p), &stage| {
+        let view = state.breaker(stage);
+        (t + view.trips, p + view.probes)
+    });
+    assert!(trips > 0, "40 panic storms never tripped a breaker");
+    assert!(probes > 0, "no tripped breaker was ever re-probed");
+}
+
 /// Which of the first two draws of a fresh clone of this stream panic.
 fn probe_stream(template: &ChaosConfig) -> [bool; 2] {
     // fresh stream with the same seed/probabilities: inject() panics are

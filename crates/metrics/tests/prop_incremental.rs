@@ -159,6 +159,34 @@ proptest! {
             prop_assert_eq!(report_from_engine(&engine), batch);
         }
     }
+
+    /// A 100-edit reassign-only session, the interactive loop itself: the
+    /// engine ends on the mapping `Mapping::reassign` reaches edit by edit,
+    /// and its report equals a batch analysis of that mapping.
+    #[test]
+    fn reassign_only_session_matches_the_replayed_mapping(
+        edges in proptest::collection::vec((0usize..8, 0usize..8, 1u64..20), 1..16),
+        phases in 1usize..3,
+        which in 0usize..4,
+        seed in any::<u64>(),
+        moves in proptest::collection::vec((0usize..8, 0usize..64), 100),
+    ) {
+        let (tg, net, mapping) = random_setup(&edges, phases, which, seed);
+        let model = CostModel::default();
+        let table = RouteTable::try_new(&net).unwrap();
+        let mut engine = MetricsEngine::try_new(&tg, &net, &mapping, &model).unwrap();
+        let mut replayed = mapping.clone();
+        for &(task, p) in &moves {
+            let proc = ProcId((p % net.num_procs()) as u32);
+            engine.apply(Edit::Reassign { task, proc }).unwrap();
+            replayed.reassign(&tg, &net, &table, task, proc);
+        }
+        prop_assert_eq!(engine.mapping(), &replayed);
+        prop_assert_eq!(
+            report_from_engine(&engine),
+            try_analyze_mapping(&tg, &net, &replayed, &model).unwrap()
+        );
+    }
 }
 
 /// `undo()` called immediately after a budget-stopped `apply_budgeted`

@@ -157,22 +157,6 @@ pub fn butterfly(d: usize) -> Network {
     )
 }
 
-/// Builds a network from its [`TopologyKind`].
-pub fn build(kind: TopologyKind) -> Network {
-    match kind {
-        TopologyKind::Hypercube(d) => hypercube(d),
-        TopologyKind::Mesh2D(r, c) => mesh2d(r, c),
-        TopologyKind::Torus2D(r, c) => torus2d(r, c),
-        TopologyKind::Ring(n) => ring(n),
-        TopologyKind::Chain(n) => chain(n),
-        TopologyKind::Complete(n) => complete(n),
-        TopologyKind::Star(n) => star(n),
-        TopologyKind::FullBinaryTree(h) => full_binary_tree(h),
-        TopologyKind::Butterfly(d) => butterfly(d),
-        TopologyKind::Custom => panic!("cannot build a Custom topology by kind"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,19 +219,18 @@ mod tests {
     }
 
     #[test]
-    fn build_by_kind_roundtrips() {
-        for kind in [
-            TopologyKind::Hypercube(3),
-            TopologyKind::Mesh2D(2, 3),
-            TopologyKind::Torus2D(3, 3),
-            TopologyKind::Ring(5),
-            TopologyKind::Chain(4),
-            TopologyKind::Complete(4),
-            TopologyKind::Star(4),
-            TopologyKind::FullBinaryTree(2),
-            TopologyKind::Butterfly(2),
+    fn every_builder_records_its_kind_and_connects() {
+        for (n, kind) in [
+            (hypercube(3), TopologyKind::Hypercube(3)),
+            (mesh2d(2, 3), TopologyKind::Mesh2D(2, 3)),
+            (torus2d(3, 3), TopologyKind::Torus2D(3, 3)),
+            (ring(5), TopologyKind::Ring(5)),
+            (chain(4), TopologyKind::Chain(4)),
+            (complete(4), TopologyKind::Complete(4)),
+            (star(4), TopologyKind::Star(4)),
+            (full_binary_tree(2), TopologyKind::FullBinaryTree(2)),
+            (butterfly(2), TopologyKind::Butterfly(2)),
         ] {
-            let n = build(kind);
             assert_eq!(n.kind, kind);
             assert!(n.is_connected(), "{kind:?} must be connected");
         }
