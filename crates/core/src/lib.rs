@@ -42,7 +42,7 @@
 //! | [`metrics`] | load, link, and completion-time metrics; ASCII reports | §5 |
 //! | [`topology`] | processor networks and multipath route tables | §2, §4.4 |
 //! | [`group`] | permutation groups, Cayley graphs, quotient contraction | §4.2.2 |
-//! | [`matching`] | blossom maximum-weight matching, Hopcroft–Karp | §4.3, §4.4 |
+//! | [`matching`] | blossom maximum-weight matching | §4.3 |
 
 pub use oregami_graph as graph;
 pub use oregami_group as group;

@@ -2,19 +2,22 @@
 //!
 //! `greedy_premerge_budgeted`, `mm_route` and `nn_embed` were rewritten to
 //! cost what their sparse inputs cost (member lists instead of a full
-//! relabel per merge, candidate links computed once per hop level, a
-//! running weight-to-placed per cluster). None of them may change one
-//! mapping, so each is pinned here to a copy of the implementation it
-//! replaced, kept test-side only: same contraction and `Completion` under
-//! any step quota, same paths and round counts on both matchers, same
+//! relabel per merge, one matching over classes of messages that share
+//! `(cur, dest)` instead of one per message, a running weight-to-placed
+//! per cluster). None of them may change one mapping, so each is pinned
+//! here to a copy of the implementation it replaced, kept test-side only:
+//! same contraction and `Completion` under any step quota, same paths and
+//! round counts on both matchers (the copy is `mm_route_oracle/`), same
 //! placement.
 
+mod mm_route_oracle;
+
+use mm_route_oracle::reference_mm_route;
 use oregami_graph::{TaskGraph, TaskId, WeightedGraph};
 use oregami_mapper::contraction::Contraction;
 use oregami_mapper::routing::{mm_route, Matcher};
 use oregami_mapper::{greedy_premerge_budgeted, nn_embed, Budget, Completion};
-use oregami_matching::{greedy_bipartite_matching, hopcroft_karp};
-use oregami_topology::{builders, LinkId, Network, ProcId, RouteTable};
+use oregami_topology::{builders, Network, ProcId, RouteTable, TopologyKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -90,73 +93,68 @@ fn reference_premerge(
 
 // ---- (c) MM-Route ---------------------------------------------------------
 
-/// `mm_route` as it was: every matching round rebuilds every unassigned
-/// message's candidate list from `next_hops` and `link_between`. Returns
-/// the paths and the number of rounds.
-fn reference_mm_route(
-    tg: &TaskGraph,
-    phase: usize,
-    assignment: &[ProcId],
-    net: &Network,
-    table: &RouteTable,
-    matcher: Matcher,
-) -> (Vec<Vec<ProcId>>, usize) {
-    let edges = &tg.comm_phases[phase].edges;
-    let mut paths: Vec<Vec<ProcId>> = edges
-        .iter()
-        .map(|e| vec![assignment[e.src.index()]])
-        .collect();
-    let dests: Vec<ProcId> = edges.iter().map(|e| assignment[e.dst.index()]).collect();
-    let mut rounds = 0;
-    loop {
-        let active: Vec<usize> = (0..edges.len())
-            .filter(|&m| *paths[m].last().unwrap() != dests[m])
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        let mut unassigned: Vec<usize> = active;
-        let mut chosen: Vec<Option<ProcId>> = vec![None; edges.len()];
-        while !unassigned.is_empty() {
-            let adj: Vec<Vec<usize>> = unassigned
-                .iter()
-                .map(|&m| {
-                    let cur = *paths[m].last().unwrap();
-                    table
-                        .next_hops(net, cur, dests[m])
-                        .into_iter()
-                        .map(|next| net.link_between(cur, next).unwrap().index())
-                        .collect()
-                })
-                .collect();
-            let matching = match matcher {
-                Matcher::Maximum => hopcroft_karp(unassigned.len(), net.num_links(), &adj),
-                Matcher::GreedyMaximal => {
-                    greedy_bipartite_matching(unassigned.len(), net.num_links(), &adj)
-                }
-            };
-            rounds += 1;
-            let mut still = Vec::new();
-            for (x, &m) in unassigned.iter().enumerate() {
-                match matching.left_to_right[x] {
-                    Some(link) => {
-                        let (a, b) = net.link_endpoints(LinkId(link as u32));
-                        let cur = *paths[m].last().unwrap();
-                        chosen[m] = Some(if a == cur { b } else { a });
-                    }
-                    None => still.push(m),
-                }
-            }
-            assert!(still.len() < unassigned.len());
-            unassigned = still;
-        }
-        for (m, c) in chosen.iter().enumerate() {
-            if let Some(next) = c {
-                paths[m].push(*next);
-            }
-        }
+/// Twelve processors: a hub 0 with spokes 1..=6, and five destinations
+/// two hops out, 7 (via 1, 2), 8 (via 3, 4), 9 (via 5, 6), 10 (via 1, 3,
+/// 5) and 11 (via 3). One task per processor.
+fn twin_hub() -> Network {
+    let mut links: Vec<(u32, u32)> = (1..=6).map(|s| (0, s)).collect();
+    links.extend([(1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 9)]);
+    links.extend([(1, 10), (3, 10), (5, 10), (3, 11)]);
+    Network::from_links("twin-hub", TopologyKind::Custom, 12, links)
+}
+
+/// An augmentation falls between two twins of one class. All six
+/// messages start on the hub; messages 3 and 5 are the class
+/// `(0, 10)`. Hopcroft–Karp's greedy first phase gives links 0-1, 0-3
+/// and 0-5 to messages 0, 1 and 2, and every later message finds its row
+/// full. In the second phase, message 3 augments through message 0 (which
+/// moves to 0-2) and takes 0-1; message 4, a different class, augments
+/// through message 1 (to 0-4) and takes 0-3; only then is message 5, the
+/// twin of 3, tried, and it takes 0-5 by moving message 2 to 0-6. One
+/// round serves the whole first hop.
+#[test]
+fn an_augmentation_between_two_twins_matches_the_per_message_rounds() {
+    let net = twin_hub();
+    let table = RouteTable::try_new(&net).unwrap();
+    let mut tg = TaskGraph::new("twins");
+    tg.add_scalar_nodes("t", 12);
+    let ph = tg.add_phase("out");
+    for dest in [7, 8, 9, 10, 11, 10] {
+        tg.add_edge(ph, TaskId::new(0), TaskId::new(dest), 1);
     }
-    (paths, rounds)
+    let assignment: Vec<ProcId> = (0..12).map(ProcId).collect();
+    let path = |hops: &[u32]| hops.iter().copied().map(ProcId).collect::<Vec<_>>();
+    let want_max = [
+        [0, 2, 7],
+        [0, 4, 8],
+        [0, 6, 9],
+        [0, 1, 10],
+        [0, 3, 11],
+        [0, 5, 10],
+    ];
+    // greedy: round one serves messages 0-2, round two messages 3-5
+    let want_greedy = [
+        [0, 1, 7],
+        [0, 3, 8],
+        [0, 5, 9],
+        [0, 1, 10],
+        [0, 3, 11],
+        [0, 5, 10],
+    ];
+    for (matcher, want, rounds) in [
+        (Matcher::Maximum, want_max, 2),
+        (Matcher::GreedyMaximal, want_greedy, 3),
+    ] {
+        let got = mm_route(&tg, 0, &assignment, &net, &table, matcher);
+        let want: Vec<Vec<ProcId>> = want.iter().map(|p| path(p)).collect();
+        assert_eq!(got.paths, want, "{matcher:?}");
+        assert_eq!(got.matching_rounds, rounds, "{matcher:?}");
+        assert_eq!(
+            (got.paths, got.matching_rounds),
+            reference_mm_route(&tg, 0, &assignment, &net, &table, matcher),
+            "{matcher:?}"
+        );
+    }
 }
 
 fn route_network(idx: usize) -> Network {
@@ -277,7 +275,7 @@ proptest! {
         let net = route_network(rng.random_range(0..4usize));
         let table = RouteTable::try_new(&net).unwrap();
         let p = net.num_procs();
-        let tasks = 1 + rng.random_range(0..3 * p);
+        let tasks = 1 + rng.random_range(0..8 * p);
         let mut tg = TaskGraph::new("random-phases");
         tg.add_scalar_nodes("t", tasks);
         let phases = rng.random_range(1..4usize);
@@ -290,8 +288,11 @@ proptest! {
                 }
             }
         }
-        // several tasks share a processor, so messages share (cur, dest)
-        let assignment: Vec<ProcId> = (0..tasks).map(|_| ProcId(rng.random_range(0..p) as u32)).collect();
+        // several tasks share a processor, so messages share (cur, dest);
+        // packed onto a few hosts, a phase is congested and its classes
+        // have many members each
+        let hosts: Vec<u32> = (0..1 + rng.random_range(0..p)).map(|_| rng.random_range(0..p) as u32).collect();
+        let assignment: Vec<ProcId> = (0..tasks).map(|_| ProcId(hosts[rng.random_range(0..hosts.len())])).collect();
         for matcher in [Matcher::Maximum, Matcher::GreedyMaximal] {
             for k in 0..phases {
                 let got = mm_route(&tg, k, &assignment, &net, &table, matcher);

@@ -1,9 +1,12 @@
 //! Property-based validation of the matching algorithms against exact
-//! oracles — the safety net under MWM-Contract's optimality claims.
+//! oracles — the safety net under MWM-Contract's optimality claims — and
+//! of the test-side bipartite matchers MM-Route's oracle rebuilds its
+//! rounds with (`tests/bipartite/mod.rs`).
 
-use oregami_matching::{
-    brute_force_max_weight_matching, greedy_matching, hopcroft_karp, max_weight_matching,
-};
+mod bipartite;
+
+use bipartite::{greedy_bipartite_matching, hopcroft_karp};
+use oregami_matching::{brute_force_max_weight_matching, greedy_matching, max_weight_matching};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -91,6 +94,121 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The bipartite oracle on its own: Hopcroft–Karp is maximum (against an
+// exhaustive search), greedy is maximal and at least half of it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn perfect_matching_in_k33() {
+    let adj = vec![vec![0, 1, 2]; 3];
+    let m = hopcroft_karp(3, 3, &adj);
+    assert_eq!(m.size(), 3);
+    assert!(m.is_valid());
+}
+
+#[test]
+fn augmenting_path_needed() {
+    // x0-{y0}, x1-{y0,y1}: greedy in bad order could strand x0.
+    let adj = vec![vec![0], vec![0, 1]];
+    let m = hopcroft_karp(2, 2, &adj);
+    assert_eq!(m.size(), 2);
+    assert_eq!(m.left_to_right[0], Some(0));
+    assert_eq!(m.left_to_right[1], Some(1));
+}
+
+#[test]
+fn greedy_is_maximal() {
+    let adj = vec![vec![0, 1], vec![0], vec![1]];
+    let m = greedy_bipartite_matching(3, 2, &adj);
+    assert!(m.is_valid());
+    // Maximality: every left vertex with an edge to a free right vertex
+    // is matched.
+    for (x, nbrs) in adj.iter().enumerate() {
+        if m.left_to_right[x].is_none() {
+            assert!(nbrs.iter().all(|&y| m.right_to_left[y].is_some()));
+        }
+    }
+}
+
+#[test]
+fn greedy_at_least_half_of_maximum() {
+    let mut seed = 0xC0FFEEu64;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    for _ in 0..100 {
+        let nx = 1 + (next() % 8) as usize;
+        let ny = 1 + (next() % 8) as usize;
+        let mut adj = vec![Vec::new(); nx];
+        for (x, row) in adj.iter_mut().enumerate() {
+            for y in 0..ny {
+                if next() % 100 < 40 {
+                    row.push(y);
+                }
+            }
+            let _ = x;
+        }
+        let g = greedy_bipartite_matching(nx, ny, &adj).size();
+        let h = hopcroft_karp(nx, ny, &adj).size();
+        assert!(g <= h);
+        assert!(2 * g >= h, "greedy {g} vs max {h}");
+    }
+}
+
+#[test]
+fn empty_graph() {
+    let m = hopcroft_karp(3, 3, &vec![Vec::new(); 3]);
+    assert_eq!(m.size(), 0);
+    let g = greedy_bipartite_matching(0, 0, &[]);
+    assert_eq!(g.size(), 0);
+}
+
+#[test]
+fn hk_matches_brute_on_randoms() {
+    // Compare Hopcroft–Karp size with an exhaustive max computed by
+    // recursion on left vertices.
+    fn brute(x: usize, nx: usize, adj: &[Vec<usize>], used: &mut Vec<bool>) -> usize {
+        if x == nx {
+            return 0;
+        }
+        let mut best = brute(x + 1, nx, adj, used);
+        for &y in &adj[x] {
+            if !used[y] {
+                used[y] = true;
+                best = best.max(1 + brute(x + 1, nx, adj, used));
+                used[y] = false;
+            }
+        }
+        best
+    }
+    let mut seed = 42u64;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    for _ in 0..60 {
+        let nx = 1 + (next() % 6) as usize;
+        let ny = 1 + (next() % 6) as usize;
+        let mut adj = vec![Vec::new(); nx];
+        for row in adj.iter_mut() {
+            for y in 0..ny {
+                if next() % 100 < 50 {
+                    row.push(y);
+                }
+            }
+        }
+        let mut used = vec![false; ny];
+        let expect = brute(0, nx, &adj, &mut used);
+        assert_eq!(hopcroft_karp(nx, ny, &adj).size(), expect);
     }
 }
 
