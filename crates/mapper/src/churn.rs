@@ -23,7 +23,7 @@
 //!
 //! Faults are handled locally first — stranded tasks migrate to the
 //! nearest surviving processor with room — and escalate to
-//! [`repair_mapping_budgeted`] only when local moves cannot restore an
+//! [`repair_mapping_cached`] only when local moves cannot restore an
 //! acceptable mapping (no feasible placement, or post-fault communication
 //! cost blowing past the escalation threshold). Probes and escalated
 //! repairs run under a fixed `probe_steps` step quota from the config, so
@@ -45,12 +45,12 @@
 use crate::budget::{Budget, Completion};
 use crate::mapping::Mapping;
 use crate::metrics_engine::{CostModel, Edit, EditError, MetricsEngine};
-use crate::repair::{repair_mapping_budgeted, RepairError, RepairOptions};
+use crate::repair::{repair_mapping_cached, RepairError, RepairOptions};
 use crate::routing::{route_all_phases, Matcher};
 use oregami_graph::task_graph::Cost;
 use oregami_graph::{TaskGraph, TaskId, TaskNode};
 use oregami_topology::{
-    DegradedNetwork, FaultSet, LinkId, Network, ProcId, RouteTable, TopologyError,
+    DegradedNetwork, FaultSet, LinkId, Network, ProcId, RouteTable, RouteTableCache, TopologyError,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -327,7 +327,7 @@ pub struct ChurnOutcome {
     pub voluntary_migrations: u64,
     /// `state_volume × hops` moved by this event's migrations.
     pub migration_traffic: u64,
-    /// Whether the event escalated to `repair_mapping_budgeted`.
+    /// Whether the event escalated to `repair_mapping_cached`.
     pub escalated: bool,
     /// Engine probes run at this event's decision point.
     pub probes: u64,
@@ -1011,7 +1011,7 @@ impl ChurnController {
     }
 
     /// Full repair from the pre-fault mapping via
-    /// [`repair_mapping_budgeted`], translated through a compacted
+    /// [`repair_mapping_cached`], translated through a compacted
     /// live-task graph. Returns the repaired assignment in compact ids,
     /// i.e. parallel to `self.live`.
     fn escalated_repair(
@@ -1042,8 +1042,9 @@ impl ChurnController {
         // journaled — resume replays under an unlimited budget and must
         // reproduce the same assignment byte-for-byte.
         let probe = self.probe_budget();
+        let cache = RouteTableCache::new(4);
         let (repaired, report) =
-            repair_mapping_budgeted(&tg, &self.net, degraded, &mapping, &opts, &probe)
+            repair_mapping_cached(&tg, &self.net, degraded, &mapping, &opts, &probe, &cache)
                 .map_err(ChurnError::Repair)?;
         Ok((repaired.assignment, report))
     }

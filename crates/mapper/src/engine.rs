@@ -41,18 +41,17 @@
 //! stage runs out first).
 
 use crate::budget::{Budget, CancelToken, Completion};
-use crate::contraction::mwm_contract_budgeted;
-use crate::embedding::exhaustive_embed_budgeted;
 use crate::mapping::Mapping;
 use crate::metrics_engine::{CostModel, MetricsEngine};
+use crate::multilevel::multilevel_map_with_report;
 use crate::pipeline::{
-    clusters_to_procs, collapse_for, contraction_from_assignment, finish,
+    check_inputs, collapse_for, contraction_from_assignment, map_exhaustive,
     map_task_graph_budgeted_with_table, MapError, MapperOptions, MapperReport, Strategy,
 };
 use crate::routing::baseline::baseline_route_all;
-use crate::supervisor::{run_stages_supervised, served_health, ServiceHealth, SupervisorConfig};
+use crate::supervisor::{served_health, supervised_launcher, ServiceHealth, SupervisorConfig};
 use oregami_graph::TaskGraph;
-use oregami_topology::{Network, ProcId, RouteTableCache};
+use oregami_topology::{Network, ProcId, RouteTable, RouteTableCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,7 +65,7 @@ pub enum StageKind {
     /// graph — optimal when run to completion, factorial in the worst
     /// case, anytime under a budget (seeded with the NN-Embed incumbent).
     Exhaustive,
-    /// The regular MAPPER dispatch ([`map_task_graph_budgeted`]): canned /
+    /// The regular MAPPER dispatch ([`map_task_graph_budgeted_with_table`]): canned /
     /// systolic / group-theoretic recognition, else MWM-Contract +
     /// NN-Embed. Polynomial.
     Heuristic,
@@ -442,12 +441,7 @@ pub fn run_engine_with(
     if chain.stages.is_empty() {
         return Err(MapError::AllStagesFailed("empty fallback chain".into()));
     }
-    if tg.num_tasks() == 0 {
-        return Err(MapError::EmptyTaskGraph);
-    }
-    if net.num_procs() == 0 {
-        return Err(MapError::BadNetwork("network has no processors".into()));
-    }
+    check_inputs(tg, net)?;
     let cache = config
         .cache
         .clone()
@@ -464,14 +458,14 @@ pub fn run_engine_with(
     let (raw, parallelism) = if let Some(sup) = &config.supervisor {
         // Supervised execution is sequential: each stage runs on its own
         // watched worker thread, so parallel scheduling is overridden.
-        let raw = run_stages_supervised(tg, net, opts, chain, budget, &cache, sup);
-        (raw, Parallelism::Sequential)
+        let launch = supervised_launcher(tg, net, opts, budget, &cache, sup);
+        (run_stages_in_order(chain, launch), Parallelism::Sequential)
     } else if workers > 1 {
         let raw = run_stages_parallel(tg, net, opts, chain, budget, &cache, workers);
         (raw, config.parallelism)
     } else {
-        let raw = run_stages_sequential(tg, net, opts, chain, budget, &cache);
-        (raw, Parallelism::Sequential)
+        let launch = |kind| execute_stage(kind, tg, net, opts, budget, &cache);
+        (run_stages_in_order(chain, launch), Parallelism::Sequential)
     };
 
     // Fold the per-stage results back *in chain order* under the
@@ -733,13 +727,13 @@ fn execute_stage(
     }
 }
 
-fn run_stages_sequential(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
+/// Runs the chain's stages one after another in chain order, each
+/// started by `launch` (a plain isolated run, or the supervisor's watched
+/// and retried one). Once a result ends the chain, every later stage is
+/// recorded as never run.
+pub(crate) fn run_stages_in_order(
     chain: &FallbackChain,
-    budget: &Budget,
-    cache: &RouteTableCache,
+    mut launch: impl FnMut(StageKind) -> RawStage,
 ) -> Vec<RawStage> {
     let mut raw = Vec::with_capacity(chain.stages.len());
     let mut stop = false;
@@ -748,7 +742,7 @@ fn run_stages_sequential(
             raw.push(RawStage::not_run());
             continue;
         }
-        let stage = execute_stage(kind, tg, net, opts, budget, cache);
+        let stage = launch(kind);
         stop = stage.ends_chain();
         raw.push(stage);
     }
@@ -833,58 +827,14 @@ pub(crate) fn run_stage(
     budget: &Budget,
     cache: &RouteTableCache,
 ) -> Result<(MapperReport, Completion), MapError> {
-    match kind {
-        StageKind::Heuristic => {
-            let table = cache.get_or_build(net)?;
-            map_task_graph_budgeted_with_table(tg, net, opts, budget, &table)
-        }
-        StageKind::Exhaustive => exhaustive_stage(tg, net, opts, budget, cache),
-        StageKind::Identity => identity_stage(tg, net, opts, cache),
-        StageKind::Multilevel => {
-            let table = cache.get_or_build(net)?;
-            crate::multilevel::multilevel_stage(tg, net, opts, budget, table)
-        }
-    }
-}
-
-/// Contract to at most `P` clusters, then place the quotient with the
-/// anytime branch-and-bound embedder.
-fn exhaustive_stage(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    budget: &Budget,
-    cache: &RouteTableCache,
-) -> Result<(MapperReport, Completion), MapError> {
-    if let Some(Completion::Cancelled) = budget.poll() {
-        return Err(MapError::Cancelled);
-    }
-    let n = tg.num_tasks();
-    let p = net.num_procs();
     let table = cache.get_or_build(net)?;
-    let table = &*table;
-    let collapsed = collapse_for(tg, opts);
-    let bound = opts.load_bound.unwrap_or_else(|| n.div_ceil(p).max(1));
-    let (contraction, contract_completion) = mwm_contract_budgeted(&collapsed, p, bound, budget)?;
-    let (quotient, _) = collapsed.quotient(&contraction.cluster_of, contraction.num_clusters);
-    let embed = exhaustive_embed_budgeted(&quotient, net, table, budget)?;
-    let completion = contract_completion.worst(embed.completion);
-    let notes = vec![format!(
-        "exhaustive embedding: {} clusters on {p} processors, quotient cost {} ({})",
-        contraction.num_clusters, embed.cost, embed.completion
-    )];
-    let assignment = clusters_to_procs(&contraction, &embed.placement);
-    let mapping = finish(tg, net, table, assignment, opts);
-    Ok((
-        MapperReport {
-            strategy: Strategy::Exhaustive,
-            contraction,
-            mapping,
-            collapsed,
-            notes,
-        },
-        completion,
-    ))
+    match kind {
+        StageKind::Heuristic => map_task_graph_budgeted_with_table(tg, net, opts, budget, &table),
+        StageKind::Exhaustive => map_exhaustive(tg, net, opts, budget, &table),
+        StageKind::Identity => identity_stage(tg, net, &table),
+        StageKind::Multilevel => multilevel_map_with_report(tg, net, opts, budget, table)
+            .map(|(report, completion, _)| (report, completion)),
+    }
 }
 
 /// Round-robin placement with fixed shortest-path routes: linear work,
@@ -892,14 +842,12 @@ fn exhaustive_stage(
 fn identity_stage(
     tg: &TaskGraph,
     net: &Network,
-    opts: &MapperOptions,
-    cache: &RouteTableCache,
+    table: &RouteTable,
 ) -> Result<(MapperReport, Completion), MapError> {
     let n = tg.num_tasks();
     let p = net.num_procs();
-    let table = cache.get_or_build(net)?;
     let assignment: Vec<ProcId> = (0..n).map(|t| ProcId((t % p) as u32)).collect();
-    let routes = baseline_route_all(tg, &assignment, net, &table);
+    let routes = baseline_route_all(tg, &assignment, net, table);
     let mapping = Mapping { assignment, routes };
     mapping.validate(tg, net)?;
     let contraction = contraction_from_assignment(&mapping.assignment, p);
@@ -908,7 +856,7 @@ fn identity_stage(
             strategy: Strategy::Identity,
             contraction,
             mapping,
-            collapsed: collapse_for(tg, opts),
+            collapsed: collapse_for(tg),
             notes: vec![
                 "identity placement: round-robin task assignment, shortest-path routes".into(),
             ],

@@ -31,6 +31,8 @@
 //! salvages a computed mapping after processor/link failures
 //! (re-route → migrate → escalate to re-contract + re-embed).
 
+#![deny(clippy::too_many_lines)]
+
 pub mod aggregate;
 pub mod budget;
 pub mod canned;
@@ -69,13 +71,10 @@ pub use mapping::{Mapping, MappingError};
 pub use metrics_engine::{CostModel, Edit, EditError, MetricSnapshot, MetricsDelta, MetricsEngine};
 pub use multilevel::{multilevel_map_with_report, LevelStats, MultilevelReport};
 pub use pipeline::{
-    map_task_graph, map_task_graph_budgeted, map_task_graph_budgeted_with_table, MapError,
-    MapperOptions, MapperReport, Strategy,
+    map_task_graph, map_task_graph_budgeted_with_table, MapError, MapperOptions, MapperReport,
+    Strategy,
 };
-pub use repair::{
-    repair_mapping, repair_mapping_budgeted, repair_mapping_cached, RepairError, RepairOptions,
-    RepairReport,
-};
+pub use repair::{repair_mapping, repair_mapping_cached, RepairError, RepairOptions, RepairReport};
 pub use routing::{mm_route, RoutedPhase};
 pub use supervisor::{
     BreakerConfig, BreakerState, BreakerView, ChaosConfig, RetryPolicy, ServiceHealth,

@@ -35,8 +35,8 @@ use crate::embedding::nn_embed;
 use crate::mapping::Mapping;
 use crate::metrics_engine::{CostModel, Edit, EditError, MetricsEngine};
 use crate::pipeline::{
-    collapse_for, contraction_from_assignment, finish, MapError, MapperOptions, MapperReport,
-    Strategy,
+    check_inputs, collapse_for, contraction_from_assignment, finish, MapError, MapperOptions,
+    MapperReport, Strategy,
 };
 use crate::routing::baseline::baseline_route_all;
 use oregami_graph::{TaskGraph, TaskId, WeightedGraph};
@@ -51,10 +51,6 @@ const COARSEN_FACTOR: usize = 4;
 const MAX_LEVELS: usize = 64;
 /// Refinement passes per level (a pass with no improving move ends early).
 const REFINE_PASSES: usize = 2;
-/// Above this task count, final routes come from the linear baseline router
-/// instead of MM-Route's per-hop matchings (which are quadratic in messages
-/// per link and would dominate the whole stage on 100k+ graphs).
-const MM_ROUTE_LIMIT: usize = 4096;
 
 /// Per-level accounting for benchmarks and reports. Levels are indexed
 /// finest-first: level 0 is the original collapsed graph.
@@ -93,18 +89,6 @@ pub struct MultilevelReport {
     pub completion: Completion,
 }
 
-/// The engine-facing stage entry point.
-pub(crate) fn multilevel_stage(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    budget: &Budget,
-    table: Arc<RouteTable>,
-) -> Result<(MapperReport, Completion), MapError> {
-    let (report, completion, _ml) = multilevel_map_with_report(tg, net, opts, budget, table)?;
-    Ok((report, completion))
-}
-
 /// Runs the full coarsen–map–refine pipeline and returns the per-level
 /// report alongside the mapping — the benchmark and property tests use
 /// the extra detail; the engine stage discards it.
@@ -115,12 +99,7 @@ pub fn multilevel_map_with_report(
     budget: &Budget,
     table: Arc<RouteTable>,
 ) -> Result<(MapperReport, Completion, MultilevelReport), MapError> {
-    if tg.num_tasks() == 0 {
-        return Err(MapError::EmptyTaskGraph);
-    }
-    if net.num_procs() == 0 {
-        return Err(MapError::BadNetwork("network has no processors".into()));
-    }
+    check_inputs(tg, net)?;
     let n = tg.num_tasks();
     let p = net.num_procs();
     let bound = opts.load_bound.unwrap_or_else(|| n.div_ceil(p).max(1));
@@ -133,69 +112,11 @@ pub fn multilevel_map_with_report(
             },
         ));
     }
-    let mut completion = Completion::Optimal;
-    let collapsed = collapse_for(tg, opts);
 
     // ---- 1. coarsen: size-aware heavy-edge matching per level ----
     let target = (COARSEN_FACTOR * p).max(1);
-    let mut levels: Vec<(WeightedGraph, Vec<usize>)> = vec![(collapsed, vec![1; n])];
-    // `maps[l][u]` = the level-(l+1) node that level-l node `u` merged into.
-    let mut maps: Vec<Vec<usize>> = Vec::new();
-    let mut coarsen_secs: Vec<f64> = Vec::new();
-    while levels.last().expect("level 0 exists").0.num_nodes() > target
-        && maps.len() < MAX_LEVELS
-    {
-        let t0 = Instant::now();
-        let (g, sizes) = levels.last().expect("level exists");
-        let m = g.num_nodes();
-        let mut mate = vec![usize::MAX; m];
-        let mut tripped = None;
-        for e in g.edges_by_weight_desc() {
-            if let Some(c) = budget.tick() {
-                tripped = Some(c);
-                break;
-            }
-            if mate[e.u] == usize::MAX
-                && mate[e.v] == usize::MAX
-                && sizes[e.u] + sizes[e.v] <= bound
-            {
-                mate[e.u] = e.v;
-                mate[e.v] = e.u;
-            }
-        }
-        if let Some(c) = tripped {
-            // Discard the partial pass: levels built so far stay exact.
-            completion = completion.worst(c);
-            break;
-        }
-        // Dense coarse ids in node order: deterministic, and a matched pair
-        // takes the id slot of its lower-indexed member.
-        let mut cluster_of = vec![usize::MAX; m];
-        let mut next = 0usize;
-        for u in 0..m {
-            if cluster_of[u] != usize::MAX {
-                continue;
-            }
-            cluster_of[u] = next;
-            if mate[u] != usize::MAX {
-                cluster_of[mate[u]] = next;
-            }
-            next += 1;
-        }
-        if next == m {
-            // No merge fits under the load bound — coarsening has converged.
-            break;
-        }
-        let (q, _) = g.quotient(&cluster_of, next);
-        let mut new_sizes = vec![0usize; next];
-        for u in 0..m {
-            new_sizes[cluster_of[u]] += sizes[u];
-        }
-        maps.push(cluster_of);
-        levels.push((q, new_sizes));
-        coarsen_secs.push(t0.elapsed().as_secs_f64());
-    }
-    let coarsest_nodes = levels.last().expect("coarsest exists").0.num_nodes();
+    let (mut levels, mut completion) = Hierarchy::coarsen(collapse_for(tg), target, bound, budget);
+    let mut level_stats = levels.stats();
 
     // ---- 2. map the coarsest level ----
     // Pack coarse clusters whole into P processor-bins when possible; the
@@ -203,101 +124,57 @@ pub fn multilevel_map_with_report(
     // gets refined. Only when some cluster fits no bin (tight bounds) does
     // packing drop to task granularity, which breaks the level structure
     // and restricts refinement to level 0.
-    let mut level_stats: Vec<LevelStats> = levels
-        .iter()
-        .enumerate()
-        .map(|(l, (g, _))| LevelStats {
-            nodes: g.num_nodes(),
-            edges: g.num_edges(),
-            coarsen_secs: coarsen_secs.get(l).copied().unwrap_or(0.0),
-            refine_secs: 0.0,
-            cost_before: 0,
-            cost_after: 0,
-            moves: 0,
-        })
-        .collect();
-
-    let whole_pack = {
-        let (cg, csizes) = levels.last().expect("coarsest exists");
-        pack_comm(cg, csizes, p, bound)
-    };
+    let top = levels.graphs.len() - 1;
+    let (coarsest, coarsest_sizes) = &levels.graphs[top];
+    let coarsest_nodes = coarsest.num_nodes();
+    let whole_pack = pack_comm(coarsest, coarsest_sizes, p, bound);
     let split_packing = whole_pack.is_none();
-
-    // ---- 3. uncoarsen with budgeted greedy refinement ----
-    let assignment: Vec<ProcId> = match whole_pack {
-        Some(bin_of_coarse) => {
-            let coarsest = &levels.last().expect("coarsest exists").0;
-            let (bin_graph, _) = coarsest.quotient(&bin_of_coarse, p);
-            let placement = nn_embed(&bin_graph, net, &table)?;
-            let top = levels.len() - 1;
-            let mut proc_of: Vec<ProcId> =
-                bin_of_coarse.iter().map(|&b| placement[b]).collect();
-            for l in (0..=top).rev() {
-                if l < top {
-                    // project the level-(l+1) placement down to level l
-                    proc_of = maps[l].iter().map(|&parent| proc_of[parent]).collect();
-                }
-                if completion.is_degraded() {
-                    continue; // spent budget: pure projection, no refinement
-                }
-                let (g, sizes) = &levels[l];
-                let t0 = Instant::now();
-                let (c, stats) =
-                    refine_level(g, sizes, &mut proc_of, net, &table, bound, budget);
-                completion = completion.worst(c);
-                level_stats[l].refine_secs = t0.elapsed().as_secs_f64();
-                level_stats[l].cost_before = stats.0;
-                level_stats[l].cost_after = stats.1;
-                level_stats[l].moves = stats.2;
-            }
-            proc_of
-        }
+    let (start, bin_of) = match whole_pack {
+        Some(bin_of_coarse) => (top, bin_of_coarse),
         None => {
-            // Compose the per-level maps into task → coarsest-node, split
-            // clusters across bins at task granularity, and refine at task
-            // granularity only.
+            // compose the per-level maps into task → coarsest node
             let mut coarse_of: Vec<usize> = (0..n).collect();
-            for map in &maps {
+            for map in &levels.maps {
                 for c in coarse_of.iter_mut() {
                     *c = map[*c];
                 }
             }
-            let sizes = &levels.last().expect("coarsest exists").1;
-            let bin_of_task = pack_with_splits(&coarse_of, sizes, n, p, bound);
-            let (bin_graph, _) = levels[0].0.quotient(&bin_of_task, p);
-            let placement = nn_embed(&bin_graph, net, &table)?;
-            let mut proc_of: Vec<ProcId> =
-                bin_of_task.iter().map(|&b| placement[b]).collect();
-            if !completion.is_degraded() {
-                let (g0, sizes0) = &levels[0];
-                let t0 = Instant::now();
-                let (c, stats) =
-                    refine_level(g0, sizes0, &mut proc_of, net, &table, bound, budget);
-                completion = completion.worst(c);
-                level_stats[0].refine_secs = t0.elapsed().as_secs_f64();
-                level_stats[0].cost_before = stats.0;
-                level_stats[0].cost_after = stats.1;
-                level_stats[0].moves = stats.2;
-            }
-            proc_of
+            (0, pack_with_splits(&coarse_of, coarsest_sizes, n, p, bound))
         }
     };
+    let (bin_graph, _) = levels.graphs[start].0.quotient(&bin_of, p);
+    let placement = nn_embed(&bin_graph, net, &table)?;
+    let mut proc_of: Vec<ProcId> = bin_of.iter().map(|&b| placement[b]).collect();
+
+    // ---- 3. uncoarsen with budgeted greedy refinement ----
+    let refine = Refine {
+        net,
+        table: &table,
+        bound,
+        budget,
+    };
+    for l in (0..=start).rev() {
+        if l < start {
+            // project the level-(l+1) placement down to level l
+            let map = &levels.maps[l];
+            proc_of = map.iter().map(|&parent| proc_of[parent]).collect();
+        }
+        // a spent budget leaves pure projection, no refinement
+        if !completion.is_degraded() {
+            let c = refine.level(&levels.graphs[l], &mut proc_of, &mut level_stats[l]);
+            completion = completion.worst(c);
+        }
+    }
 
     // ---- 4. route + report ----
-    let mapping = if n <= MM_ROUTE_LIMIT {
-        finish(tg, net, &table, assignment, opts)
-    } else {
-        let routes = baseline_route_all(tg, &assignment, net, &table);
-        let mapping = Mapping { assignment, routes };
-        mapping.validate(tg, net)?;
-        mapping
-    };
+    let mapping = finish(tg, net, &table, proc_of, opts);
+    mapping.validate(tg, net)?;
     let contraction = contraction_from_assignment(&mapping.assignment, p);
     let total_moves: usize = level_stats.iter().map(|s| s.moves).sum();
     let notes = vec![format!(
         "multilevel: {} levels, coarsest {coarsest_nodes} clusters \
          (target ≤ {target}), load bound {bound}, {total_moves} refinement moves{}{}",
-        levels.len(),
+        levels.graphs.len(),
         if split_packing { ", split packing" } else { "" },
         if completion.is_degraded() {
             format!(" ({completion})")
@@ -305,24 +182,139 @@ pub fn multilevel_map_with_report(
             String::new()
         }
     )];
-    let collapsed = std::mem::take(&mut levels[0].0);
+    let collapsed = std::mem::take(&mut levels.graphs[0].0);
     let ml = MultilevelReport {
         levels: level_stats,
         coarsest_nodes,
         split_packing,
         completion,
     };
-    Ok((
-        MapperReport {
-            strategy: Strategy::Multilevel,
-            contraction,
-            mapping,
-            collapsed,
-            notes,
-        },
-        completion,
-        ml,
-    ))
+    let report = MapperReport {
+        strategy: Strategy::Multilevel,
+        contraction,
+        mapping,
+        collapsed,
+        notes,
+    };
+    Ok((report, completion, ml))
+}
+
+/// The coarsening hierarchy, finest level first.
+struct Hierarchy {
+    /// Each level's graph and the task count of each of its nodes; level 0
+    /// is the collapsed task graph.
+    graphs: Vec<(WeightedGraph, Vec<usize>)>,
+    /// `maps[l][u]` = the level-(l+1) node that level-l node `u` merged into.
+    maps: Vec<Vec<usize>>,
+    /// Seconds spent building each level from the one below.
+    coarsen_secs: Vec<f64>,
+}
+
+impl Hierarchy {
+    /// Coarsens `collapsed` level by level until at most `target` nodes
+    /// remain, no merge fits under `bound`, or the budget trips. A tripped
+    /// pass is discarded, so the levels built so far stay exact.
+    fn coarsen(
+        collapsed: WeightedGraph,
+        target: usize,
+        bound: usize,
+        budget: &Budget,
+    ) -> (Hierarchy, Completion) {
+        let n = collapsed.num_nodes();
+        let mut h = Hierarchy {
+            graphs: vec![(collapsed, vec![1; n])],
+            maps: Vec::new(),
+            coarsen_secs: Vec::new(),
+        };
+        let mut completion = Completion::Optimal;
+        while h.graphs.last().expect("level 0 exists").0.num_nodes() > target
+            && h.maps.len() < MAX_LEVELS
+        {
+            let t0 = Instant::now();
+            let (g, sizes) = h.graphs.last().expect("level exists");
+            let mut mate = vec![usize::MAX; g.num_nodes()];
+            let mut tripped = None;
+            for e in g.edges_by_weight_desc() {
+                if let Some(c) = budget.tick() {
+                    tripped = Some(c);
+                    break;
+                }
+                if mate[e.u] == usize::MAX
+                    && mate[e.v] == usize::MAX
+                    && sizes[e.u] + sizes[e.v] <= bound
+                {
+                    mate[e.u] = e.v;
+                    mate[e.v] = e.u;
+                }
+            }
+            if let Some(c) = tripped {
+                completion = completion.worst(c);
+                break;
+            }
+            let (cluster_of, next) = merge_ids(&mate);
+            if next == mate.len() {
+                // No merge fits under the load bound — coarsening has converged.
+                break;
+            }
+            let level = contract(g, sizes, &cluster_of, next);
+            h.maps.push(cluster_of);
+            h.graphs.push(level);
+            h.coarsen_secs.push(t0.elapsed().as_secs_f64());
+        }
+        (h, completion)
+    }
+
+    /// Empty per-level stats, with each level's size and coarsening time.
+    fn stats(&self) -> Vec<LevelStats> {
+        self.graphs
+            .iter()
+            .enumerate()
+            .map(|(l, (g, _))| LevelStats {
+                nodes: g.num_nodes(),
+                edges: g.num_edges(),
+                coarsen_secs: self.coarsen_secs.get(l).copied().unwrap_or(0.0),
+                refine_secs: 0.0,
+                cost_before: 0,
+                cost_after: 0,
+                moves: 0,
+            })
+            .collect()
+    }
+}
+
+/// Dense ids for a matching, in node order: deterministic, and a matched
+/// pair takes the id slot of its lower-indexed member. Returns the ids
+/// and their count.
+fn merge_ids(mate: &[usize]) -> (Vec<usize>, usize) {
+    let mut id = vec![usize::MAX; mate.len()];
+    let mut next = 0usize;
+    for u in 0..mate.len() {
+        if id[u] != usize::MAX {
+            continue;
+        }
+        id[u] = next;
+        if mate[u] != usize::MAX {
+            id[mate[u]] = next;
+        }
+        next += 1;
+    }
+    (id, next)
+}
+
+/// The quotient of `g` by `id` (`count` ids), with each new node's summed
+/// task count.
+fn contract(
+    g: &WeightedGraph,
+    sizes: &[usize],
+    id: &[usize],
+    count: usize,
+) -> (WeightedGraph, Vec<usize>) {
+    let (q, _) = g.quotient(id, count);
+    let mut merged = vec![0usize; count];
+    for (u, &size) in sizes.iter().enumerate() {
+        merged[id[u]] += size;
+    }
+    (q, merged)
 }
 
 /// Communication-aware packing of the coarsest clusters into ≤ `p`
@@ -359,28 +351,11 @@ fn pack_comm(g: &WeightedGraph, sizes: &[usize], p: usize, bound: usize) -> Opti
         if merges == 0 {
             break; // no merge fits under the bound — matching has stalled
         }
-        let mut new_id = vec![usize::MAX; k];
-        let mut next = 0usize;
-        for u in 0..k {
-            if new_id[u] != usize::MAX {
-                continue;
-            }
-            new_id[u] = next;
-            if mate[u] != usize::MAX {
-                new_id[mate[u]] = next;
-            }
-            next += 1;
-        }
+        let (new_id, next) = merge_ids(&mate);
         for gid in group_of.iter_mut() {
             *gid = new_id[*gid];
         }
-        let (q, _) = gg.quotient(&new_id, next);
-        let mut ns = vec![0usize; next];
-        for u in 0..k {
-            ns[new_id[u]] += gsizes[u];
-        }
-        gg = q;
-        gsizes = ns;
+        (gg, gsizes) = contract(&gg, &gsizes, &new_id, next);
     }
     if gg.num_nodes() <= p {
         return Some(group_of); // the groups themselves are the bins
@@ -471,100 +446,117 @@ fn pack_with_splits(
     bin_of_task
 }
 
-/// One level's refinement: greedy single-node moves to neighbor processors,
-/// probed through the incremental metrics engine and kept only when they
-/// strictly lower the scalar cost. Returns the worst completion plus
-/// `(cost_before, cost_after, moves)`.
-fn refine_level(
-    g: &WeightedGraph,
-    sizes: &[usize],
-    proc_of: &mut Vec<ProcId>,
-    net: &Network,
-    table: &Arc<RouteTable>,
+/// The machine, load bound and budget every level's refinement shares.
+struct Refine<'a> {
+    net: &'a Network,
+    table: &'a Arc<RouteTable>,
     bound: usize,
-    budget: &Budget,
-) -> (Completion, (u64, u64, usize)) {
-    let m = g.num_nodes();
-    // Synthetic single-phase task graph over this level's nodes: scalar_cost
-    // without a phase expression is exactly the summed per-phase slot cost
-    // of the level's cross-processor traffic.
-    let mut stg = TaskGraph::new("multilevel-level");
-    stg.add_scalar_nodes("c", m);
-    let ph = stg.add_phase("w");
-    for e in g.edges() {
-        stg.add_edge(ph, TaskId::new(e.u), TaskId::new(e.v), e.w);
-    }
-    let mapping = Mapping {
-        assignment: proc_of.clone(),
-        routes: baseline_route_all(&stg, proc_of, net, table),
-    };
-    let mut eng = match MetricsEngine::try_new_with_table(
-        &stg,
-        net,
-        &mapping,
-        &CostModel::default(),
-        Arc::clone(table),
-    ) {
-        Ok(e) => e,
-        // A projection the metrics engine rejects cannot be refined; serve
-        // it as-is (final validation will surface any real problem).
-        Err(_) => return (Completion::Optimal, (0, 0, 0)),
-    };
-    let mut load = vec![0usize; net.num_procs()];
-    for (u, pr) in proc_of.iter().enumerate() {
-        load[pr.index()] += sizes[u];
-    }
-    let cost_before = eng.scalar_cost();
-    let mut moves = 0usize;
-    let mut completion = Completion::Optimal;
-    let mut cands: Vec<ProcId> = Vec::new();
-    // Small levels are cheap to sweep, so let them run to a local optimum;
-    // huge levels cap at REFINE_PASSES to keep level-0 work linear.
-    let passes = if m <= 2048 { 4 * REFINE_PASSES } else { REFINE_PASSES };
-    'passes: for _ in 0..passes {
-        let mut improved = false;
-        for (u, &task_size) in sizes.iter().enumerate().take(m) {
-            let from = eng.mapping().assignment[u];
-            cands.clear();
-            g.for_each_neighbor(u, |v, _| {
-                let q = eng.mapping().assignment[v];
-                if q != from {
-                    cands.push(q);
-                }
-            });
-            cands.sort_unstable();
-            cands.dedup();
-            for &q in &cands {
-                if load[q.index()] + task_size > bound {
-                    continue;
-                }
-                let before = eng.scalar_cost();
-                match eng.apply_budgeted(Edit::Reassign { task: u, proc: q }, budget) {
-                    Ok(_) => {
-                        if eng.scalar_cost() < before {
-                            load[from.index()] -= task_size;
-                            load[q.index()] += task_size;
-                            moves += 1;
-                            improved = true;
-                            break; // first improving move wins; next node
+    budget: &'a Budget,
+}
+
+impl Refine<'_> {
+    /// One level's refinement: greedy single-node moves to neighbor
+    /// processors, probed through the incremental metrics engine and kept
+    /// only when they strictly lower the scalar cost. Records the level's
+    /// time, `cost_before`, `cost_after` and moves in `stats`, and returns
+    /// the worst completion.
+    fn level(
+        &self,
+        (g, sizes): &(WeightedGraph, Vec<usize>),
+        proc_of: &mut Vec<ProcId>,
+        stats: &mut LevelStats,
+    ) -> Completion {
+        let t0 = Instant::now();
+        let (net, table) = (self.net, self.table);
+        let m = g.num_nodes();
+        // Synthetic single-phase task graph over this level's nodes: scalar_cost
+        // without a phase expression is exactly the summed per-phase slot cost
+        // of the level's cross-processor traffic.
+        let mut stg = TaskGraph::new("multilevel-level");
+        stg.add_scalar_nodes("c", m);
+        let ph = stg.add_phase("w");
+        for e in g.edges() {
+            stg.add_edge(ph, TaskId::new(e.u), TaskId::new(e.v), e.w);
+        }
+        let mapping = Mapping {
+            assignment: proc_of.clone(),
+            routes: baseline_route_all(&stg, proc_of, net, table),
+        };
+        let mut eng = match MetricsEngine::try_new_with_table(
+            &stg,
+            net,
+            &mapping,
+            &CostModel::default(),
+            Arc::clone(table),
+        ) {
+            Ok(e) => e,
+            // A projection the metrics engine rejects cannot be refined; serve
+            // it as-is (final validation will surface any real problem).
+            Err(_) => return Completion::Optimal,
+        };
+        let mut load = vec![0usize; net.num_procs()];
+        for (u, pr) in proc_of.iter().enumerate() {
+            load[pr.index()] += sizes[u];
+        }
+        let cost_before = eng.scalar_cost();
+        let mut moves = 0usize;
+        let mut completion = Completion::Optimal;
+        let mut cands: Vec<ProcId> = Vec::new();
+        // Small levels are cheap to sweep, so let them run to a local optimum;
+        // huge levels cap at REFINE_PASSES to keep level-0 work linear.
+        let passes = if m <= 2048 {
+            4 * REFINE_PASSES
+        } else {
+            REFINE_PASSES
+        };
+        'passes: for _ in 0..passes {
+            let mut improved = false;
+            for (u, &task_size) in sizes.iter().enumerate().take(m) {
+                let from = eng.mapping().assignment[u];
+                cands.clear();
+                g.for_each_neighbor(u, |v, _| {
+                    let q = eng.mapping().assignment[v];
+                    if q != from {
+                        cands.push(q);
+                    }
+                });
+                cands.sort_unstable();
+                cands.dedup();
+                for &q in &cands {
+                    if load[q.index()] + task_size > self.bound {
+                        continue;
+                    }
+                    let before = eng.scalar_cost();
+                    match eng.apply_budgeted(Edit::Reassign { task: u, proc: q }, self.budget) {
+                        Ok(_) => {
+                            if eng.scalar_cost() < before {
+                                load[from.index()] -= task_size;
+                                load[q.index()] += task_size;
+                                moves += 1;
+                                improved = true;
+                                break; // first improving move wins; next node
+                            }
+                            eng.undo();
                         }
-                        eng.undo();
+                        Err(EditError::Budget(c)) => {
+                            completion = completion.worst(c);
+                            break 'passes;
+                        }
+                        Err(_) => {} // defensive: skip an unappliable probe
                     }
-                    Err(EditError::Budget(c)) => {
-                        completion = completion.worst(c);
-                        break 'passes;
-                    }
-                    Err(_) => {} // defensive: skip an unappliable probe
                 }
             }
+            if !improved {
+                break;
+            }
         }
-        if !improved {
-            break;
-        }
+        stats.refine_secs = t0.elapsed().as_secs_f64();
+        stats.cost_before = cost_before;
+        stats.cost_after = eng.scalar_cost();
+        stats.moves = moves;
+        *proc_of = eng.into_mapping().assignment;
+        completion
     }
-    let cost_after = eng.scalar_cost();
-    *proc_of = eng.into_mapping().assignment;
-    (completion, (cost_before, cost_after, moves))
 }
 
 #[cfg(test)]

@@ -11,17 +11,16 @@
 //! ```
 
 use crate::budget::{Budget, Completion};
-use crate::canned::{canned_contraction, canned_embedding};
-use crate::contraction::{
-    group_contraction, mwm_contract_budgeted, ContractError, Contraction,
-};
-use crate::embedding::{nn_embed, EmbedError};
+use crate::canned::{canned_contraction, canned_embedding, quotient_family};
+use crate::contraction::{group_contraction, mwm_contract_budgeted, ContractError, Contraction};
+use crate::embedding::{exhaustive_embed_budgeted, nn_embed, EmbedError};
 use crate::mapping::Mapping;
 use crate::routing::{route_all_phases, Matcher};
 use crate::systolic;
-use oregami_graph::{TaskGraph, WeightedGraph};
-use oregami_larcs::analyze;
+use oregami_graph::{Family, TaskGraph, WeightedGraph};
+use oregami_larcs::analyze::{self, Analysis};
 use oregami_topology::{Network, ProcId, RouteTable, TopologyKind};
+use std::cell::OnceCell;
 
 /// Which of MAPPER's algorithm classes produced the mapping.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,7 +45,7 @@ pub enum Strategy {
 }
 
 /// Tuning knobs for the pipeline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MapperOptions {
     /// Load bound `B` (max tasks per processor). Defaults to
     /// `ceil(n / P)` — perfectly balanced spreading; raise it to let
@@ -55,24 +54,6 @@ pub struct MapperOptions {
     pub load_bound: Option<usize>,
     /// Bipartite matcher used by MM-Route.
     pub matcher: Matcher,
-    /// Weight the collapsed graph by each phase's repetition count from
-    /// the phase expression (frequently repeated phases dominate
-    /// contraction decisions).
-    pub use_phase_multiplicities: bool,
-    /// Permit the systolic path when the graph is a uniform recurrence and
-    /// the target is a chain or mesh.
-    pub allow_systolic: bool,
-}
-
-impl Default for MapperOptions {
-    fn default() -> Self {
-        MapperOptions {
-            load_bound: None,
-            matcher: Matcher::Maximum,
-            use_phase_multiplicities: true,
-            allow_systolic: true,
-        }
-    }
 }
 
 /// The pipeline's full output.
@@ -180,48 +161,53 @@ pub fn map_task_graph(
     net: &Network,
     opts: &MapperOptions,
 ) -> Result<MapperReport, MapError> {
-    map_task_graph_budgeted(tg, net, opts, &Budget::unlimited()).map(|(report, _)| report)
+    check_inputs(tg, net)?;
+    // a disconnected network surfaces here as MapError::Topology
+    let table = RouteTable::try_new(net)?;
+    map_task_graph_budgeted_with_table(tg, net, opts, &Budget::unlimited(), &table)
+        .map(|(report, _)| report)
 }
 
-/// The multiplicity-weighted collapsed communication graph MAPPER makes
-/// its decisions on.
-pub(crate) fn collapse_for(tg: &TaskGraph, opts: &MapperOptions) -> WeightedGraph {
-    if opts.use_phase_multiplicities {
-        if let Some(expr) = &tg.phase_expr {
-            let mult = expr.comm_multiplicities();
-            return tg.collapse_weighted(|ph| mult.get(ph.index()).copied().unwrap_or(1).max(1));
-        }
-    }
-    tg.collapse()
-}
-
-/// [`map_task_graph`] under an execution budget: the general path's
-/// pre-merge and matching charge budget steps and stop early when the
-/// budget trips, falling through to the always-polynomial bin-packing +
-/// NN-Embed tail. The returned [`Completion`] reports whether any search
-/// was cut short; the mapping itself is always complete and valid.
-pub fn map_task_graph_budgeted(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    budget: &Budget,
-) -> Result<(MapperReport, Completion), MapError> {
+/// The checks every mapper entry makes before any work: a graph with
+/// tasks, a network with processors.
+pub(crate) fn check_inputs(tg: &TaskGraph, net: &Network) -> Result<(), MapError> {
     if tg.num_tasks() == 0 {
         return Err(MapError::EmptyTaskGraph);
     }
     if net.num_procs() == 0 {
         return Err(MapError::BadNetwork("network has no processors".into()));
     }
-    // a disconnected network surfaces here as MapError::Topology
-    let table = RouteTable::try_new(net)?;
-    map_task_graph_budgeted_with_table(tg, net, opts, budget, &table)
+    Ok(())
 }
 
-/// [`map_task_graph_budgeted`] with a caller-supplied routing table —
-/// typically an `Arc<RouteTable>` handed out by
+/// The communication graph MAPPER makes its decisions on: collapsed over
+/// phases, each phase weighted by its repetition count in the phase
+/// expression when there is one (frequently repeated phases dominate
+/// contraction decisions).
+pub(crate) fn collapse_for(tg: &TaskGraph) -> WeightedGraph {
+    if let Some(expr) = &tg.phase_expr {
+        let mult = expr.comm_multiplicities();
+        return tg.collapse_weighted(|ph| mult.get(ph.index()).copied().unwrap_or(1).max(1));
+    }
+    tg.collapse()
+}
+
+/// [`map_task_graph`] under an execution budget, with a caller-supplied
+/// routing table — typically an `Arc<RouteTable>` handed out by
 /// `oregami_topology::cache::RouteTableCache`, so the engine's stages and
 /// repair's sweeps stop paying a fresh all-pairs BFS per call. `table`
 /// must have been built for `net`.
+///
+/// The general path's pre-merge and matching charge budget steps and
+/// stop early when the budget trips, falling through to the
+/// always-polynomial bin-packing + NN-Embed tail. The returned
+/// [`Completion`] reports whether any search was cut short; the mapping
+/// itself is always complete and valid.
+///
+/// The dispatch takes the first arm the graph's regularity admits, in the
+/// paper's order (declared family, systolic, group, recognised family),
+/// and falls through to the general arm; one tail then embeds, routes and
+/// reports whatever the arm placed.
 pub fn map_task_graph_budgeted_with_table(
     tg: &TaskGraph,
     net: &Network,
@@ -229,226 +215,329 @@ pub fn map_task_graph_budgeted_with_table(
     budget: &Budget,
     table: &RouteTable,
 ) -> Result<(MapperReport, Completion), MapError> {
-    if tg.num_tasks() == 0 {
-        return Err(MapError::EmptyTaskGraph);
-    }
-    if net.num_procs() == 0 {
-        return Err(MapError::BadNetwork("network has no processors".into()));
-    }
-    if let Some(Completion::Cancelled) = budget.poll() {
-        return Err(MapError::Cancelled);
-    }
-    let n = tg.num_tasks();
-    let p = net.num_procs();
-    let analysis = analyze::analyze(tg);
-    let mut notes = Vec::new();
-
-    let collapsed = collapse_for(tg, opts);
-
-    // Canned mappings presume the family's symmetric, unweighted structure;
-    // they only apply when the collapsed communication volumes are uniform.
-    let uniform_weights = {
-        let mut it = collapsed.edges().iter().map(|e| e.w);
-        let first = it.next();
-        first.is_none() || it.all(|w| Some(w) == first)
+    let ctx = MapCtx::new(tg, net, opts, budget, table)?;
+    const ARMS: [Arm; 4] = [
+        declared_canned_arm,
+        systolic_arm,
+        group_arm,
+        recognised_canned_arm,
+    ];
+    let placed = match ARMS.iter().find_map(|arm| arm(&ctx).transpose()) {
+        Some(placed) => placed?,
+        None => general_arm(&ctx)?,
     };
-    let try_canned = |family: oregami_graph::Family,
-                      notes: &mut Vec<String>|
-     -> Result<Option<(Contraction, Mapping)>, MapError> {
-        if !uniform_weights {
-            return Ok(None);
+    ctx.place_and_route(placed)
+}
+
+/// One dispatch arm: `Ok(None)` when the graph or the target does not
+/// admit its algorithm class.
+type Arm = fn(&MapCtx) -> Result<Option<Placed>, MapError>;
+
+/// Everything one dispatch reads, built once.
+struct MapCtx<'a> {
+    tg: &'a TaskGraph,
+    net: &'a Network,
+    table: &'a RouteTable,
+    opts: &'a MapperOptions,
+    budget: &'a Budget,
+    n: usize,
+    p: usize,
+    collapsed: WeightedGraph,
+    /// Every collapsed edge carries the same volume. Canned mappings
+    /// presume the family's symmetric, unweighted structure, so they only
+    /// apply then.
+    uniform_weights: bool,
+    /// The regularity analysis, computed the first time an arm reads it.
+    analysis: OnceCell<Analysis>,
+}
+
+/// What an arm placed, before the shared tail embeds and routes it.
+struct Placed {
+    strategy: Strategy,
+    contraction: Contraction,
+    embed: Embed,
+    notes: Vec<String>,
+    completion: Completion,
+}
+
+/// How the tail turns a [`Placed`] contraction into an assignment.
+enum Embed {
+    /// The arm already placed every task.
+    Assigned(Vec<ProcId>),
+    /// Embed the quotient by the contraction: by the canned embedding of
+    /// this quotient family when there is one, else NN-Embed.
+    Quotient(Option<Family>),
+}
+
+impl Placed {
+    fn new(strategy: Strategy, contraction: Contraction, embed: Embed, note: String) -> Placed {
+        Placed {
+            strategy,
+            contraction,
+            embed,
+            notes: vec![note],
+            completion: Completion::Optimal,
+        }
+    }
+}
+
+impl<'a> MapCtx<'a> {
+    fn new(
+        tg: &'a TaskGraph,
+        net: &'a Network,
+        opts: &'a MapperOptions,
+        budget: &'a Budget,
+        table: &'a RouteTable,
+    ) -> Result<MapCtx<'a>, MapError> {
+        check_inputs(tg, net)?;
+        if let Some(Completion::Cancelled) = budget.poll() {
+            return Err(MapError::Cancelled);
+        }
+        let collapsed = collapse_for(tg);
+        let uniform_weights = {
+            let mut it = collapsed.edges().iter().map(|e| e.w);
+            let first = it.next();
+            first.is_none() || it.all(|w| Some(w) == first)
+        };
+        Ok(MapCtx {
+            tg,
+            net,
+            table,
+            opts,
+            budget,
+            n: tg.num_tasks(),
+            p: net.num_procs(),
+            collapsed,
+            uniform_weights,
+            analysis: OnceCell::new(),
+        })
+    }
+
+    fn analysis(&self) -> &Analysis {
+        self.analysis.get_or_init(|| analyze::analyze(self.tg))
+    }
+
+    /// MWM-Contract into at most `P` clusters under the load bound
+    /// (default `ceil(n / P)`). Returns the bound, the contraction and how
+    /// the budgeted search ended.
+    fn mwm_contract(&self) -> Result<(usize, Contraction, Completion), MapError> {
+        let (n, p) = (self.n, self.p);
+        let bound = self.opts.load_bound.unwrap_or_else(|| n.div_ceil(p).max(1));
+        let (contraction, completion) =
+            mwm_contract_budgeted(&self.collapsed, p, bound, self.budget)?;
+        Ok((bound, contraction, completion))
+    }
+
+    /// The one tail: embed what the arm contracted, route with MM-Route,
+    /// and report.
+    fn place_and_route(self, placed: Placed) -> Result<(MapperReport, Completion), MapError> {
+        let Placed {
+            strategy,
+            contraction,
+            embed,
+            mut notes,
+            completion,
+        } = placed;
+        let assignment = match embed {
+            Embed::Assigned(assignment) => assignment,
+            Embed::Quotient(family) => {
+                let placement = self.embed_quotient(&contraction, family, &mut notes)?;
+                clusters_to_procs(&contraction, &placement)
+            }
+        };
+        let mapping = finish(self.tg, self.net, self.table, assignment, self.opts);
+        let report = MapperReport {
+            strategy,
+            contraction,
+            mapping,
+            collapsed: self.collapsed,
+            notes,
+        };
+        Ok((report, completion))
+    }
+
+    /// Places the quotient graph of `contraction` on the processors. The
+    /// quotient of a family contraction is itself a family instance:
+    /// prefer its canned embedding over greedy placement.
+    fn embed_quotient(
+        &self,
+        contraction: &Contraction,
+        family: Option<Family>,
+        notes: &mut Vec<String>,
+    ) -> Result<Vec<ProcId>, MapError> {
+        let canned = family
+            .and_then(|f| quotient_family(f, self.p))
+            .and_then(|qf| canned_embedding(qf, self.net));
+        if let Some(placement) = canned {
+            notes.push("canned embedding of the quotient family".into());
+            return Ok(placement);
+        }
+        let (quotient, _) = self
+            .collapsed
+            .quotient(&contraction.cluster_of, contraction.num_clusters);
+        Ok(nn_embed(&quotient, self.net, self.table)?)
+    }
+
+    /// The canned mapping of `family` (§4.1): an embedding when tasks and
+    /// processors match one to one, a contraction when there are more
+    /// tasks.
+    fn canned(&self, family: Family) -> Option<Placed> {
+        let (n, p) = (self.n, self.p);
+        if !self.uniform_weights {
+            return None;
         }
         if n == p {
-            let Some(assignment) = canned_embedding(family, net) else {
-                return Ok(None);
-            };
-            notes.push(format!(
+            let assignment = canned_embedding(family, self.net)?;
+            let note = format!(
                 "canned embedding: {}({n}) onto {}",
                 family.name(),
-                net.name
-            ));
-            let mapping = finish(tg, net, table, assignment, opts);
-            Ok(Some((Contraction::identity(n), mapping)))
+                self.net.name
+            );
+            let (contraction, embed) = (Contraction::identity(n), Embed::Assigned(assignment));
+            Some(Placed::new(Strategy::Canned, contraction, embed, note))
         } else if n > p {
-            let Some(contraction) = canned_contraction(family, p) else {
-                return Ok(None);
-            };
-            notes.push(format!(
+            let contraction = canned_contraction(family, p)?;
+            let note = format!(
                 "canned contraction: {}({n}) into {p} clusters",
                 family.name()
-            ));
-            let (quotient, _) = collapsed.quotient(&contraction.cluster_of, p);
-            // the quotient of a family contraction is itself a family
-            // instance: prefer its canned embedding over greedy placement
-            let placement = match crate::canned::quotient_family(family, p)
-                .and_then(|qf| canned_embedding(qf, net))
-            {
-                Some(canned) => {
-                    notes.push("canned embedding of the quotient family".into());
-                    canned
-                }
-                None => nn_embed(&quotient, net, table)?,
-            };
-            let assignment = clusters_to_procs(&contraction, &placement);
-            let mapping = finish(tg, net, table, assignment, opts);
-            Ok(Some((contraction, mapping)))
+            );
+            let embed = Embed::Quotient(Some(family));
+            Some(Placed::new(Strategy::Canned, contraction, embed, note))
         } else {
-            Ok(None)
+            None
         }
+    }
+}
+
+/// Arm 1: the canned mapping of the family the program declared.
+fn declared_canned_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
+    Ok(ctx.tg.family.and_then(|family| ctx.canned(family)))
+}
+
+/// Arm 2: systolic synthesis (§4.2.1) for a uniform recurrence on a
+/// chain or mesh.
+fn systolic_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
+    let dims = match ctx.net.kind {
+        TopologyKind::Chain(_) => 1,
+        TopologyKind::Mesh2D(..) => 2,
+        _ => return Ok(None),
     };
-
-    // ---- 1. canned path (declared family) ----
-    if let Some(family) = tg.family {
-        if let Some((contraction, mapping)) = try_canned(family, &mut notes)? {
-            return Ok((
-                MapperReport {
-                    strategy: Strategy::Canned,
-                    contraction,
-                    mapping,
-                    collapsed,
-                    notes,
-                },
-                Completion::Optimal,
-            ));
-        }
+    if !ctx.analysis().all_uniform {
+        return Ok(None);
     }
+    let Ok(sm) = systolic::synthesize(ctx.tg, dims) else {
+        return Ok(None);
+    };
+    let Some(assignment) = systolic_assignment(&sm, ctx.net) else {
+        return Ok(None);
+    };
+    let note = format!(
+        "systolic synthesis: schedule {:?}, allocation {:?}, makespan {}",
+        sm.schedule, sm.allocation, sm.makespan
+    );
+    let contraction = contraction_from_assignment(&assignment, ctx.p);
+    let embed = Embed::Assigned(assignment);
+    let placed = Placed::new(Strategy::Systolic, contraction, embed, note);
+    Ok(Some(placed))
+}
 
-    // ---- 2. systolic path ----
-    if opts.allow_systolic
-        && analysis.all_uniform
-        && matches!(net.kind, TopologyKind::Chain(_) | TopologyKind::Mesh2D(..))
-    {
-        let dims = match net.kind {
-            TopologyKind::Chain(_) => 1,
-            _ => 2,
+/// Arm 3: group-theoretic contraction (§4.2.2) when every phase is a
+/// bijection and the processors divide the tasks.
+fn group_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
+    let (n, p) = (ctx.n, ctx.p);
+    if !ctx.analysis().all_bijective || !n.is_multiple_of(p) {
+        return Ok(None);
+    }
+    // circulant fast path (the paper's "syntactic characterization"
+    // future work): translations on Z_n contract in O(n) with no group
+    // closure at all
+    if let Some(cc) = oregami_group::circulant_contract(ctx.tg, p).filter(|cc| cc.regular) {
+        let note = format!(
+            "circulant fast path: shifts {:?} generate Z_{n}; \
+             contraction by residues (no closure)",
+            cc.shifts
+        );
+        let contraction = Contraction {
+            cluster_of: cc.cluster_of,
+            num_clusters: cc.num_clusters,
         };
-        if let Ok(sm) = systolic::synthesize(tg, dims) {
-            if let Some(assignment) = systolic_assignment(&sm, net) {
-                notes.push(format!(
-                    "systolic synthesis: schedule {:?}, allocation {:?}, makespan {}",
-                    sm.schedule, sm.allocation, sm.makespan
-                ));
-                let contraction = contraction_from_assignment(&assignment, p);
-                let mapping = finish(tg, net, table, assignment, opts);
-                return Ok((
-                    MapperReport {
-                        strategy: Strategy::Systolic,
-                        contraction,
-                        mapping,
-                        collapsed,
-                        notes,
-                    },
-                    Completion::Optimal,
-                ));
-            }
-        }
+        let embed = Embed::Quotient(None);
+        let placed = Placed::new(Strategy::GroupTheoretic, contraction, embed, note);
+        return Ok(Some(placed));
     }
+    let Ok((contraction, gc)) = group_contraction(ctx.tg, p) else {
+        return Ok(None);
+    };
+    let note = format!(
+        "group-theoretic contraction: |G| = {}, subgroup of order {}{}",
+        gc.group.order(),
+        gc.subgroup.order(),
+        if gc.subgroup_is_normal {
+            " (normal)"
+        } else {
+            " (non-normal Schreier contraction)"
+        }
+    );
+    let embed = Embed::Quotient(None);
+    let placed = Placed::new(Strategy::GroupTheoretic, contraction, embed, note);
+    Ok(Some(placed))
+}
 
-    // ---- 3. group-theoretic path ----
-    if analysis.all_bijective && n.is_multiple_of(p) {
-        // circulant fast path (the paper's "syntactic characterization"
-        // future work): translations on Z_n contract in O(n) with no group
-        // closure at all
-        if let Some(cc) = oregami_group::circulant_contract(tg, p) {
-            if cc.regular {
-                notes.push(format!(
-                    "circulant fast path: shifts {:?} generate Z_{n}; \
-                     contraction by residues (no closure)",
-                    cc.shifts
-                ));
-                let contraction = Contraction {
-                    cluster_of: cc.cluster_of,
-                    num_clusters: cc.num_clusters,
-                };
-                let (quotient, _) = collapsed.quotient(&contraction.cluster_of, p);
-                let placement = nn_embed(&quotient, net, table)?;
-                let assignment = clusters_to_procs(&contraction, &placement);
-                let mapping = finish(tg, net, table, assignment, opts);
-                return Ok((
-                    MapperReport {
-                        strategy: Strategy::GroupTheoretic,
-                        contraction,
-                        mapping,
-                        collapsed,
-                        notes,
-                    },
-                    Completion::Optimal,
-                ));
-            }
-        }
-        if let Ok((contraction, gc)) = group_contraction(tg, p) {
-            notes.push(format!(
-                "group-theoretic contraction: |G| = {}, subgroup of order {}{}",
-                gc.group.order(),
-                gc.subgroup.order(),
-                if gc.subgroup_is_normal {
-                    " (normal)"
-                } else {
-                    " (non-normal Schreier contraction)"
-                }
-            ));
-            let (quotient, _) = collapsed.quotient(&contraction.cluster_of, p);
-            let placement = nn_embed(&quotient, net, table)?;
-            let assignment = clusters_to_procs(&contraction, &placement);
-            let mapping = finish(tg, net, table, assignment, opts);
-            return Ok((
-                MapperReport {
-                    strategy: Strategy::GroupTheoretic,
-                    contraction,
-                    mapping,
-                    collapsed,
-                    notes,
-                },
-                Completion::Optimal,
-            ));
-        }
+/// Arm 4: the canned mapping of a family the analysis recognised in an
+/// undeclared graph.
+fn recognised_canned_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
+    if ctx.tg.family.is_some() {
+        return Ok(None);
     }
+    Ok(ctx.analysis().family.and_then(|family| ctx.canned(family)))
+}
 
-    // ---- 4. canned path (structurally recognised family) ----
-    if tg.family.is_none() {
-        if let Some(family) = analysis.family {
-            if let Some((contraction, mapping)) = try_canned(family, &mut notes)? {
-                return Ok((
-                    MapperReport {
-                        strategy: Strategy::Canned,
-                        contraction,
-                        mapping,
-                        collapsed,
-                        notes,
-                    },
-                    Completion::Optimal,
-                ));
-            }
-        }
-    }
-
-    // ---- 5. general path: MWM-Contract + NN-Embed ----
-    let bound = opts.load_bound.unwrap_or_else(|| n.div_ceil(p).max(1));
-    let (contraction, completion) = mwm_contract_budgeted(&collapsed, p, bound, budget)?;
-    notes.push(format!(
+/// The general arm (§4.3): MWM-Contract under the load bound, then
+/// NN-Embed. It admits every graph, so it is the dispatch's fallthrough.
+fn general_arm(ctx: &MapCtx) -> Result<Placed, MapError> {
+    let (bound, contraction, completion) = ctx.mwm_contract()?;
+    let note = format!(
         "MWM-Contract: {} clusters, load bound {bound}, IPC {}{}",
         contraction.num_clusters,
-        contraction.total_ipc(&collapsed),
+        contraction.total_ipc(&ctx.collapsed),
         if completion.is_degraded() {
             format!(" ({completion})")
         } else {
             String::new()
         }
-    ));
-    let (quotient, _) = collapsed.quotient(&contraction.cluster_of, contraction.num_clusters);
-    let placement = nn_embed(&quotient, net, table)?;
-    let assignment = clusters_to_procs(&contraction, &placement);
-    let mapping = finish(tg, net, table, assignment, opts);
-    Ok((
-        MapperReport {
-            strategy: Strategy::General,
-            contraction,
-            mapping,
-            collapsed,
-            notes,
-        },
+    );
+    Ok(Placed {
         completion,
-    ))
+        ..Placed::new(Strategy::General, contraction, Embed::Quotient(None), note)
+    })
+}
+
+/// The engine's exhaustive stage: MWM-Contract to at most `P` clusters,
+/// then place the quotient with the anytime branch-and-bound embedder
+/// instead of NN-Embed, through the dispatch's tail.
+pub(crate) fn map_exhaustive(
+    tg: &TaskGraph,
+    net: &Network,
+    opts: &MapperOptions,
+    budget: &Budget,
+    table: &RouteTable,
+) -> Result<(MapperReport, Completion), MapError> {
+    let ctx = MapCtx::new(tg, net, opts, budget, table)?;
+    let (_, contraction, completion) = ctx.mwm_contract()?;
+    let (quotient, _) = ctx
+        .collapsed
+        .quotient(&contraction.cluster_of, contraction.num_clusters);
+    let embed = exhaustive_embed_budgeted(&quotient, net, table, budget)?;
+    let note = format!(
+        "exhaustive embedding: {} clusters on {} processors, quotient cost {} ({})",
+        contraction.num_clusters, ctx.p, embed.cost, embed.completion
+    );
+    let assignment = Embed::Assigned(clusters_to_procs(&contraction, &embed.placement));
+    let placed = Placed::new(Strategy::Exhaustive, contraction, assignment, note);
+    ctx.place_and_route(Placed {
+        completion: completion.worst(embed.completion),
+        ..placed
+    })
 }
 
 pub(crate) fn clusters_to_procs(contraction: &Contraction, placement: &[ProcId]) -> Vec<ProcId> {
@@ -643,13 +732,5 @@ mod tests {
         let c = &report.contraction;
         assert_eq!(c.cluster_of[1], c.cluster_of[2]);
         assert_eq!(c.cluster_of[0], c.cluster_of[3]);
-        // without multiplicities, the volumes dominate
-        let opts = MapperOptions {
-            use_phase_multiplicities: false,
-            ..MapperOptions::default()
-        };
-        let report2 = map_task_graph(&tg, &net, &opts).unwrap();
-        let c2 = &report2.contraction;
-        assert_eq!(c2.cluster_of[0], c2.cluster_of[1]);
     }
 }

@@ -224,35 +224,25 @@ pub fn repair_mapping(
     mapping: &Mapping,
     opts: &RepairOptions,
 ) -> Result<(Mapping, RepairReport), RepairError> {
-    repair_mapping_budgeted(tg, net, degraded, mapping, opts, &Budget::unlimited())
+    let (budget, cache) = (Budget::unlimited(), RouteTableCache::new(4));
+    repair_mapping_cached(tg, net, degraded, mapping, opts, &budget, &cache)
 }
 
-/// [`repair_mapping`] under an execution budget: one step is charged per
-/// displaced task whose new home is scored by communication affinity,
-/// and one more per migrated task the probe-improve pass re-examines
-/// with exact [`MetricsEngine`] deltas. When the budget trips, the
-/// remaining displaced tasks are placed on the least-loaded surviving
-/// processor instead (load-only, no affinity scan), the improve pass
-/// stops, and escalation's re-contraction degrades the same way
-/// [`mwm_contract_budgeted`] does. The repaired mapping is always
-/// complete and valid; [`RepairReport::completion`] records the cut.
-pub fn repair_mapping_budgeted(
-    tg: &TaskGraph,
-    net: &Network,
-    degraded: &DegradedNetwork,
-    mapping: &Mapping,
-    opts: &RepairOptions,
-    budget: &Budget,
-) -> Result<(Mapping, RepairReport), RepairError> {
-    let cache = RouteTableCache::new(4);
-    repair_mapping_cached(tg, net, degraded, mapping, opts, budget, &cache)
-}
-
-/// [`repair_mapping_budgeted`] drawing every routing table (healthy,
-/// degraded, and escalation's compacted survivor network) from a shared
-/// [`RouteTableCache`]. Fault sweeps that revisit fault scenarios — the
-/// CLI's `--fault-sweep` wraps its victim index — hit the cache instead
-/// of re-running three BFS sweeps per scenario.
+/// [`repair_mapping`] under an execution budget, drawing every routing
+/// table (healthy, degraded, and escalation's compacted survivor network)
+/// from a shared [`RouteTableCache`]. Fault sweeps that revisit fault
+/// scenarios — the CLI's `--fault-sweep` wraps its victim index — hit the
+/// cache instead of re-running three BFS sweeps per scenario.
+///
+/// One budget step is charged per displaced task whose new home is scored
+/// by communication affinity, and one more per migrated task the
+/// probe-improve pass re-examines with exact [`MetricsEngine`] deltas.
+/// When the budget trips, the remaining displaced tasks are placed on the
+/// least-loaded surviving processor instead (load-only, no affinity
+/// scan), the improve pass stops, and escalation's re-contraction
+/// degrades the same way [`mwm_contract_budgeted`] does. The repaired
+/// mapping is always complete and valid; [`RepairReport::completion`]
+/// records the cut.
 pub fn repair_mapping_cached(
     tg: &TaskGraph,
     net: &Network,
@@ -276,371 +266,432 @@ pub fn repair_mapping_cached(
             capacity: alive * bound,
         });
     }
-
-    let (avg_dilation_before, max_contention_before) = route_stats(net, &mapping.routes);
+    let ctx = Repair {
+        tg,
+        degraded,
+        old: mapping,
+        opts,
+        budget,
+        healthy_table,
+        degraded_table,
+        bound,
+    };
+    let before = route_stats(net, &mapping.routes);
     let mut notes = Vec::new();
 
     // ---- level 2: migrate tasks off dead processors ----
-    let mut assignment = mapping.assignment.clone();
-    let is_displaced: Vec<bool> = assignment.iter().map(|&p| !degraded.is_alive(p)).collect();
-    let displaced: Vec<usize> = (0..n).filter(|&t| is_displaced[t]).collect();
-
-    let mut load = vec![0usize; degraded.network().num_procs()];
-    for (t, p) in assignment.iter().enumerate() {
-        if !is_displaced[t] {
-            load[p.index()] += 1;
-        }
-    }
-
-    // `peers[t]` = (neighbor, volume) per edge incident to displaced task
-    // `t`, so scoring a candidate home walks the task's own edges only.
-    let mut peers: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    for (_, e) in tg.all_edges() {
-        let (s, d) = (e.src.index(), e.dst.index());
-        if s == d {
-            continue;
-        }
-        if is_displaced[s] {
-            peers[s].push((d, e.volume));
-        }
-        if is_displaced[d] {
-            peers[d].push((s, e.volume));
-        }
-    }
-
-    let mut migrated = Vec::with_capacity(displaced.len());
-    let mut local_feasible = true;
-    let mut completion = Completion::Optimal;
-    for &t in &displaced {
-        if completion == Completion::Optimal {
-            if let Some(c) = budget.tick() {
-                completion = c;
-                notes.push(
-                    "repair budget exhausted: remaining displaced tasks placed by load only"
-                        .into(),
-                );
-            }
-        }
-        // Blast-radius ladder: a displaced task first looks for a home
-        // inside its own fault domain; only when that domain has no
-        // capacity (or died entirely) does the scan widen cross-domain.
-        let home_domain = opts
-            .domains
-            .as_ref()
-            .map(|d| d.domain_of(mapping.assignment[t]));
-        let home = if completion == Completion::Optimal {
-            best_new_home(
-                degraded,
-                &degraded_table,
-                &assignment,
-                &load,
-                bound,
-                &peers[t],
-                opts.domains.as_deref().zip(home_domain),
-            )
-        } else {
-            least_loaded_home(degraded, &load, bound, opts.domains.as_deref().zip(home_domain))
-        };
-        match home {
-            Some(p) => {
-                migrated.push((t, assignment[t], p));
-                assignment[t] = p;
-                load[p.index()] += 1;
-            }
-            None => {
-                // Greedy placement hit the load bound everywhere useful:
-                // local repair violates the bound, escalate.
-                local_feasible = false;
-                break;
-            }
-        }
-    }
-
-    if !local_feasible {
+    let Migration {
+        assignment,
+        mut load,
+        moves,
+        feasible,
+        mut completion,
+    } = ctx.migrate(&mut notes);
+    if !feasible {
+        let stranded = |p: &&ProcId| !degraded.is_alive(**p);
+        let displaced = mapping.assignment.iter().filter(stranded).count();
         notes.push(format!(
-            "local migration of {} displaced tasks violates load bound {bound}; \
-             escalating to re-contract + re-embed on {} survivors",
-            displaced.len(),
-            alive
+            "local migration of {displaced} displaced tasks violates load bound {bound}; \
+             escalating to re-contract + re-embed on {alive} survivors"
         ));
-        let (mapping, mut report) =
-            escalate(tg, degraded, mapping, bound, opts, &healthy_table, budget, cache)?;
-        report.avg_dilation_before = avg_dilation_before;
-        report.max_contention_before = max_contention_before;
-        report.completion = report.completion.worst(completion);
-        report.notes.splice(0..0, notes);
-        return Ok((mapping, report));
+        let (repaired, contract_completion) = ctx.escalate(cache)?;
+        let report = RepairReport {
+            completion: contract_completion.worst(completion),
+            ..ctx.report(&repaired, true, before, notes)
+        };
+        return Ok((repaired, report));
     }
-
-    if !migrated.is_empty() {
+    if !moves.is_empty() {
         notes.push(format!(
             "migrated {} tasks off {} dead processors",
-            migrated.len(),
+            moves.len(),
             degraded.failed_procs().len()
         ));
     }
 
     // ---- level 1: re-route broken or endpoint-moved edges ----
-    let moved: Vec<bool> = (0..n)
-        .map(|t| assignment[t] != mapping.assignment[t])
-        .collect();
-    let mut routes = mapping.routes.clone();
-    for (k, phase) in tg.comm_phases.iter().enumerate() {
-        for (i, e) in phase.edges.iter().enumerate() {
-            let endpoint_moved = moved[e.src.index()] || moved[e.dst.index()];
-            if endpoint_moved || route_broken(degraded, &routes[k][i]) {
-                let from = assignment[e.src.index()];
-                let to = assignment[e.dst.index()];
-                routes[k][i] = degraded_table.first_path(degraded.network(), from, to);
-            }
-        }
-    }
-
-    let mut repaired = Mapping { assignment, routes };
+    let mut repaired = ctx.reroute(assignment);
     repaired.validate(tg, degraded.network())?;
 
     // ---- probe-improve: refine the greedy homes with exact deltas ----
-    // The affinity score ranks candidate homes without contention or
-    // slot-cost awareness. With the incremental METRICS engine, the exact
-    // scalar cost of a candidate migration is one apply+undo probe, so
-    // each migrated task re-examines every surviving processor under the
-    // load bound and keeps a strictly better home when one exists.
-    //
-    // Branch-and-bound: `cost_floor_without(t)` is the cost with `t`
-    // lifted out of the ledgers, which no placement of `t` can beat. When
-    // the incumbent already sits at that floor no candidate is strictly
-    // cheaper, so the whole scan is skipped — the bound is exact, and the
-    // accepted moves are those of the exhaustive scan.
     let mut improve_probes = 0usize;
-    if !migrated.is_empty() && completion == Completion::Optimal {
-        let mut improved = 0usize;
-        repaired = {
-            let mut engine = MetricsEngine::try_new_with_table(
-                tg,
-                degraded.network(),
-                &repaired,
-                &CostModel::default(),
-                Arc::clone(&degraded_table),
-            )?;
-            let mut cur_cost = engine.scalar_cost();
-            for &(t, _, _) in &migrated {
-                if let Some(c) = budget.tick() {
+    if !moves.is_empty() && completion == Completion::Optimal {
+        (repaired, improve_probes) =
+            ctx.probe_improve(repaired, &moves, &mut load, &mut completion, &mut notes)?;
+    }
+
+    let report = RepairReport {
+        improve_probes,
+        completion,
+        ..ctx.report(&repaired, false, before, notes)
+    };
+    Ok((repaired, report))
+}
+
+/// What every step of one repair reads.
+struct Repair<'a> {
+    tg: &'a TaskGraph,
+    degraded: &'a DegradedNetwork,
+    /// The pre-fault mapping, valid on the healthy network.
+    old: &'a Mapping,
+    opts: &'a RepairOptions,
+    budget: &'a Budget,
+    healthy_table: Arc<RouteTable>,
+    degraded_table: Arc<RouteTable>,
+    bound: usize,
+}
+
+/// Level 2's outcome.
+struct Migration {
+    assignment: Vec<ProcId>,
+    /// Tasks per processor under `assignment`.
+    load: Vec<usize>,
+    /// `(task, old home, new home)` per migrated task, in migration order.
+    moves: Vec<(usize, ProcId, ProcId)>,
+    /// Every displaced task found a home under the load bound; when not,
+    /// local repair must escalate.
+    feasible: bool,
+    completion: Completion,
+}
+
+impl Repair<'_> {
+    /// Level 2: moves every task off a dead processor, greedily by
+    /// communication affinity while the budget lasts, by load only after.
+    fn migrate(&self, notes: &mut Vec<String>) -> Migration {
+        let (tg, degraded, opts) = (self.tg, self.degraded, self.opts);
+        let n = tg.num_tasks();
+        let mut assignment = self.old.assignment.clone();
+        let is_displaced: Vec<bool> = assignment.iter().map(|&p| !degraded.is_alive(p)).collect();
+        let displaced: Vec<usize> = (0..n).filter(|&t| is_displaced[t]).collect();
+
+        let mut load = vec![0usize; degraded.network().num_procs()];
+        for (t, p) in assignment.iter().enumerate() {
+            if !is_displaced[t] {
+                load[p.index()] += 1;
+            }
+        }
+
+        // `peers[t]` = (neighbor, volume) per edge incident to displaced task
+        // `t`, so scoring a candidate home walks the task's own edges only.
+        let mut peers: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        for (_, e) in tg.all_edges() {
+            let (s, d) = (e.src.index(), e.dst.index());
+            if s == d {
+                continue;
+            }
+            if is_displaced[s] {
+                peers[s].push((d, e.volume));
+            }
+            if is_displaced[d] {
+                peers[d].push((s, e.volume));
+            }
+        }
+
+        let mut moves = Vec::with_capacity(displaced.len());
+        let mut feasible = true;
+        let mut completion = Completion::Optimal;
+        for &t in &displaced {
+            if completion == Completion::Optimal {
+                if let Some(c) = self.budget.tick() {
                     completion = c;
                     notes.push(
-                        "improve budget exhausted: remaining migrated tasks keep greedy homes"
+                        "repair budget exhausted: remaining displaced tasks placed by load only"
                             .into(),
                     );
-                    break;
-                }
-                if engine.cost_floor_without(t) >= cur_cost {
-                    continue;
-                }
-                let cur = engine.mapping().assignment[t];
-                let mut best: Option<(u64, ProcId)> = None;
-                for p in degraded.alive_procs() {
-                    if p == cur || load[p.index()] >= bound {
-                        continue;
-                    }
-                    // Never trade an intra-domain placement for a
-                    // cross-domain one: the metric gain would come at the
-                    // price of a wider blast radius next time this domain
-                    // flaps.
-                    if let Some(domains) = opts.domains.as_deref() {
-                        let home = domains.domain_of(mapping.assignment[t]);
-                        if domains.domain_of(cur) == home && domains.domain_of(p) != home {
-                            continue;
-                        }
-                    }
-                    if engine.apply(Edit::Reassign { task: t, proc: p }).is_ok() {
-                        improve_probes += 1;
-                        let cost = engine.scalar_cost();
-                        engine.undo();
-                        if cost < cur_cost && best.is_none_or(|b| (cost, p) < b) {
-                            best = Some((cost, p));
-                        }
-                    }
-                }
-                if let Some((cost, p)) = best {
-                    engine
-                        .apply(Edit::Reassign { task: t, proc: p })
-                        .expect("probed edit re-applies");
-                    load[cur.index()] -= 1;
-                    load[p.index()] += 1;
-                    cur_cost = cost;
-                    improved += 1;
                 }
             }
-            engine.into_mapping()
-        };
+            // Blast-radius ladder: a displaced task first looks for a home
+            // inside its own fault domain; only when that domain has no
+            // capacity (or died entirely) does the scan widen cross-domain.
+            let home_domain = opts
+                .domains
+                .as_ref()
+                .map(|d| d.domain_of(self.old.assignment[t]));
+            let prefer = opts.domains.as_deref().zip(home_domain);
+            let free = |p: &ProcId| load[p.index()] < self.bound;
+            let home = if completion == Completion::Optimal {
+                let (table, peers) = (&self.degraded_table, &peers[t]);
+                let key = |p: &ProcId| {
+                    let affinity = affinity(table, degraded, &assignment, peers, *p);
+                    (affinity, load[p.index()], *p)
+                };
+                home_in(degraded, prefer, free, key)
+            } else {
+                home_in(degraded, prefer, free, |&p| (load[p.index()], p))
+            };
+            let Some(p) = home else {
+                // Greedy placement hit the load bound everywhere useful:
+                // local repair violates the bound, escalate.
+                feasible = false;
+                break;
+            };
+            moves.push((t, assignment[t], p));
+            assignment[t] = p;
+            load[p.index()] += 1;
+        }
+        Migration {
+            assignment,
+            load,
+            moves,
+            feasible,
+            completion,
+        }
+    }
+
+    /// Level 1: re-routes every edge whose endpoint moved or whose route
+    /// crosses a dead processor or link, along a surviving shortest path.
+    fn reroute(&self, assignment: Vec<ProcId>) -> Mapping {
+        let degraded = self.degraded;
+        let mut routes = self.old.routes.clone();
+        for (k, phase) in self.tg.comm_phases.iter().enumerate() {
+            for (i, e) in phase.edges.iter().enumerate() {
+                let (src, dst) = (e.src.index(), e.dst.index());
+                let endpoint_moved = assignment[src] != self.old.assignment[src]
+                    || assignment[dst] != self.old.assignment[dst];
+                if endpoint_moved || route_broken(degraded, &routes[k][i]) {
+                    let (from, to) = (assignment[src], assignment[dst]);
+                    routes[k][i] = self.degraded_table.first_path(degraded.network(), from, to);
+                }
+            }
+        }
+        Mapping { assignment, routes }
+    }
+
+    /// Refines the greedy homes with exact deltas. The affinity score
+    /// ranks candidate homes without contention or slot-cost awareness.
+    /// With the incremental METRICS engine, the exact scalar cost of a
+    /// candidate migration is one apply+undo probe, so each migrated task
+    /// re-examines every surviving processor under the load bound and
+    /// keeps a strictly better home when one exists.
+    ///
+    /// Branch-and-bound: `cost_floor_without(t)` is the cost with `t`
+    /// lifted out of the ledgers, which no placement of `t` can beat. When
+    /// the incumbent already sits at that floor no candidate is strictly
+    /// cheaper, so the whole scan is skipped — the bound is exact, and the
+    /// accepted moves are those of the exhaustive scan.
+    ///
+    /// Returns the refined mapping and the number of probes run.
+    fn probe_improve(
+        &self,
+        repaired: Mapping,
+        moves: &[(usize, ProcId, ProcId)],
+        load: &mut [usize],
+        completion: &mut Completion,
+        notes: &mut Vec<String>,
+    ) -> Result<(Mapping, usize), RepairError> {
+        let mut engine = MetricsEngine::try_new_with_table(
+            self.tg,
+            self.degraded.network(),
+            &repaired,
+            &CostModel::default(),
+            Arc::clone(&self.degraded_table),
+        )?;
+        let mut cur_cost = engine.scalar_cost();
+        let (mut probes, mut improved) = (0usize, 0usize);
+        for &(t, _, _) in moves {
+            if let Some(c) = self.budget.tick() {
+                *completion = c;
+                notes.push(
+                    "improve budget exhausted: remaining migrated tasks keep greedy homes".into(),
+                );
+                break;
+            }
+            if engine.cost_floor_without(t) >= cur_cost {
+                continue;
+            }
+            let cur = engine.mapping().assignment[t];
+            let mut best: Option<(u64, ProcId)> = None;
+            for p in self.degraded.alive_procs() {
+                if p == cur || load[p.index()] >= self.bound || self.widens_blast(t, cur, p) {
+                    continue;
+                }
+                if engine.apply(Edit::Reassign { task: t, proc: p }).is_ok() {
+                    probes += 1;
+                    let cost = engine.scalar_cost();
+                    engine.undo();
+                    if cost < cur_cost && best.is_none_or(|b| (cost, p) < b) {
+                        best = Some((cost, p));
+                    }
+                }
+            }
+            if let Some((cost, p)) = best {
+                engine
+                    .apply(Edit::Reassign { task: t, proc: p })
+                    .expect("probed edit re-applies");
+                load[cur.index()] -= 1;
+                load[p.index()] += 1;
+                cur_cost = cost;
+                improved += 1;
+            }
+        }
         if improved > 0 {
             notes.push(format!(
                 "probe-improve moved {improved} migrated task(s) to metric-cheaper homes"
             ));
         }
+        Ok((engine.into_mapping(), probes))
     }
 
-    // Final figures by diff against the pre-fault mapping, so the
-    // probe-improve pass is accounted for.
-    let tasks_migrated = (0..n)
-        .filter(|&t| repaired.assignment[t] != mapping.assignment[t])
-        .count();
-    let migration_cost = migration_cost(
-        &healthy_table,
-        &mapping.assignment,
-        &repaired.assignment,
-        opts.state_volume,
-    );
-    let edges_rerouted = repaired
-        .routes
-        .iter()
-        .zip(&mapping.routes)
-        .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x != y).count())
-        .sum();
-    let (migrations_intra_domain, migrations_cross_domain) = domain_split(
-        opts.domains.as_deref(),
-        &mapping.assignment,
-        &repaired.assignment,
-    );
-    if migrations_intra_domain + migrations_cross_domain > 0 {
-        notes.push(format!(
-            "blast radius: {migrations_intra_domain} migration(s) stayed inside the \
-             failing domain, {migrations_cross_domain} crossed domains"
-        ));
+    /// Whether moving task `t` from `cur` to `p` would trade an
+    /// intra-domain placement for a cross-domain one: the metric gain
+    /// would come at the price of a wider blast radius next time this
+    /// domain flaps.
+    fn widens_blast(&self, t: usize, cur: ProcId, p: ProcId) -> bool {
+        self.opts.domains.as_deref().is_some_and(|domains| {
+            let home = domains.domain_of(self.old.assignment[t]);
+            domains.domain_of(cur) == home && domains.domain_of(p) != home
+        })
     }
 
-    let (avg_dilation_after, max_contention_after) =
-        route_stats(degraded.network(), &repaired.routes);
-    let report = RepairReport {
-        edges_rerouted,
-        tasks_migrated,
-        migration_cost,
-        migrations_intra_domain,
-        migrations_cross_domain,
-        escalated: false,
-        avg_dilation_before,
-        avg_dilation_after,
-        max_contention_before,
-        max_contention_after,
-        improve_probes,
-        completion,
-        notes,
-    };
-    Ok((repaired, report))
+    /// Level 3: throws the old placement away; re-contracts and re-embeds
+    /// on the compacted surviving machine, routes from scratch, and
+    /// translates back to original processor numbering. Returns the
+    /// validated mapping and how the re-contraction's search ended.
+    fn escalate(&self, cache: &RouteTableCache) -> Result<(Mapping, Completion), RepairError> {
+        let (tg, degraded) = (self.tg, self.degraded);
+        let (compact, to_orig) = degraded.compact();
+        let compact_table = cache.get_or_build(&compact)?;
+        let collapsed = tg.collapse();
+        let (contraction, completion) =
+            mwm_contract_budgeted(&collapsed, compact.num_procs(), self.bound, self.budget)?;
+        let (quotient, _) = collapsed.quotient(&contraction.cluster_of, contraction.num_clusters);
+        let placement = nn_embed(&quotient, &compact, &compact_table)
+            .expect("contraction produces at most `procs` clusters");
+        let compact_assignment: Vec<ProcId> = contraction
+            .cluster_of
+            .iter()
+            .map(|&c| placement[c])
+            .collect();
+        let (table, matcher) = (&compact_table, self.opts.matcher);
+        let compact_routes = route_all_phases(tg, &compact_assignment, &compact, table, matcher);
+
+        // translate processors back to original numbering (links line up by
+        // construction: compact links are the degraded links renamed)
+        let orig = |p: ProcId| to_orig[p.index()];
+        let assignment: Vec<ProcId> = compact_assignment.into_iter().map(orig).collect();
+        let routes: Vec<Vec<Vec<ProcId>>> = compact_routes
+            .into_iter()
+            .map(|phase| {
+                phase
+                    .into_iter()
+                    .map(|path| path.into_iter().map(orig).collect())
+                    .collect()
+            })
+            .collect();
+        let repaired = Mapping { assignment, routes };
+        repaired.validate(tg, degraded.network())?;
+        Ok((repaired, completion))
+    }
+
+    /// The report of a repair, its figures taken by diff against the
+    /// pre-fault mapping, so the probe-improve pass is accounted for;
+    /// an escalation re-routed every edge. `before` is the pre-fault
+    /// (dilation, contention).
+    fn report(
+        &self,
+        repaired: &Mapping,
+        escalated: bool,
+        before: (f64, u64),
+        mut notes: Vec<String>,
+    ) -> RepairReport {
+        let old = self.old;
+        let moved = || {
+            let pairs = old.assignment.iter().zip(&repaired.assignment);
+            pairs.filter(|(before, after)| before != after)
+        };
+        let tasks_migrated = moved().count();
+        // state_volume · hops on the healthy network, saturating like every
+        // other volume sum
+        let migration_cost = moved().fold(0u64, |sum, (&before, &after)| {
+            let hops = u64::from(self.healthy_table.dist(before, after));
+            sum.saturating_add(hops.saturating_mul(self.opts.state_volume))
+        });
+        let edges_rerouted = if escalated {
+            self.tg.comm_phases.iter().map(|p| p.edges.len()).sum()
+        } else {
+            repaired
+                .routes
+                .iter()
+                .zip(&old.routes)
+                .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x != y).count())
+                .sum()
+        };
+        // migrations that stayed inside the victim's fault domain, and
+        // those that crossed; (0, 0) without a domain map
+        let (migrations_intra_domain, migrations_cross_domain) = match &self.opts.domains {
+            Some(d) => {
+                let intra = moved()
+                    .filter(|(before, after)| d.domain_of(**before) == d.domain_of(**after))
+                    .count();
+                (intra, tasks_migrated - intra)
+            }
+            None => (0, 0),
+        };
+        if !escalated && migrations_intra_domain + migrations_cross_domain > 0 {
+            notes.push(format!(
+                "blast radius: {migrations_intra_domain} migration(s) stayed inside the \
+                 failing domain, {migrations_cross_domain} crossed domains"
+            ));
+        }
+        let (avg_dilation_after, max_contention_after) =
+            route_stats(self.degraded.network(), &repaired.routes);
+        RepairReport {
+            edges_rerouted,
+            tasks_migrated,
+            migration_cost,
+            migrations_intra_domain,
+            migrations_cross_domain,
+            escalated,
+            avg_dilation_before: before.0,
+            avg_dilation_after,
+            max_contention_before: before.1,
+            max_contention_after,
+            improve_probes: 0,
+            completion: Completion::Optimal,
+            notes,
+        }
+    }
 }
 
-/// The best surviving processor for a displaced task with the given
-/// `(neighbor, volume)` edges: minimum communication affinity (Σ volume ×
-/// distance to already-placed neighbors), ties broken toward lower load
-/// then lower id. With a domain map, candidates are restricted to the
-/// task's home domain first; the scan only widens cross-domain when the
-/// domain offers no capacity. `None` if every surviving processor is at
-/// the load bound.
-fn best_new_home(
+/// The blast-radius ladder: the surviving processor with the least `key`
+/// among those `free` to take a task, searched inside the home domain
+/// first when a domain map is supplied, and across the whole surviving
+/// machine only when the domain offers no capacity. `None` if no
+/// surviving processor is free.
+fn home_in<K: Ord>(
     degraded: &DegradedNetwork,
-    table: &RouteTable,
-    assignment: &[ProcId],
-    load: &[usize],
-    bound: usize,
-    peers: &[(usize, u64)],
     prefer: Option<(&DomainMap, u32)>,
+    free: impl Fn(&ProcId) -> bool,
+    key: impl Fn(&ProcId) -> K,
 ) -> Option<ProcId> {
-    let scan = |intra_only: bool| -> Option<ProcId> {
-        let mut best: Option<(u64, usize, ProcId)> = None;
-        for p in degraded.alive_procs() {
-            if load[p.index()] >= bound {
-                continue;
-            }
-            if intra_only {
-                let (domains, home) = prefer.expect("intra pass requires a domain map");
-                if domains.domain_of(p) != home {
-                    continue;
-                }
-            }
-            let mut affinity = 0u64;
-            for &(other, volume) in peers {
-                let q = assignment[other];
-                // Neighbors still stranded on dead processors are placed
-                // later; skip them rather than route toward a corpse.
-                if degraded.is_alive(q) {
-                    affinity =
-                        affinity.saturating_add(volume.saturating_mul(u64::from(table.dist(p, q))));
-                }
-            }
-            let key = (affinity, load[p.index()], p);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, p)| p)
-    };
-    if prefer.is_some() {
-        if let Some(p) = scan(true) {
-            return Some(p);
-        }
-    }
-    scan(false)
-}
-
-/// The cheapest always-valid placement: the least-loaded surviving
-/// processor under the bound (no affinity scan), preferring the home
-/// domain when a map is supplied. Used once the repair budget has
-/// tripped.
-fn least_loaded_home(
-    degraded: &DegradedNetwork,
-    load: &[usize],
-    bound: usize,
-    prefer: Option<(&DomainMap, u32)>,
-) -> Option<ProcId> {
-    if let Some((domains, home)) = prefer {
-        let intra = degraded
+    let intra = prefer.and_then(|(domains, home)| {
+        degraded
             .alive_procs()
-            .filter(|p| load[p.index()] < bound && domains.domain_of(*p) == home)
-            .min_by_key(|p| (load[p.index()], *p));
-        if intra.is_some() {
-            return intra;
-        }
-    }
-    degraded
-        .alive_procs()
-        .filter(|p| load[p.index()] < bound)
-        .min_by_key(|p| (load[p.index()], *p))
+            .filter(|p| free(p) && domains.domain_of(*p) == home)
+            .min_by_key(&key)
+    });
+    intra.or_else(|| degraded.alive_procs().filter(&free).min_by_key(&key))
 }
 
-/// Splits the assignment diff into (intra-domain, cross-domain)
-/// migration counts; (0, 0) without a domain map.
-fn domain_split(
-    domains: Option<&DomainMap>,
-    before: &[ProcId],
-    after: &[ProcId],
-) -> (usize, usize) {
-    let Some(domains) = domains else {
-        return (0, 0);
-    };
-    let mut intra = 0;
-    let mut cross = 0;
-    for (old, new) in before.iter().zip(after) {
-        if old != new {
-            if domains.domain_of(*old) == domains.domain_of(*new) {
-                intra += 1;
-            } else {
-                cross += 1;
-            }
-        }
-    }
-    (intra, cross)
-}
-
-/// `state_volume · hops` summed over the assignment diff, hops on the
-/// healthy network; saturating, like every other volume sum.
-fn migration_cost(
-    healthy_table: &RouteTable,
-    before: &[ProcId],
-    after: &[ProcId],
-    state_volume: u64,
+/// A displaced task's communication affinity to candidate home `p`:
+/// Σ volume × distance to its `(neighbor, volume)` peers' hosts. Peers
+/// still stranded on dead processors are placed later; they are skipped
+/// rather than routed toward a corpse.
+fn affinity(
+    table: &RouteTable,
+    degraded: &DegradedNetwork,
+    assignment: &[ProcId],
+    peers: &[(usize, u64)],
+    p: ProcId,
 ) -> u64 {
-    before.iter().zip(after).fold(0u64, |sum, (&old, &new)| {
-        sum.saturating_add(u64::from(healthy_table.dist(old, new)).saturating_mul(state_volume))
-    })
+    let mut affinity = 0u64;
+    for &(other, volume) in peers {
+        let q = assignment[other];
+        if degraded.is_alive(q) {
+            affinity = affinity.saturating_add(volume.saturating_mul(u64::from(table.dist(p, q))));
+        }
+    }
+    affinity
 }
 
 /// Whether a healthy-network route is unusable on the degraded machine:
@@ -651,85 +702,6 @@ fn route_broken(degraded: &DegradedNetwork, path: &[ProcId]) -> bool {
     }
     path.windows(2)
         .any(|w| degraded.network().link_between(w[0], w[1]).is_none())
-}
-
-/// Level 3: throw the old placement away; re-contract and re-embed on the
-/// compacted surviving machine, route from scratch, and translate back to
-/// original processor numbering.
-#[allow(clippy::too_many_arguments)]
-fn escalate(
-    tg: &TaskGraph,
-    degraded: &DegradedNetwork,
-    old: &Mapping,
-    bound: usize,
-    opts: &RepairOptions,
-    healthy_table: &RouteTable,
-    budget: &Budget,
-    cache: &RouteTableCache,
-) -> Result<(Mapping, RepairReport), RepairError> {
-    let (compact, to_orig) = degraded.compact();
-    let compact_table = cache.get_or_build(&compact)?;
-    let collapsed = tg.collapse();
-    let (contraction, completion) =
-        mwm_contract_budgeted(&collapsed, compact.num_procs(), bound, budget)?;
-    let (quotient, _) = collapsed.quotient(&contraction.cluster_of, contraction.num_clusters);
-    let placement = nn_embed(&quotient, &compact, &compact_table)
-        .expect("contraction produces at most `procs` clusters");
-    let compact_assignment: Vec<ProcId> = contraction
-        .cluster_of
-        .iter()
-        .map(|&c| placement[c])
-        .collect();
-    let compact_routes = route_all_phases(tg, &compact_assignment, &compact, &compact_table, opts.matcher);
-
-    // translate processors back to original numbering (links line up by
-    // construction: compact links are the degraded links renamed)
-    let assignment: Vec<ProcId> = compact_assignment
-        .iter()
-        .map(|p| to_orig[p.index()])
-        .collect();
-    let routes: Vec<Vec<Vec<ProcId>>> = compact_routes
-        .into_iter()
-        .map(|phase| {
-            phase
-                .into_iter()
-                .map(|path| path.into_iter().map(|p| to_orig[p.index()]).collect())
-                .collect()
-        })
-        .collect();
-
-    let tasks_migrated = (0..tg.num_tasks())
-        .filter(|&t| assignment[t] != old.assignment[t])
-        .count();
-    let migration_cost =
-        migration_cost(healthy_table, &old.assignment, &assignment, opts.state_volume);
-    let edges_rerouted = tg.comm_phases.iter().map(|p| p.edges.len()).sum();
-    let (migrations_intra_domain, migrations_cross_domain) =
-        domain_split(opts.domains.as_deref(), &old.assignment, &assignment);
-
-    let repaired = Mapping { assignment, routes };
-    repaired.validate(tg, degraded.network())?;
-    let (avg_dilation_after, max_contention_after) =
-        route_stats(degraded.network(), &repaired.routes);
-
-    Ok((
-        repaired,
-        RepairReport {
-            edges_rerouted,
-            tasks_migrated,
-            migration_cost,
-            migrations_intra_domain,
-            migrations_cross_domain,
-            escalated: true,
-            avg_dilation_before: 0.0,  // caller fills
-            avg_dilation_after,
-            max_contention_before: 0, // caller fills
-            max_contention_after,
-            improve_probes: 0,
-            completion,
-            notes: Vec::new(),
-        },
-    ))
 }
 
 /// (mean hops per routed edge, max per-link message count) over all
@@ -804,13 +776,15 @@ mod tests {
         let (tg, net, mapping) = healthy_ring8_on_q3();
         let degraded = net.degrade(&FaultSet::new().with_proc(ProcId(5))).unwrap();
         let budget = Budget::unlimited().with_max_steps(0);
-        let (repaired, report) = repair_mapping_budgeted(
+        let cache = RouteTableCache::new(4);
+        let (repaired, report) = repair_mapping_cached(
             &tg,
             &net,
             &degraded,
             &mapping,
             &RepairOptions::default(),
             &budget,
+            &cache,
         )
         .unwrap();
         assert_eq!(report.completion, Completion::BudgetExhausted);

@@ -40,7 +40,7 @@
 //! its seed.
 
 use crate::budget::{Budget, CancelToken, Completion};
-use crate::engine::{run_stage, FallbackChain, RawOutcome, RawStage, StageKind, StageStatus};
+use crate::engine::{run_stage, RawOutcome, RawStage, StageKind, StageStatus};
 use crate::pipeline::{MapError, MapperOptions};
 use oregami_graph::TaskGraph;
 use oregami_topology::{Network, RouteTableCache};
@@ -421,19 +421,10 @@ impl ChaosConfig {
 
     /// Draws the action for the next stage attempt.
     fn draw(&self, stage: StageKind) -> ChaosAction {
-        let event = self.counter.fetch_add(1, Ordering::Relaxed);
+        let (_, u) = self.roll();
         if self.only.is_some_and(|k| k != stage) {
             return ChaosAction::None;
         }
-        // SplitMix64 over seed ^ event index: deterministic per stream
-        // position, independent of wall clock and thread timing.
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(event + 1));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64; // uniform [0,1)
         if u < self.panic_prob {
             ChaosAction::Panic
         } else if u < self.panic_prob + self.stall_prob {
@@ -452,6 +443,18 @@ impl ChaosConfig {
         if self.num_boards == 0 || self.board_loss_prob <= 0.0 {
             return None;
         }
+        let (z, u) = self.roll();
+        if u < self.board_loss_prob {
+            Some((z % self.num_boards as u64) as u32)
+        } else {
+            None
+        }
+    }
+
+    /// Advances the stream one event: SplitMix64 over seed ^ event index,
+    /// deterministic per stream position and independent of wall clock
+    /// and thread timing. Returns the raw draw and it as a uniform [0,1).
+    fn roll(&self) -> (u64, f64) {
         let event = self.counter.fetch_add(1, Ordering::Relaxed);
         let mut z = self
             .seed
@@ -459,12 +462,7 @@ impl ChaosConfig {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.board_loss_prob {
-            Some((z % self.num_boards as u64) as u32)
-        } else {
-            None
-        }
+        (z, (z >> 11) as f64 / (1u64 << 53) as f64)
     }
 
     /// Runs the drawn action inside the worker thread (so an injected
@@ -609,23 +607,30 @@ enum AttemptOutcome {
     Hung,
 }
 
+/// One supervised engine run: the caller's budget and supervisor config,
+/// and the run's own copies of the stage inputs. Workers must be
+/// detachable ('static), so they share these copies across attempts;
+/// they are cloned once per engine run.
+struct Supervised<'a> {
+    budget: &'a Budget,
+    cfg: &'a SupervisorConfig,
+    tg: Arc<TaskGraph>,
+    net: Arc<Network>,
+    opts: Arc<MapperOptions>,
+    cache: Arc<RouteTableCache>,
+}
+
 /// Runs one stage attempt on its own worker thread under the watchdog.
 /// Returns the attempt outcome plus the steps the attempt charged.
-fn watched_attempt(
-    kind: StageKind,
-    tg: &Arc<TaskGraph>,
-    net: &Arc<Network>,
-    opts: &Arc<MapperOptions>,
-    budget: &Budget,
-    cache: &Arc<RouteTableCache>,
-    cfg: &SupervisorConfig,
-) -> (AttemptOutcome, u64) {
+fn watched_attempt(kind: StageKind, sup: &Supervised) -> (AttemptOutcome, u64) {
+    let (budget, cfg) = (sup.budget, sup.cfg);
     let kill = CancelToken::new();
     let child = Arc::new(budget.child(kill.clone(), budget.remaining_steps()));
     let (tx, rx) = mpsc::channel();
     let worker = {
-        let (tg, net, opts) = (Arc::clone(tg), Arc::clone(net), Arc::clone(opts));
-        let (cache, child) = (Arc::clone(cache), Arc::clone(&child));
+        let (tg, net) = (Arc::clone(&sup.tg), Arc::clone(&sup.net));
+        let (opts, cache) = (Arc::clone(&sup.opts), Arc::clone(&sup.cache));
+        let child = Arc::clone(&child);
         let chaos = cfg.chaos.clone();
         std::thread::Builder::new()
             .name(format!("oregami-stage-{}", kind.name()))
@@ -685,125 +690,117 @@ fn watched_attempt(
     (outcome, child.steps_used())
 }
 
-/// Supervised sequential execution of the chain: each stage runs on a
-/// watched worker thread with retry and circuit-breaking, producing the
-/// same [`RawStage`] sequence the engine's chain-order fold consumes.
-pub(crate) fn run_stages_supervised(
+/// The supervised launcher for the engine's in-order stage runner: each
+/// stage passes its circuit breaker, then runs on a watched worker thread
+/// with bounded retry, producing the same [`RawStage`] the engine's
+/// chain-order fold consumes.
+pub(crate) fn supervised_launcher<'a>(
     tg: &TaskGraph,
     net: &Network,
     opts: &MapperOptions,
-    chain: &FallbackChain,
-    budget: &Budget,
+    budget: &'a Budget,
     cache: &Arc<RouteTableCache>,
-    cfg: &SupervisorConfig,
-) -> Vec<RawStage> {
-    // Workers must be detachable ('static), so they get their own copies
-    // of the inputs — cloned once per engine run, shared across attempts.
-    let tg = Arc::new(tg.clone());
-    let net = Arc::new(net.clone());
-    let opts = Arc::new(opts.clone());
+    cfg: &'a SupervisorConfig,
+) -> impl FnMut(StageKind) -> RawStage + 'a {
+    let sup = Supervised {
+        budget,
+        cfg,
+        tg: Arc::new(tg.clone()),
+        net: Arc::new(net.clone()),
+        opts: Arc::new(opts.clone()),
+        cache: Arc::clone(cache),
+    };
+    move |kind| supervised_stage(kind, &sup)
+}
 
-    let mut raw = Vec::with_capacity(chain.stages.len());
-    let mut stop = false;
-    for &kind in &chain.stages {
-        if stop {
-            raw.push(RawStage::not_run());
-            continue;
+/// One supervised stage: admission by its breaker, then attempts until
+/// one settles the stage or the retries run out.
+fn supervised_stage(kind: StageKind, sup: &Supervised) -> RawStage {
+    let (budget, cfg) = (sup.budget, sup.cfg);
+    let max_attempts = match cfg.state.admit(kind, &cfg.breaker) {
+        Admission::Skip => {
+            return RawStage {
+                outcome: RawOutcome::CircuitOpen,
+                ..RawStage::not_run()
+            };
         }
-        let admission = cfg.state.admit(kind, &cfg.breaker);
-        let max_attempts = match admission {
-            Admission::Skip => {
-                raw.push(RawStage {
-                    outcome: RawOutcome::CircuitOpen,
-                    elapsed: Duration::ZERO,
-                    steps: 0,
-                    attempts: 0,
-                });
-                continue;
-            }
-            Admission::Probe => 1,
-            Admission::Run => 1 + cfg.retry.max_retries,
-        };
+        Admission::Probe => 1,
+        Admission::Run => 1 + cfg.retry.max_retries,
+    };
 
-        let t0 = Instant::now();
-        let mut steps = 0u64;
-        let mut attempts = 0u32;
-        let mut outcome = RawOutcome::Panicked("stage never attempted".into());
-        while attempts < max_attempts {
-            if attempts > 0 {
-                // Transient failure: back off, but never past the
-                // deadline — a retry that cannot finish is wasted work.
-                let backoff = cfg.retry.backoff_for(attempts);
-                if budget.time_remaining().is_some_and(|left| left < backoff) {
-                    break;
-                }
-                std::thread::sleep(backoff);
-            }
-            attempts += 1;
-            if let Some(Completion::Cancelled) = budget.poll() {
-                outcome = RawOutcome::Failed(MapError::Cancelled);
+    let t0 = Instant::now();
+    let mut steps = 0u64;
+    let mut attempts = 0u32;
+    let mut outcome = RawOutcome::Panicked("stage never attempted".into());
+    while attempts < max_attempts {
+        if attempts > 0 {
+            // Transient failure: back off, but never past the
+            // deadline — a retry that cannot finish is wasted work.
+            let backoff = cfg.retry.backoff_for(attempts);
+            if budget.time_remaining().is_some_and(|left| left < backoff) {
                 break;
             }
-            let (attempt, attempt_steps) =
-                watched_attempt(kind, &tg, &net, &opts, budget, cache, cfg);
-            budget.charge(attempt_steps);
-            steps += attempt_steps;
-            // Cancellation observed by the stage is genuine only when the
-            // *parent* budget (no kill token attached) reports it too;
-            // otherwise it came from the watchdog's kill, which is
-            // deadline enforcement, not a caller abort.
-            let caller_cancelled = matches!(budget.poll(), Some(Completion::Cancelled));
-            match attempt {
-                AttemptOutcome::Hung => {
-                    cfg.state.record_failure(kind, &cfg.breaker);
-                    outcome = RawOutcome::Hung;
-                    break; // the deadline is spent; retrying cannot help
-                }
-                AttemptOutcome::Done(Err(panic_msg)) => {
-                    cfg.state.record_failure(kind, &cfg.breaker);
-                    outcome = RawOutcome::Panicked(panic_msg);
-                }
-                AttemptOutcome::Done(Ok(Err(MapError::Cancelled))) if !caller_cancelled => {
-                    outcome = RawOutcome::Failed(MapError::StageKilled);
-                    break; // deadline spent with nothing to show; move on
-                }
-                AttemptOutcome::Done(Ok(Err(e))) => {
-                    // a typed rejection is deterministic: retrying would
-                    // sleep and then fail the same way
-                    outcome = RawOutcome::Failed(e);
-                    break;
-                }
-                AttemptOutcome::Done(Ok(Ok((report, completion)))) => {
-                    cfg.state.record_success(kind);
-                    // A watchdog-killed stage that still produced its
-                    // best-so-far was cut short, not caller-cancelled.
-                    let completion = if completion == Completion::Cancelled && !caller_cancelled
-                    {
-                        Completion::BudgetExhausted
-                    } else {
-                        completion
-                    };
-                    outcome = RawOutcome::Candidate(report, completion);
-                    break;
-                }
+            std::thread::sleep(backoff);
+        }
+        attempts += 1;
+        if let Some(Completion::Cancelled) = budget.poll() {
+            outcome = RawOutcome::Failed(MapError::Cancelled);
+            break;
+        }
+        let (attempt, attempt_steps) = watched_attempt(kind, sup);
+        budget.charge(attempt_steps);
+        steps += attempt_steps;
+        // Cancellation observed by the stage is genuine only when the
+        // *parent* budget (no kill token attached) reports it too;
+        // otherwise it came from the watchdog's kill, which is
+        // deadline enforcement, not a caller abort.
+        let caller_cancelled = matches!(budget.poll(), Some(Completion::Cancelled));
+        match attempt {
+            AttemptOutcome::Hung => {
+                cfg.state.record_failure(kind, &cfg.breaker);
+                outcome = RawOutcome::Hung;
+                break; // the deadline is spent; retrying cannot help
+            }
+            AttemptOutcome::Done(Err(panic_msg)) => {
+                cfg.state.record_failure(kind, &cfg.breaker);
+                outcome = RawOutcome::Panicked(panic_msg);
+            }
+            AttemptOutcome::Done(Ok(Err(MapError::Cancelled))) if !caller_cancelled => {
+                outcome = RawOutcome::Failed(MapError::StageKilled);
+                break; // deadline spent with nothing to show; move on
+            }
+            AttemptOutcome::Done(Ok(Err(e))) => {
+                // a typed rejection is deterministic: retrying would
+                // sleep and then fail the same way
+                outcome = RawOutcome::Failed(e);
+                break;
+            }
+            AttemptOutcome::Done(Ok(Ok((report, completion)))) => {
+                cfg.state.record_success(kind);
+                // A watchdog-killed stage that still produced its
+                // best-so-far was cut short, not caller-cancelled.
+                let completion = if completion == Completion::Cancelled && !caller_cancelled {
+                    Completion::BudgetExhausted
+                } else {
+                    completion
+                };
+                outcome = RawOutcome::Candidate(report, completion);
+                break;
             }
         }
-
-        let stage = RawStage {
-            outcome,
-            elapsed: t0.elapsed(),
-            steps,
-            attempts,
-        };
-        stop = stage.ends_chain();
-        raw.push(stage);
     }
-    raw
+    RawStage {
+        outcome,
+        elapsed: t0.elapsed(),
+        steps,
+        attempts,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_stages_in_order, FallbackChain};
 
     #[test]
     fn retry_backoff_doubles_and_caps() {
@@ -941,14 +938,11 @@ mod tests {
             backoff_cap: Duration::from_secs(2),
         });
         let t0 = Instant::now();
-        let raw = run_stages_supervised(
-            &tg,
-            &net,
-            &opts,
+        let budget = Budget::unlimited();
+        let cache = Arc::new(RouteTableCache::new(2));
+        let raw = run_stages_in_order(
             &FallbackChain { stages: vec![StageKind::Exhaustive] },
-            &Budget::unlimited(),
-            &Arc::new(RouteTableCache::new(2)),
-            &cfg,
+            supervised_launcher(&tg, &net, &opts, &budget, &cache, &cfg),
         );
         assert!(matches!(raw[0].outcome, RawOutcome::Failed(_)));
         assert_eq!(raw[0].attempts, 1);

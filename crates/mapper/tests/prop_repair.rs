@@ -9,12 +9,12 @@ use oregami_graph::task_graph::Cost;
 use oregami_graph::{Family, PhaseExpr, PhaseId, TaskGraph};
 use oregami_mapper::pipeline::{map_task_graph, MapperOptions};
 use oregami_mapper::repair::{
-    repair_mapping, repair_mapping_budgeted, RepairOptions, RepairReport,
+    repair_mapping, repair_mapping_cached, RepairOptions, RepairReport,
 };
 use oregami_mapper::{Budget, Completion, CostModel, Edit, Mapping, MetricsEngine};
 use oregami_topology::{
     DegradedNetwork, DomainMap, FaultSet, LinkId, MachineModel, Network, ProcId, RouteTable,
-    TopologyKind,
+    RouteTableCache, TopologyKind,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -482,7 +482,8 @@ fn assert_matches_oracle(
         Some(q) => Budget::unlimited().with_max_steps(q),
         None => Budget::unlimited(),
     };
-    let real = repair_mapping_budgeted(tg, net, degraded, mapping, opts, &budget());
+    let cache = RouteTableCache::new(4);
+    let real = repair_mapping_cached(tg, net, degraded, mapping, opts, &budget(), &cache);
     let Some((want_mapping, mut want_report, exhaustive)) =
         oracle_repair(tg, net, degraded, mapping, opts, &budget())
     else {
