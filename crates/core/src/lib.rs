@@ -44,6 +44,8 @@
 //! | [`group`] | permutation groups, Cayley graphs, quotient contraction | §4.2.2 |
 //! | [`matching`] | blossom maximum-weight matching | §4.3 |
 
+#![deny(clippy::too_many_lines)]
+
 pub use oregami_graph as graph;
 pub use oregami_group as group;
 pub use oregami_larcs as larcs;
@@ -64,8 +66,8 @@ pub use oregami_larcs::LarcsError;
 pub use oregami_mapper::{
     BreakerConfig, BreakerState, Budget, CancelToken, ChaosConfig, ChurnConfig, ChurnController,
     ChurnError, ChurnEvent, ChurnOutcome, ChurnStats, Completion, EngineConfig, EngineReport,
-    EventStream, FallbackChain, MapperOptions, MapperReport, Mapping, MappingError, Parallelism,
-    RepairError, RepairOptions, RepairReport, RetryPolicy, ServiceHealth, StageKind, StageStatus,
+    EventStream, FallbackChain, MapperOptions, MapperReport, Mapping, MappingError, RepairError,
+    RepairOptions, RepairReport, RetryPolicy, ServiceHealth, StageKind, StageStatus,
     StreamProfile, Strategy, SupervisorConfig, SupervisorState,
 };
 pub use oregami_metrics::{
@@ -456,22 +458,19 @@ pub struct Oregami {
     network: Arc<Network>,
     options: MapperOptions,
     cost_model: CostModel,
-    parallelism: Parallelism,
     cache: Arc<RouteTableCache>,
     supervisor: Option<SupervisorConfig>,
     frontend: Arc<Mutex<larcs::Db>>,
 }
 
 impl Oregami {
-    /// A toolchain instance targeting `network` with default options,
-    /// sequential engine scheduling, and a fresh shared route-table
-    /// cache (clones share the cache).
+    /// A toolchain instance targeting `network` with default options and
+    /// a fresh shared route-table cache (clones share the cache).
     pub fn new(network: Network) -> Oregami {
         Oregami {
             network: Arc::new(network),
             options: MapperOptions::default(),
             cost_model: CostModel::default(),
-            parallelism: Parallelism::Sequential,
             cache: Arc::new(RouteTableCache::new(16)),
             supervisor: None,
             frontend: Arc::new(Mutex::new(larcs::Db::new())),
@@ -487,19 +486,6 @@ impl Oregami {
     /// Overrides the METRICS cost model.
     pub fn with_cost_model(mut self, model: CostModel) -> Oregami {
         self.cost_model = model;
-        self
-    }
-
-    /// Runs the fallback-chain engine's stages on up to `n` worker
-    /// threads (`0`/`1` = sequential). Outcomes are deterministic: the
-    /// served candidate, cost, and completion match a sequential run on
-    /// the same inputs.
-    pub fn with_threads(mut self, n: usize) -> Oregami {
-        self.parallelism = if n > 1 {
-            Parallelism::Threads(n)
-        } else {
-            Parallelism::Sequential
-        };
         self
     }
 
@@ -777,7 +763,6 @@ impl Oregami {
         budget: &Budget,
     ) -> Result<OregamiResult, OregamiError> {
         let config = EngineConfig {
-            parallelism: self.parallelism,
             cache: Some(Arc::clone(&self.cache)),
             cost_model: self.cost_model.clone(),
             supervisor: self.supervisor.clone(),
@@ -1246,30 +1231,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_matches_sequential_and_reuses_cache() {
+    fn engine_run_reuses_the_shared_cache() {
         let src = larcs::programs::jacobi();
         let params = [("n", 4), ("iters", 1)];
-        let seq = Oregami::new(builders::hypercube(2));
-        let par = Oregami::new(builders::hypercube(2)).with_threads(4);
-        let a = seq
-            .map_source_with_budget(&src, &params, &FallbackChain::full(), &Budget::unlimited())
+        let sys = Oregami::new(builders::hypercube(2));
+        sys.map_source_with_budget(&src, &params, &FallbackChain::full(), &Budget::unlimited())
             .unwrap();
-        let b = par
-            .map_source_with_budget(&src, &params, &FallbackChain::full(), &Budget::unlimited())
-            .unwrap();
-        assert_eq!(a.report.mapping.assignment, b.report.mapping.assignment);
-        assert_eq!(
-            a.engine.as_ref().unwrap().served_by,
-            b.engine.as_ref().unwrap().served_by
-        );
-        assert_eq!(
-            b.engine.as_ref().unwrap().parallelism,
-            Parallelism::Threads(4)
-        );
         // one table build serves the whole run: every stage after the
         // first lookup hits the instance's shared cache
-        assert_eq!(par.cache_stats().misses, 1);
-        assert!(par.cache_stats().hits >= 1, "{:?}", par.cache_stats());
+        assert_eq!(sys.cache_stats().misses, 1);
+        assert!(sys.cache_stats().hits >= 1, "{:?}", sys.cache_stats());
     }
 
     #[test]

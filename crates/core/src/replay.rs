@@ -93,167 +93,171 @@ pub fn parse_line(raw: &str) -> Result<Option<ReplayOp>, String> {
         return Ok(None);
     }
     let mut tok = line.split_whitespace();
-    let op = match tok.next() {
-        Some(op) => op,
+    let Some(op) = tok.next() else {
         // unreachable after the blank check above, but never a panic:
         // the tokenizer must be total over arbitrary file contents
-        None => return Ok(None),
+        return Ok(None);
     };
-    let int = |s: Option<&str>, what: &str| -> Result<u32, String> {
-        s.ok_or_else(|| format!("missing {what}"))?
-            .parse()
-            .map_err(|_| format!("bad {what}"))
-    };
-    let int64 = |s: Option<&str>, what: &str| -> Result<u64, String> {
-        s.ok_or_else(|| format!("missing {what}"))?
-            .parse()
-            .map_err(|_| format!("bad {what}"))
-    };
-    match op {
-        "reassign" => {
-            let task = int(tok.next(), "task id")? as usize;
-            let proc = ProcId(int(tok.next(), "processor id")?);
-            if tok.next().is_some() {
-                return Err("trailing tokens after 'reassign T P'".into());
-            }
-            Ok(Some(ReplayOp::Apply(Edit::Reassign { task, proc })))
-        }
-        "reroute" => {
-            let phase = int(tok.next(), "phase id")? as usize;
-            let edge = int(tok.next(), "edge id")? as usize;
-            let path: Vec<ProcId> = tok
-                .map(|t| {
-                    t.parse()
-                        .map(ProcId)
-                        .map_err(|_| format!("bad processor id '{t}'"))
-                })
-                .collect::<Result<_, _>>()?;
-            if path.is_empty() {
-                return Err("reroute needs a path of processor ids".into());
-            }
-            Ok(Some(ReplayOp::Apply(Edit::Reroute { phase, edge, path })))
-        }
+    let op = match op {
+        "reassign" => parse_reassign(tok)?,
+        "reroute" => parse_reroute(tok)?,
         "fault" => {
+            let (procs, links) = parse_elements("fault", tok)?;
             let mut faults = FaultSet::new();
-            let mut any = false;
-            for t in tok {
-                any = true;
-                if let Some(id) = t.strip_prefix("proc:") {
-                    faults.fail_proc(ProcId(
-                        id.parse().map_err(|_| format!("bad processor id '{t}'"))?,
-                    ));
-                } else if let Some(id) = t.strip_prefix("link:") {
-                    faults.fail_link(LinkId(
-                        id.parse().map_err(|_| format!("bad link id '{t}'"))?,
-                    ));
-                } else {
-                    return Err(format!("expected proc:<id> or link:<id>, got '{t}'"));
-                }
+            for p in procs {
+                faults.fail_proc(p);
             }
-            if !any {
-                return Err("fault needs at least one proc:<id> or link:<id>".into());
+            for l in links {
+                faults.fail_link(l);
             }
-            Ok(Some(ReplayOp::Apply(Edit::Fault(faults))))
+            ReplayOp::Apply(Edit::Fault(faults))
         }
         "undo" => {
-            if tok.next().is_some() {
-                return Err("trailing tokens after 'undo'".into());
-            }
-            Ok(Some(ReplayOp::Undo))
+            no_trailing(tok, "undo")?;
+            ReplayOp::Undo
         }
-        "spawn" => {
-            let task = int(tok.next(), "task id")? as usize;
-            let parent = match tok.next() {
-                Some("-") => None,
-                Some(s) => Some(
-                    s.parse::<u32>()
-                        .map_err(|_| format!("bad parent id '{s}'"))?
-                        as usize,
-                ),
-                None => return Err("missing parent id (task id or '-')".into()),
-            };
-            let load = int64(tok.next(), "load")?;
-            let volume = int64(tok.next(), "volume")?;
-            if tok.next().is_some() {
-                return Err("trailing tokens after 'spawn T P L W'".into());
-            }
-            Ok(Some(ReplayOp::Stream(ChurnEvent::Spawn {
-                task,
-                parent,
-                load,
-                volume,
-            })))
-        }
+        "spawn" => parse_spawn(tok)?,
         "depart" => {
-            let task = int(tok.next(), "task id")? as usize;
-            if tok.next().is_some() {
-                return Err("trailing tokens after 'depart T'".into());
-            }
-            Ok(Some(ReplayOp::Stream(ChurnEvent::Depart { task })))
+            let task = number::<u32>(tok.next(), "task id")? as usize;
+            no_trailing(tok, "depart T")?;
+            ReplayOp::Stream(ChurnEvent::Depart { task })
         }
         "load" => {
-            let task = int(tok.next(), "task id")? as usize;
-            let load = int64(tok.next(), "load")?;
-            if tok.next().is_some() {
-                return Err("trailing tokens after 'load T L'".into());
-            }
-            Ok(Some(ReplayOp::Stream(ChurnEvent::Load { task, load })))
+            let task = number::<u32>(tok.next(), "task id")? as usize;
+            let load = number(tok.next(), "load")?;
+            no_trailing(tok, "load T L")?;
+            ReplayOp::Stream(ChurnEvent::Load { task, load })
         }
         "recover" => {
-            let mut procs: Vec<ProcId> = Vec::new();
-            let mut links: Vec<LinkId> = Vec::new();
-            let mut any = false;
-            for t in tok {
-                any = true;
-                if let Some(id) = t.strip_prefix("proc:") {
-                    procs.push(ProcId(
-                        id.parse().map_err(|_| format!("bad processor id '{t}'"))?,
-                    ));
-                } else if let Some(id) = t.strip_prefix("link:") {
-                    links.push(LinkId(
-                        id.parse().map_err(|_| format!("bad link id '{t}'"))?,
-                    ));
-                } else {
-                    return Err(format!("expected proc:<id> or link:<id>, got '{t}'"));
-                }
-            }
-            if !any {
-                return Err("recover needs at least one proc:<id> or link:<id>".into());
-            }
+            let (mut procs, mut links) = parse_elements("recover", tok)?;
             procs.sort_unstable_by_key(|p| p.0);
             procs.dedup();
             links.sort_unstable_by_key(|l| l.0);
             links.dedup();
-            Ok(Some(ReplayOp::Stream(ChurnEvent::Recover { procs, links })))
+            ReplayOp::Stream(ChurnEvent::Recover { procs, links })
         }
-        "program" => {
-            // the rule text is the raw remainder of the line, so recover
-            // it from `line` rather than the whitespace tokenizer
-            let rest = line["program".len()..].trim_start();
-            let (phase, rest) = rest
-                .split_once(char::is_whitespace)
-                .ok_or("missing rule index and text after comphase name")?;
-            let (rule_s, text) = rest
-                .trim_start()
-                .split_once(char::is_whitespace)
-                .ok_or("missing rule text after rule index")?;
-            let rule: usize = rule_s
-                .parse()
-                .map_err(|_| format!("bad rule index '{rule_s}'"))?;
-            let text = text.trim();
-            if text.is_empty() {
-                return Err("missing rule text".into());
-            }
-            Ok(Some(ReplayOp::Program {
-                phase: phase.to_string(),
-                rule,
-                text: text.to_string(),
-            }))
+        "program" => parse_program(line)?,
+        other => {
+            return Err(format!(
+                "unknown edit '{other}' (expected reassign, reroute, fault, undo, program, spawn, depart, load, recover)"
+            ))
         }
-        other => Err(format!(
-            "unknown edit '{other}' (expected reassign, reroute, fault, undo, program, spawn, depart, load, recover)"
-        )),
+    };
+    Ok(Some(op))
+}
+
+type Tokens<'a> = std::str::SplitWhitespace<'a>;
+
+/// The next token as a number; `what` names it in the error.
+fn number<T: std::str::FromStr>(s: Option<&str>, what: &str) -> Result<T, String> {
+    s.ok_or_else(|| format!("missing {what}"))?
+        .parse()
+        .map_err(|_| format!("bad {what}"))
+}
+
+/// Rejects anything after a fixed-arity op; `usage` is its syntax.
+fn no_trailing(mut tok: Tokens, usage: &str) -> Result<(), String> {
+    match tok.next() {
+        Some(_) => Err(format!("trailing tokens after '{usage}'")),
+        None => Ok(()),
     }
+}
+
+/// `reassign T P`.
+fn parse_reassign(mut tok: Tokens) -> Result<ReplayOp, String> {
+    let task = number::<u32>(tok.next(), "task id")? as usize;
+    let proc = ProcId(number(tok.next(), "processor id")?);
+    no_trailing(tok, "reassign T P")?;
+    Ok(ReplayOp::Apply(Edit::Reassign { task, proc }))
+}
+
+/// `reroute K E P0 P1 ..`.
+fn parse_reroute(mut tok: Tokens) -> Result<ReplayOp, String> {
+    let phase = number::<u32>(tok.next(), "phase id")? as usize;
+    let edge = number::<u32>(tok.next(), "edge id")? as usize;
+    let path: Vec<ProcId> = tok
+        .map(|t| {
+            t.parse()
+                .map(ProcId)
+                .map_err(|_| format!("bad processor id '{t}'"))
+        })
+        .collect::<Result<_, _>>()?;
+    if path.is_empty() {
+        return Err("reroute needs a path of processor ids".into());
+    }
+    Ok(ReplayOp::Apply(Edit::Reroute { phase, edge, path }))
+}
+
+/// The `proc:N` / `link:N` list of a `fault` or `recover` line, in line
+/// order; the first bad token is the error.
+fn parse_elements(op: &str, tok: Tokens) -> Result<(Vec<ProcId>, Vec<LinkId>), String> {
+    let (mut procs, mut links) = (Vec::new(), Vec::new());
+    let mut any = false;
+    for t in tok {
+        any = true;
+        if let Some(id) = t.strip_prefix("proc:") {
+            procs.push(ProcId(
+                id.parse().map_err(|_| format!("bad processor id '{t}'"))?,
+            ));
+        } else if let Some(id) = t.strip_prefix("link:") {
+            links.push(LinkId(
+                id.parse().map_err(|_| format!("bad link id '{t}'"))?,
+            ));
+        } else {
+            return Err(format!("expected proc:<id> or link:<id>, got '{t}'"));
+        }
+    }
+    if !any {
+        return Err(format!("{op} needs at least one proc:<id> or link:<id>"));
+    }
+    Ok((procs, links))
+}
+
+/// `spawn T P L W`, with `-` for a root's parent.
+fn parse_spawn(mut tok: Tokens) -> Result<ReplayOp, String> {
+    let task = number::<u32>(tok.next(), "task id")? as usize;
+    let parent = match tok.next() {
+        Some("-") => None,
+        Some(s) => Some(
+            s.parse::<u32>()
+                .map_err(|_| format!("bad parent id '{s}'"))? as usize,
+        ),
+        None => return Err("missing parent id (task id or '-')".into()),
+    };
+    let load = number(tok.next(), "load")?;
+    let volume = number(tok.next(), "volume")?;
+    no_trailing(tok, "spawn T P L W")?;
+    Ok(ReplayOp::Stream(ChurnEvent::Spawn {
+        task,
+        parent,
+        load,
+        volume,
+    }))
+}
+
+/// `program C R <text>`: the rule text is the raw remainder of the line,
+/// so it is recovered from `line` rather than the whitespace tokenizer.
+fn parse_program(line: &str) -> Result<ReplayOp, String> {
+    let rest = line["program".len()..].trim_start();
+    let (phase, rest) = rest
+        .split_once(char::is_whitespace)
+        .ok_or("missing rule index and text after comphase name")?;
+    let (rule_s, text) = rest
+        .trim_start()
+        .split_once(char::is_whitespace)
+        .ok_or("missing rule text after rule index")?;
+    let rule: usize = rule_s
+        .parse()
+        .map_err(|_| format!("bad rule index '{rule_s}'"))?;
+    let text = text.trim();
+    if text.is_empty() {
+        return Err("missing rule text".into());
+    }
+    Ok(ReplayOp::Program {
+        phase: phase.to_string(),
+        rule,
+        text: text.to_string(),
+    })
 }
 
 /// The canonical one-line record of an op — what journal frames hold.

@@ -21,7 +21,6 @@ pub(crate) struct Args {
     pub boot_dead: Option<u32>,
     pub route_budget: Option<usize>,
     pub cost: CostModel,
-    pub threads: Option<usize>,
     pub supervise: bool,
     pub grace_ms: Option<u64>,
     pub edits: Option<String>,
@@ -91,8 +90,6 @@ pub(crate) const USAGE: &str = "oregami — map parallel computations to paralle
        --chain A,B,..         custom fallback chain from: exhaustive, heuristic,\n\
                               multilevel (alias ml), identity; multilevel\n\
                               coarsens-maps-refines and scales to 100k+ tasks\n\
-       --threads N            run fallback-chain stages on N worker threads\n\
-                              (deterministic outcome; implies the engine path)\n\
        --edits PATH           replay an edit script against the mapping through\n\
                               the incremental METRICS engine, printing per-edit\n\
                               metric deltas and the final session report.\n\
@@ -257,7 +254,6 @@ fn local_flag(args: &mut Args, flag: &str, argv: Argv) -> Result<bool, String> {
         "--byte-time" => args.cost.byte_time = parsed(argv, flag, "value")?,
         "--hop-latency" => args.cost.hop_latency = parsed(argv, flag, "value")?,
         "--startup" => args.cost.startup = parsed(argv, flag, "value")?,
-        "--threads" => args.threads = Some(parsed(argv, flag, "value")?),
         "--supervise" => args.supervise = true,
         "--grace-ms" => args.grace_ms = Some(parsed(argv, flag, "value")?),
         "--edits" => args.edits = Some(value(argv, flag)?),
@@ -335,7 +331,7 @@ mod tests {
     #[test]
     fn local_only_flags_are_recorded_and_bad_values_name_the_flag() {
         let args = parse(&[
-            "--threads",
+            "--fault-sweep",
             "4",
             "--timeline",
             "--socket",
@@ -344,8 +340,11 @@ mod tests {
             "1",
         ])
         .unwrap();
-        assert_eq!(args.local_only, ["--threads", "--timeline", "--fail-board"]);
-        assert_eq!(args.threads, Some(4));
+        assert_eq!(
+            args.local_only,
+            ["--fault-sweep", "--timeline", "--fail-board"]
+        );
+        assert_eq!(args.fault_sweep, Some(4));
         for (argv, message) in [
             (&["--fail-proc", "banana"][..], "bad --fail-proc id"),
             (&["--boot-dead", "x"][..], "bad --boot-dead permille"),
@@ -364,6 +363,10 @@ mod tests {
             .err()
             .unwrap()
             .starts_with("unknown argument '--frob'\n\noregami"));
+        assert!(parse(&["--threads", "4"])
+            .err()
+            .unwrap()
+            .starts_with("unknown argument '--threads'\n\noregami"));
         assert!(parse(&["--machine", "ring:8"])
             .err()
             .unwrap()

@@ -3,7 +3,7 @@
 //! sweep, the views — as a sequence of short steps over one toolchain.
 //!
 //! A plain run maps through `map_source` and is unsupervised; any
-//! budget, chain, threads or supervision flag routes through the
+//! budget, chain or supervision flag routes through the
 //! fallback-chain engine instead (and prints its record). The daemon
 //! always does the latter; both read the request off the same `MapSpec`.
 
@@ -52,8 +52,8 @@ fn supervised(args: &Args) -> bool {
     args.supervise || args.grace_ms.is_some() || args.spec.chaos.is_some()
 }
 
-/// The request's toolchain plus what is the CLI's: cost model, threads,
-/// and a private supervisor when asked.
+/// The request's toolchain plus what is the CLI's: the cost model and a
+/// private supervisor when asked.
 fn toolchain(args: &Args) -> Result<(Oregami, Domains), CliError> {
     let (system, domains) = args.spec.toolchain()?;
     if domains.is_none() && (!args.fail_boards.is_empty() || args.boot_dead.is_some()) {
@@ -62,9 +62,7 @@ fn toolchain(args: &Args) -> Result<(Oregami, Domains), CliError> {
              no fault domains)",
         ));
     }
-    let mut system = system
-        .with_cost_model(args.cost.clone())
-        .with_threads(args.threads.unwrap_or(1));
+    let mut system = system.with_cost_model(args.cost.clone());
     if supervised(args) {
         let mut sup = SupervisorConfig::default();
         if let Some(ms) = args.grace_ms {
@@ -104,7 +102,6 @@ fn map(args: &Args, system: &Oregami) -> Result<OregamiResult, CliError> {
     let budgeted = spec.deadline_ms.is_some()
         || spec.max_steps.is_some()
         || spec.chain.is_some()
-        || args.threads.is_some_and(|n| n > 1)
         || supervised(args);
     let result = if budgeted {
         let chain = spec.chain()?;

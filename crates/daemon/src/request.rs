@@ -243,7 +243,7 @@ impl MapSpec {
     /// path — into a toolchain with the request's load bound, plus the
     /// fault-domain map a machine spec yields. Callers add what is
     /// theirs: caches and a supervisor in the daemon, the cost model and
-    /// threads in the CLI.
+    /// a private supervisor in the CLI.
     pub fn toolchain(&self) -> Result<(Oregami, Option<Arc<DomainMap>>), String> {
         let (net, domains) = parse_target(&self.topology)?;
         let options = MapperOptions {

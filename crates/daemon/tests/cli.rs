@@ -99,7 +99,6 @@ fn bad_arguments_fail_cleanly() {
         &["--byte-time", "99"],
         &["--hop-latency", "2"],
         &["--startup", "5"],
-        &["--threads", "4"],
         &["--supervise"],
         &["--grace-ms", "50"],
         &["--edits", "nosuchfile"],
@@ -129,7 +128,7 @@ fn bad_arguments_fail_cleanly() {
     // the same holds beside --health, and the first such flag is the one named
     let out = oregami()
         .args(["--socket", "/nonexistent/oregamid.sock", "--health"])
-        .args(["--fault-sweep", "3", "--threads", "4"])
+        .args(["--fault-sweep", "3", "--timeline"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -412,70 +411,14 @@ fn unbudgeted_small_chain_run_is_optimal_with_exit_0() {
     assert!(!text.contains("degraded mapping"));
 }
 
-/// A threaded fallback run reports its threads and serves exactly what
-/// the sequential run serves (the `--map-dot` views agree byte for byte).
+/// A fault sweep repairs through the toolchain's shared route cache:
+/// the summary line reports cache hits.
 #[test]
-fn threaded_fallback_reports_threads_and_serves_the_sequential_mapping() {
-    let dir = std::env::temp_dir().join(format!("oregami-cli-threads-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = |extra: &[&str], dot: &str| {
-        let dot = dir.join(dot);
-        let out = oregami()
-            .args([
-                "--program", "jacobi", "--topology", "hypercube:2",
-                "-P", "n=2", "-P", "iters=1", "--fallback",
-                "--map-dot", dot.to_str().unwrap(),
-            ])
-            .args(extra)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        (String::from_utf8(out.stdout).unwrap(), std::fs::read_to_string(dot).unwrap())
-    };
-    let (seq, seq_map) = run(&[], "seq.dot");
-    let (par, par_map) = run(&["--threads", "4"], "par.dot");
-    assert!(par.contains("served by exhaustive (optimal)"), "{par}");
-    assert!(par.contains("[4 threads]"), "{par}");
-    assert!(!seq.contains("threads]"), "{seq}");
-    assert_eq!(par_map, seq_map);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `--threads` only shows in the engine line when stages ran in
-/// parallel: a one-stage chain and a supervised chain run sequentially.
-#[test]
-fn sequential_runs_do_not_claim_threads() {
-    for extra in [
-        &["--threads", "4"][..],
-        &["--chain", "identity", "--threads", "4"],
-        &["--fallback", "--supervise", "--threads", "4"],
-    ] {
-        let out = oregami()
-            .args([
-                "--program", "jacobi", "--topology", "hypercube:2",
-                "-P", "n=2", "-P", "iters=1",
-            ])
-            .args(extra)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(0), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
-        let text = String::from_utf8(out.stdout).unwrap();
-        let engine = text
-            .lines()
-            .find(|l| l.starts_with("engine: served by"))
-            .unwrap_or_else(|| panic!("{extra:?}: no engine line in\n{text}"));
-        assert!(!engine.contains("threads"), "{extra:?}: {engine}");
-    }
-}
-
-/// A threaded fault sweep repairs through the toolchain's shared route
-/// cache: the summary line reports cache hits.
-#[test]
-fn threaded_fault_sweep_hits_the_route_table_cache() {
+fn fault_sweep_hits_the_route_table_cache() {
     let out = oregami()
         .args([
             "--program", "nbody", "--topology", "hypercube:3",
-            "--fault-sweep", "8", "--threads", "2",
+            "--fault-sweep", "8",
         ])
         .output()
         .unwrap();

@@ -157,18 +157,19 @@ impl Budget {
         self.max_steps.map(|m| m.saturating_sub(self.steps_used()))
     }
 
-    /// A child budget for one worker of a parallel run: same deadline,
-    /// all of this budget's cancel tokens **plus** `extra_cancel` (the
-    /// stage's kill switch), its own zeroed step counter capped at
-    /// `max_steps`. The child counts steps independently; fold its usage
-    /// back with [`charge`](Budget::charge) so the parent's
-    /// [`steps_used`](Budget::steps_used) stays the whole-run total.
-    pub fn child(&self, extra_cancel: CancelToken, max_steps: Option<u64>) -> Budget {
+    /// A child budget for one watched stage attempt: same deadline, all
+    /// of this budget's cancel tokens **plus** `extra_cancel` (the
+    /// attempt's kill switch), its own zeroed step counter capped at the
+    /// steps this budget has left. The child counts steps independently;
+    /// fold its usage back with [`charge`](Budget::charge) so the
+    /// parent's [`steps_used`](Budget::steps_used) stays the whole-run
+    /// total.
+    pub fn child(&self, extra_cancel: CancelToken) -> Budget {
         let mut cancels = self.cancels.clone();
         cancels.push(extra_cancel);
         Budget {
             deadline: self.deadline,
-            max_steps,
+            max_steps: self.remaining_steps(),
             cancels,
             steps: AtomicU64::new(0),
         }
@@ -289,24 +290,25 @@ mod tests {
         assert_eq!(parent.remaining_steps(), Some(100));
 
         let kill = CancelToken::new();
-        let child = parent.child(kill.clone(), Some(10));
-        // child has its own counter and quota
-        for _ in 0..10 {
+        let child = parent.child(kill.clone());
+        // child has its own counter, capped at the parent's remaining quota
+        for _ in 0..5 {
             assert_eq!(child.tick(), None);
         }
-        assert_eq!(child.tick(), Some(Completion::BudgetExhausted));
         assert_eq!(parent.steps_used(), 0);
         parent.charge(child.steps_used());
-        assert_eq!(parent.steps_used(), 11);
-        assert_eq!(parent.remaining_steps(), Some(89));
+        assert_eq!(parent.steps_used(), 5);
+        assert_eq!(parent.remaining_steps(), Some(95));
 
         // the kill switch cancels only the child...
-        let child2 = parent.child(kill.clone(), None);
+        let child2 = parent.child(kill.clone());
+        assert!((0..95).all(|_| child2.tick().is_none()));
+        assert_eq!(child2.tick(), Some(Completion::BudgetExhausted));
         kill.cancel();
         assert_eq!(child2.poll(), Some(Completion::Cancelled));
         assert_eq!(parent.poll(), None);
         // ...while the parent token cancels every child
-        let child3 = parent.child(CancelToken::new(), None);
+        let child3 = parent.child(CancelToken::new());
         parent_token.cancel();
         assert_eq!(child3.poll(), Some(Completion::Cancelled));
         assert_eq!(parent.poll(), Some(Completion::Cancelled));

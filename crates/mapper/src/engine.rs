@@ -4,7 +4,7 @@
 //! The paper's interactive workflow (§3) promises the user always gets
 //! *a* mapping back; MAPPER's individual algorithms do not — the
 //! exhaustive embedder is factorial, and any stage can reject its inputs
-//! or (defensively) panic. [`run_engine`] closes that gap: it runs the
+//! or (defensively) panic. [`run_engine_with`] closes that gap: it runs the
 //! stages of a [`FallbackChain`] in priority order under one shared
 //! [`Budget`], isolates each stage behind `catch_unwind`, collects every
 //! stage's candidate mapping, and serves the cheapest one under the
@@ -27,20 +27,14 @@
 //! * cancellation stops the chain immediately; whatever candidate exists
 //!   is served, else [`MapError::Cancelled`].
 //!
-//! With [`EngineConfig::parallelism`] set to [`Parallelism::Threads`],
-//! independent stages run concurrently on scoped worker threads, each
-//! behind its own panic isolation and a per-stage share of the step
-//! quota. A per-stage kill switch (layered on the shared [`CancelToken`]
-//! machinery) fires for every *later* stage the moment an earlier stage
-//! finishes [`Completion::Optimal`], so losers stop early — and the
-//! results are folded back **in chain order** under exactly the
-//! sequential rules above, so a parallel run serves the identical
-//! candidate, cost, and completion as a sequential run on the same
-//! inputs (when step quotas don't bind; a bounded quota is split across
-//! stages rather than consumed front-to-back, which can change which
-//! stage runs out first).
+//! The stages run one after another in chain order, and each result is
+//! folded into the report as soon as its stage returns. A plain run
+//! launches a stage in place; a supervised run launches it on a watched
+//! worker thread ([`crate::supervisor`]). Either way the fold is the same,
+//! so a supervised run in which no stage failed, hung or retried reports
+//! the same stage records as a plain run.
 
-use crate::budget::{Budget, CancelToken, Completion};
+use crate::budget::{Budget, Completion};
 use crate::mapping::Mapping;
 use crate::metrics_engine::{CostModel, MetricsEngine};
 use crate::multilevel::multilevel_map_with_report;
@@ -53,8 +47,7 @@ use crate::supervisor::{served_health, supervised_launcher, ServiceHealth, Super
 use oregami_graph::TaskGraph;
 use oregami_topology::{Network, ProcId, RouteTable, RouteTableCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One stage of a fallback chain, ordered from highest mapping quality
@@ -75,8 +68,7 @@ pub enum StageKind {
     Identity,
     /// Multilevel coarsen–map–refine ([`crate::multilevel`]): near-linear,
     /// built for 100k–1M-task graphs where the other search stages cannot
-    /// even finish a first pass. Also auto-appended as a rescue lap when
-    /// an unsupervised chain's searches all run out of budget.
+    /// even finish a first pass.
     Multilevel,
 }
 
@@ -179,43 +171,10 @@ impl std::fmt::Display for FallbackChain {
     }
 }
 
-/// How the engine schedules the stages of a chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Stages run one after another in chain order (the PR 2 behaviour).
-    #[default]
-    Sequential,
-    /// Up to this many scoped worker threads pull stages off the chain
-    /// concurrently. `Threads(0)` and `Threads(1)` degrade to sequential.
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The number of worker threads this mode uses for a chain of
-    /// `stages` stages (never more workers than stages).
-    pub fn workers_for(self, stages: usize) -> usize {
-        match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads(n) => n.clamp(1, stages.max(1)),
-        }
-    }
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Sequential => f.write_str("sequential"),
-            Parallelism::Threads(n) => write!(f, "{n} threads"),
-        }
-    }
-}
-
-/// Engine-level configuration: scheduling mode plus an optional shared
-/// route-table cache.
+/// Engine-level configuration: an optional shared route-table cache, the
+/// cost model candidates are ranked under, and optional supervision.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Sequential or multi-threaded stage execution.
-    pub parallelism: Parallelism,
     /// Route tables for `net` are taken from (and inserted into) this
     /// cache. `None` gives the run a small private cache, which still
     /// spares the per-stage rebuilds within one chain; pass a shared
@@ -228,16 +187,14 @@ pub struct EngineConfig {
     /// worker thread with a deadline watchdog (non-polling stages get
     /// killed and, past the grace window, detached and reported
     /// [`StageStatus::Hung`]), bounded retry for transient failures, and
-    /// persistent per-stage circuit breakers. Supervised execution is
-    /// sequential — it overrides [`EngineConfig::parallelism`].
+    /// persistent per-stage circuit breakers.
     pub supervisor: Option<SupervisorConfig>,
 }
 
 impl EngineConfig {
-    /// Sequential scheduling with a shared cache.
+    /// An unsupervised run with a shared cache.
     pub fn with_cache(cache: Arc<RouteTableCache>) -> EngineConfig {
         EngineConfig {
-            parallelism: Parallelism::Sequential,
             cache: Some(cache),
             cost_model: CostModel::default(),
             supervisor: None,
@@ -254,16 +211,6 @@ impl EngineConfig {
     /// Sets the cost model candidates are ranked under.
     pub fn with_cost_model(mut self, model: CostModel) -> EngineConfig {
         self.cost_model = model;
-        self
-    }
-
-    /// Sets the scheduling mode.
-    pub fn threads(mut self, n: usize) -> EngineConfig {
-        self.parallelism = if n > 1 {
-            Parallelism::Threads(n)
-        } else {
-            Parallelism::Sequential
-        };
         self
     }
 }
@@ -325,11 +272,9 @@ pub struct EngineReport {
     pub completion: Completion,
     /// Total wall-clock time of the chain.
     pub elapsed: Duration,
-    /// Total budget steps consumed by the chain (parallel runs include
-    /// the steps of stages whose results were discarded).
+    /// Budget steps the chain consumed: the steps charged to the budget
+    /// during this run, not any charged before it.
     pub steps: u64,
-    /// How the stages were scheduled.
-    pub parallelism: Parallelism,
     /// The service-level verdict: [`ServiceHealth::Healthy`] only when
     /// the run served optimally with no failures, hangs, retries, or
     /// tripped breakers; a served run is otherwise
@@ -350,15 +295,11 @@ impl EngineReport {
 
 impl std::fmt::Display for EngineReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
+        writeln!(
             f,
             "engine: served by {} ({}), {} steps in {:.1?}",
             self.served_by, self.completion, self.steps, self.elapsed
         )?;
-        if let Parallelism::Threads(_) = self.parallelism {
-            write!(f, " [{}]", self.parallelism)?;
-        }
-        writeln!(f)?;
         for s in &self.stages {
             write!(f, "  stage {:<10} : ", s.stage.name())?;
             match &s.status {
@@ -415,21 +356,9 @@ fn candidate_cost(tg: &TaskGraph, net: &Network, mapping: &Mapping, model: &Cost
 }
 
 /// Runs the fallback chain on `tg`/`net` under `budget` and serves the
-/// cheapest candidate, sequentially with a private route-table cache.
-/// See the module docs for the chain semantics;
-/// [`run_engine_with`] adds scheduling and cache control.
-pub fn run_engine(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    chain: &FallbackChain,
-    budget: &Budget,
-) -> Result<EngineOutcome, MapError> {
-    run_engine_with(tg, net, opts, chain, budget, &EngineConfig::default())
-}
-
-/// [`run_engine`] with an explicit [`EngineConfig`]: parallel stage
-/// scheduling and/or a shared [`RouteTableCache`].
+/// cheapest candidate. See the module docs for the chain semantics;
+/// `config` supplies the route-table cache, the cost model and optional
+/// supervision.
 pub fn run_engine_with(
     tg: &TaskGraph,
     net: &Network,
@@ -450,53 +379,21 @@ pub fn run_engine_with(
     // disconnected network before any stage spends budget.
     cache.get_or_build(net)?;
     let start = Instant::now();
+    let steps_before = budget.steps_used();
 
-    // Only the parallel runner overlaps stages; the report names the
-    // scheduling that actually happened, not the one the config asked
-    // for (a one-stage chain and a supervised chain run sequentially).
-    let workers = config.parallelism.workers_for(chain.stages.len());
-    let (raw, parallelism) = if let Some(sup) = &config.supervisor {
-        // Supervised execution is sequential: each stage runs on its own
-        // watched worker thread, so parallel scheduling is overridden.
-        let launch = supervised_launcher(tg, net, opts, budget, &cache, sup);
-        (run_stages_in_order(chain, launch), Parallelism::Sequential)
-    } else if workers > 1 {
-        let raw = run_stages_parallel(tg, net, opts, chain, budget, &cache, workers);
-        (raw, config.parallelism)
-    } else {
-        let launch = |kind| execute_stage(kind, tg, net, opts, budget, &cache);
-        (run_stages_in_order(chain, launch), Parallelism::Sequential)
+    // Run each stage in chain order and fold its result in as it returns;
+    // once a result ends the chain, the stages after it are skipped.
+    let mut launch: Box<dyn FnMut(StageKind) -> RawStage + '_> = match &config.supervisor {
+        Some(sup) => Box::new(supervised_launcher(tg, net, opts, budget, &cache, sup)),
+        None => Box::new(|kind| execute_stage(kind, tg, net, opts, budget, &cache)),
     };
-
-    // Fold the per-stage results back *in chain order* under the
-    // sequential chain semantics. This is the determinism keystone: no
-    // matter how stage executions interleaved, the first stage (in chain
-    // order) that finished Optimal or Cancelled ends the chain here, any
-    // result a later stage produced before its kill switch caught it is
-    // discarded as Skipped, and the serving rule sees exactly the
-    // candidates a sequential run would have seen.
     let mut fold = ChainFold::new(tg, net, &config.cost_model, chain.stages.len());
-    for (&kind, raw_stage) in chain.stages.iter().zip(raw) {
-        fold.push(kind, raw_stage);
-    }
-
-    // Auto-selection rescue lap: when every search stage the chain *did*
-    // run was cut short by the step quota, the near-linear multilevel
-    // stage gets one shot at beating the degraded candidates — it makes
-    // real progress even on a spent budget (coarsening and refinement
-    // degrade to packing + NN-Embed, never to nothing). Only for
-    // unsupervised, uncancelled runs whose chain didn't already name it;
-    // its candidate competes under the same lowest-cost serving rule.
-    if config.supervisor.is_none()
-        && !fold.cancelled
-        && fold.worst_completion == Completion::BudgetExhausted
-        && !chain.stages.contains(&StageKind::Multilevel)
-    {
-        let rescue = execute_stage(StageKind::Multilevel, tg, net, opts, budget, &cache);
-        // the lap runs after the chain ended: an Optimal stage earlier in
-        // the chain must not fold it as skipped
-        fold.stop = false;
-        fold.push(StageKind::Multilevel, rescue);
+    for &kind in &chain.stages {
+        if fold.stop {
+            fold.skip(kind);
+        } else {
+            fold.push(kind, launch(kind));
+        }
     }
 
     let ChainFold {
@@ -515,8 +412,7 @@ pub fn run_engine_with(
                 served_by: stages[idx].stage,
                 completion: worst_completion,
                 elapsed: start.elapsed(),
-                steps: budget.steps_used(),
-                parallelism,
+                steps: budget.steps_used() - steps_before,
                 health,
                 stages,
             };
@@ -555,7 +451,7 @@ fn unserved(stages: &[StageReport], supervised: bool) -> MapError {
 }
 
 /// The chain-order fold: stage results in, stage reports and the
-/// cheapest candidate out, under the sequential chain semantics.
+/// cheapest candidate out, under the chain semantics.
 struct ChainFold<'a> {
     tg: &'a TaskGraph,
     net: &'a Network,
@@ -564,7 +460,7 @@ struct ChainFold<'a> {
     /// The cheapest candidate so far: (report, cost, stage index).
     best: Option<(MapperReport, u64, usize)>,
     worst_completion: Completion,
-    /// An earlier stage ended the chain: later results fold as skipped.
+    /// A result ended the chain: the stages after it are skipped.
     stop: bool,
     cancelled: bool,
 }
@@ -596,11 +492,7 @@ impl<'a> ChainFold<'a> {
             steps,
             attempts,
         } = raw;
-        let (status, completion, cost) = if self.stop {
-            (StageStatus::Skipped, None, None)
-        } else {
-            self.status_of(outcome)
-        };
+        let (status, completion, cost) = self.status_of(outcome);
         self.stages.push(StageReport {
             stage: kind,
             status,
@@ -612,9 +504,21 @@ impl<'a> ChainFold<'a> {
         });
     }
 
-    /// A live (not skipped) outcome's status, completion and cost; a
-    /// candidate competes for `best`, and an Optimal or cancelled result
-    /// ends the chain.
+    /// Records a stage the chain ended before it started.
+    fn skip(&mut self, kind: StageKind) {
+        self.stages.push(StageReport {
+            stage: kind,
+            status: StageStatus::Skipped,
+            completion: None,
+            elapsed: Duration::ZERO,
+            steps: 0,
+            cost: None,
+            attempts: 0,
+        });
+    }
+
+    /// An outcome's status, completion and cost; a candidate competes for
+    /// `best`, and an Optimal or cancelled result ends the chain.
     fn status_of(&mut self, outcome: RawOutcome) -> (StageStatus, Option<Completion>, Option<u64>) {
         match outcome {
             RawOutcome::Candidate(report, completion) => {
@@ -639,7 +543,6 @@ impl<'a> ChainFold<'a> {
             RawOutcome::Panicked(msg) => (StageStatus::Panicked(msg), None, None),
             RawOutcome::Hung => (StageStatus::Hung, None, None),
             RawOutcome::CircuitOpen => (StageStatus::CircuitOpen, None, None),
-            RawOutcome::NotRun => (StageStatus::Skipped, None, None),
         }
     }
 
@@ -660,9 +563,6 @@ pub(crate) enum RawOutcome {
     /// The stage's circuit breaker is open; the supervisor skipped it
     /// (supervised runs only).
     CircuitOpen,
-    /// The stage never started (an earlier stage had already ended the
-    /// chain).
-    NotRun,
 }
 
 pub(crate) struct RawStage {
@@ -670,32 +570,6 @@ pub(crate) struct RawStage {
     pub(crate) elapsed: Duration,
     pub(crate) steps: u64,
     pub(crate) attempts: u32,
-}
-
-impl RawStage {
-    pub(crate) fn not_run() -> RawStage {
-        RawStage {
-            outcome: RawOutcome::NotRun,
-            elapsed: Duration::ZERO,
-            steps: 0,
-            attempts: 0,
-        }
-    }
-
-    /// Whether, under sequential chain semantics, no later stage would
-    /// run after this result.
-    pub(crate) fn ends_chain(&self) -> bool {
-        match &self.outcome {
-            RawOutcome::Candidate(_, completion) => {
-                !matches!(completion, Completion::BudgetExhausted)
-            }
-            RawOutcome::Failed(e) => matches!(e, MapError::Cancelled),
-            RawOutcome::Panicked(_) | RawOutcome::NotRun => false,
-            // a hung stage spent the deadline but the chain's cheaper
-            // stages still get their (grace-window) chance to serve
-            RawOutcome::Hung | RawOutcome::CircuitOpen => false,
-        }
-    }
 }
 
 /// One isolated stage execution: panics contained, steps measured.
@@ -725,98 +599,6 @@ fn execute_stage(
         steps,
         attempts: 1,
     }
-}
-
-/// Runs the chain's stages one after another in chain order, each
-/// started by `launch` (a plain isolated run, or the supervisor's watched
-/// and retried one). Once a result ends the chain, every later stage is
-/// recorded as never run.
-pub(crate) fn run_stages_in_order(
-    chain: &FallbackChain,
-    mut launch: impl FnMut(StageKind) -> RawStage,
-) -> Vec<RawStage> {
-    let mut raw = Vec::with_capacity(chain.stages.len());
-    let mut stop = false;
-    for &kind in &chain.stages {
-        if stop {
-            raw.push(RawStage::not_run());
-            continue;
-        }
-        let stage = launch(kind);
-        stop = stage.ends_chain();
-        raw.push(stage);
-    }
-    raw
-}
-
-/// Runs the chain's stages on `workers` scoped threads. Each stage gets
-/// a child [`Budget`] carrying the caller's deadline and cancel tokens,
-/// an even share of the remaining step quota, and a per-stage kill
-/// switch; a stage whose result ends the chain fires the kill switches
-/// of every *later* stage only — earlier stages would have run to
-/// completion sequentially, so their candidates must still compete.
-fn run_stages_parallel(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    chain: &FallbackChain,
-    budget: &Budget,
-    cache: &RouteTableCache,
-    workers: usize,
-) -> Vec<RawStage> {
-    // The step quota is split over the *actual* chain length — never a
-    // hard-coded stage count — so a 4-stage chain like
-    // `multilevel,exhaustive,heuristic,identity` gives every stage its
-    // fair 1/4 share, exactly as a 3-stage chain gives thirds.
-    let n = chain.stages.len();
-    let kills: Vec<CancelToken> = (0..n).map(|_| CancelToken::new()).collect();
-    let shares: Vec<Option<u64>> = match budget.remaining_steps() {
-        Some(remaining) => {
-            let per = remaining / n as u64;
-            let spare = remaining % n as u64;
-            // distribute the remainder to the front of the chain
-            (0..n as u64).map(|i| Some(per + u64::from(i < spare))).collect()
-        }
-        None => vec![None; n],
-    };
-    let results: Vec<Mutex<Option<RawStage>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let stage = if kills[i].is_cancelled() {
-                    // an earlier stage already ended the chain before this
-                    // one started: equivalent to a sequential skip
-                    RawStage::not_run()
-                } else {
-                    let child = budget.child(kills[i].clone(), shares[i]);
-                    let stage = execute_stage(chain.stages[i], tg, net, opts, &child, cache);
-                    budget.charge(child.steps_used());
-                    stage
-                };
-                if stage.ends_chain() {
-                    for kill in kills.iter().skip(i + 1) {
-                        kill.cancel();
-                    }
-                }
-                *results[i].lock().expect("stage result poisoned") = Some(stage);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("stage result poisoned")
-                .unwrap_or_else(RawStage::not_run)
-        })
-        .collect()
 }
 
 pub(crate) fn run_stage(
@@ -907,12 +689,13 @@ mod tests {
     fn default_chain_matches_plain_pipeline() {
         let tg = jacobi16();
         let net = builders::hypercube(2);
-        let outcome = run_engine(
+        let outcome = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
             &FallbackChain::default(),
             &Budget::unlimited(),
+            &EngineConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.engine.served_by, StageKind::Heuristic);
@@ -931,12 +714,13 @@ mod tests {
         let tg = jacobi16();
         let net = builders::hypercube(4);
         let budget = Budget::unlimited().with_max_steps(1);
-        let outcome = run_engine(
+        let outcome = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
             &FallbackChain::full(),
             &budget,
+            &EngineConfig::default(),
         )
         .unwrap();
         assert!(outcome.engine.is_degraded());
@@ -955,12 +739,13 @@ mod tests {
         // heuristic and identity never run.
         let tg = oregami_graph::Family::Ring(4).build();
         let net = builders::hypercube(2);
-        let outcome = run_engine(
+        let outcome = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
             &FallbackChain::full(),
             &Budget::unlimited(),
+            &EngineConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.engine.served_by, StageKind::Exhaustive);
@@ -974,7 +759,7 @@ mod tests {
     fn identity_stage_always_serves() {
         let tg = jacobi16();
         let net = builders::chain(5); // 16 tasks on 5 procs, nothing regular
-        let outcome = run_engine(
+        let outcome = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
@@ -982,6 +767,7 @@ mod tests {
                 stages: vec![StageKind::Identity],
             },
             &Budget::unlimited(),
+            &EngineConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.report.strategy, Strategy::Identity);
@@ -998,7 +784,7 @@ mod tests {
         let token = crate::budget::CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let err = run_engine(
+        let err = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
@@ -1006,6 +792,7 @@ mod tests {
                 stages: vec![StageKind::Exhaustive, StageKind::Heuristic],
             },
             &budget,
+            &EngineConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, MapError::Cancelled));
@@ -1032,111 +819,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_outcome() {
-        // The determinism contract: for fixed inputs and an unlimited
-        // budget, a parallel run serves the identical candidate, cost,
-        // and completion as a sequential run, at every thread count.
-        let cases: Vec<(TaskGraph, oregami_topology::Network)> = vec![
-            (jacobi16(), builders::hypercube(2)),
-            (jacobi16(), builders::chain(5)),
-            (oregami_graph::Family::Ring(4).build(), builders::hypercube(2)),
-            (oregami_graph::Family::Ring(6).build(), builders::ring(6)),
-        ];
-        for (tg, net) in &cases {
-            let seq = run_engine(
-                tg,
-                net,
-                &MapperOptions::default(),
-                &FallbackChain::full(),
-                &Budget::unlimited(),
-            )
-            .unwrap();
-            for threads in [2, 3, 4, 8] {
-                let config = EngineConfig::default().threads(threads);
-                let par = run_engine_with(
-                    tg,
-                    net,
-                    &MapperOptions::default(),
-                    &FallbackChain::full(),
-                    &Budget::unlimited(),
-                    &config,
-                )
-                .unwrap();
-                assert_eq!(par.engine.served_by, seq.engine.served_by, "{}", net.name);
-                assert_eq!(par.engine.completion, seq.engine.completion);
-                assert_eq!(
-                    par.report.mapping.assignment, seq.report.mapping.assignment,
-                    "parallel and sequential must serve the same mapping on {}",
-                    net.name
-                );
-                assert_eq!(served_cost(&par), served_cost(&seq));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_discards_later_results_after_optimal_winner() {
-        // 4 tasks on 4 procs: exhaustive finishes Optimal. Even though
-        // the parallel workers may have raced heuristic/identity to
-        // completion, the chain-order fold must discard their candidates
-        // exactly as the sequential skip would.
-        let tg = oregami_graph::Family::Ring(4).build();
-        let net = builders::hypercube(2);
-        let outcome = run_engine_with(
-            &tg,
-            &net,
-            &MapperOptions::default(),
-            &FallbackChain::full(),
-            &Budget::unlimited(),
-            &EngineConfig::default().threads(3),
-        )
-        .unwrap();
-        assert_eq!(outcome.engine.served_by, StageKind::Exhaustive);
-        assert_eq!(outcome.engine.completion, Completion::Optimal);
-        assert_eq!(outcome.engine.stages[0].status, StageStatus::Served);
-        assert_eq!(outcome.engine.stages[1].status, StageStatus::Skipped);
-        assert_eq!(outcome.engine.stages[2].status, StageStatus::Skipped);
-        assert_eq!(outcome.engine.parallelism, Parallelism::Threads(3));
-        assert!(outcome.engine.to_string().contains("3 threads"));
-    }
-
-    #[test]
-    fn parallel_splits_step_quota_and_still_serves() {
-        // 16 tasks on 16 procs under a tiny quota: every stage gets a
-        // share, exhaustive exhausts its share, and the chain still
-        // serves a valid mapping.
-        let tg = jacobi16();
-        let net = builders::hypercube(4);
-        let budget = Budget::unlimited().with_max_steps(300);
-        let outcome = run_engine_with(
-            &tg,
-            &net,
-            &MapperOptions::default(),
-            &FallbackChain::full(),
-            &budget,
-            &EngineConfig::default().threads(4),
-        )
-        .unwrap();
-        outcome.report.mapping.validate(&tg, &net).unwrap();
-        assert!(outcome.engine.is_degraded());
-        // the parent budget accounts for every stage's work
-        assert_eq!(
-            outcome.engine.steps,
-            outcome.engine.stages.iter().map(|s| s.steps).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn four_stage_chain_splits_quota_and_serves_deterministically() {
-        // The satellite-3 audit as a test: a 4-stage chain under a bounded
-        // step quota must charge every stage its share (the split derives
-        // from the chain length, not a hard-coded 3), account for every
-        // step in the parent budget, and serve the lowest-cost candidate
-        // byte-identically across repeated runs.
+    fn four_stage_chain_serves_the_cheapest_candidate_deterministically() {
+        // A 4-stage chain under a bounded step quota: every step the
+        // stages charge shows in the report, the served stage has the
+        // lowest cost on offer, and repeated runs serve byte-identically.
         // 64 tasks on 5 procs: above the 4×P coarsening threshold, so
-        // multilevel's matching charges a step per examined edge — its
-        // 10-step share trips and the chain falls through to every later
-        // stage instead of ending on an optimal first stage.
+        // multilevel's matching charges a step per examined edge and the
+        // 40-step quota cuts it short instead of ending the chain.
         let tg = compile(&programs::jacobi(), &[("n", 8), ("iters", 1)]).unwrap();
         let net = builders::chain(5);
         let chain = FallbackChain::parse("multilevel,exhaustive,heuristic,identity").unwrap();
@@ -1148,22 +837,13 @@ mod tests {
                 &MapperOptions::default(),
                 &chain,
                 &Budget::unlimited().with_max_steps(40),
-                &EngineConfig::default().threads(4),
+                &EngineConfig::default(),
             )
             .unwrap()
         };
         let a = run();
         a.report.mapping.validate(&tg, &net).unwrap();
-        // every stage ran (nothing skipped: with 10-step shares no search
-        // stage can finish optimally and end the chain early)
-        for s in &a.engine.stages {
-            assert!(
-                !matches!(s.status, StageStatus::Skipped),
-                "stage {} must run under the split quota",
-                s.stage
-            );
-        }
-        // the parent budget accounts for every stage's charged steps
+        // the budget accounts for every stage's charged steps
         assert_eq!(
             a.engine.steps,
             a.engine.stages.iter().map(|s| s.steps).sum::<u64>()
@@ -1179,48 +859,34 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_chain_auto_selects_multilevel_rescue() {
-        // A budget-starved chain that never named multilevel gets the
-        // rescue lap appended; its candidate competes and the report
-        // names it.
+    fn report_counts_only_the_steps_of_its_own_run() {
+        // One budget reused across runs: the second report's steps are the
+        // second run's work, not the first run's as well.
         let tg = jacobi16();
-        let net = builders::hypercube(4);
-        let outcome = run_engine(
-            &tg,
-            &net,
-            &MapperOptions::default(),
-            &FallbackChain::full(),
-            &Budget::unlimited().with_max_steps(1),
-        )
-        .unwrap();
-        assert!(outcome.engine.is_degraded());
-        let ml = outcome
-            .engine
-            .stages
-            .iter()
-            .find(|s| s.stage == StageKind::Multilevel)
-            .expect("rescue lap must be appended to the report");
-        assert!(
-            matches!(ml.status, StageStatus::Served | StageStatus::Candidate),
-            "rescue lap must produce a candidate, got {:?}",
-            ml.status
+        let net = builders::hypercube(2);
+        let budget = Budget::unlimited();
+        let run = || {
+            run_engine_with(
+                &tg,
+                &net,
+                &MapperOptions::default(),
+                &FallbackChain::full(),
+                &budget,
+                &EngineConfig::default(),
+            )
+            .unwrap()
+        };
+        let first = run();
+        assert!(first.engine.steps > 0);
+        let second = run();
+        assert_eq!(
+            second.engine.steps,
+            second.engine.stages.iter().map(|s| s.steps).sum::<u64>()
         );
-        outcome.report.mapping.validate(&tg, &net).unwrap();
-        // an unbudgeted run never triggers the rescue lap (small instance:
-        // unbudgeted exhaustive on 16 procs would be factorial)
-        let clean = run_engine(
-            &tg,
-            &builders::hypercube(2),
-            &MapperOptions::default(),
-            &FallbackChain::full(),
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        assert!(clean
-            .engine
-            .stages
-            .iter()
-            .all(|s| s.stage != StageKind::Multilevel));
+        assert_eq!(
+            budget.steps_used(),
+            first.engine.steps + second.engine.steps
+        );
     }
 
     #[test]
@@ -1228,7 +894,7 @@ mod tests {
         let tg = jacobi16();
         let net = builders::hypercube(2);
         let cache = Arc::new(RouteTableCache::new(4));
-        let config = EngineConfig::with_cache(Arc::clone(&cache)).threads(2);
+        let config = EngineConfig::with_cache(Arc::clone(&cache));
         for _ in 0..2 {
             run_engine_with(
                 &tg,
@@ -1246,88 +912,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cancelled_before_start_is_an_error() {
-        let tg = jacobi16();
-        let net = builders::hypercube(2);
-        let token = crate::budget::CancelToken::new();
-        token.cancel();
-        let budget = Budget::unlimited().with_cancel(token);
-        let err = run_engine_with(
-            &tg,
-            &net,
-            &MapperOptions::default(),
-            &FallbackChain {
-                stages: vec![StageKind::Exhaustive, StageKind::Heuristic],
-            },
-            &budget,
-            &EngineConfig::default().threads(2),
-        )
-        .unwrap_err();
-        assert!(matches!(err, MapError::Cancelled));
-    }
-
-    #[test]
-    fn report_names_the_scheduling_that_ran_not_the_one_asked_for() {
-        let tg = jacobi16();
-        let net = builders::hypercube(2);
-        let run = |chain: &FallbackChain, config: EngineConfig| {
-            run_engine_with(
-                &tg,
-                &net,
-                &MapperOptions::default(),
-                chain,
-                &Budget::unlimited(),
-                &config,
-            )
-            .unwrap()
-            .engine
-        };
-        let four = || EngineConfig::default().threads(4);
-        // a one-stage chain has nothing to overlap: it runs sequentially
-        for stage in [StageKind::Heuristic, StageKind::Identity] {
-            let engine = run(
-                &FallbackChain {
-                    stages: vec![stage],
-                },
-                four(),
-            );
-            assert_eq!(engine.parallelism, Parallelism::Sequential, "{stage}");
-            assert!(!engine.to_string().contains("threads"), "{engine}");
-        }
-        // the supervisor runs a chain sequentially whatever was asked
-        let engine = run(
-            &FallbackChain::full(),
-            four().supervised(SupervisorConfig::default()),
-        );
-        assert_eq!(engine.parallelism, Parallelism::Sequential);
-        assert!(!engine.to_string().contains("threads"), "{engine}");
-        // a parallel run still reports its threads
-        let engine = run(&FallbackChain::full(), four());
-        assert_eq!(engine.parallelism, Parallelism::Threads(4));
-        assert!(engine.to_string().contains("[4 threads]"), "{engine}");
-    }
-
-    #[test]
-    fn threads_one_degrades_to_sequential() {
-        let config = EngineConfig::default().threads(1);
-        assert_eq!(config.parallelism, Parallelism::Sequential);
-        assert_eq!(Parallelism::Threads(8).workers_for(3), 3);
-        assert_eq!(Parallelism::Threads(0).workers_for(3), 1);
-        assert_eq!(Parallelism::Sequential.workers_for(3), 1);
-        assert_eq!(Parallelism::Threads(2).to_string(), "2 threads");
-        assert_eq!(Parallelism::Sequential.to_string(), "sequential");
-    }
-
-    #[test]
     fn empty_chain_rejected() {
         let tg = jacobi16();
         let net = builders::hypercube(2);
-        let err = run_engine(
+        let err = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
             &FallbackChain { stages: vec![] },
             &Budget::unlimited(),
+            &EngineConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, MapError::AllStagesFailed(_)));

@@ -64,8 +64,8 @@ pub use embedding::{
     exhaustive_embed, exhaustive_embed_budgeted, nn_embed, AnytimeEmbed, EmbedError,
 };
 pub use engine::{
-    run_engine, run_engine_with, EngineConfig, EngineOutcome, EngineReport, FallbackChain,
-    Parallelism, StageKind, StageReport, StageStatus,
+    run_engine_with, EngineConfig, EngineOutcome, EngineReport, FallbackChain, StageKind,
+    StageReport, StageStatus,
 };
 pub use mapping::{Mapping, MappingError};
 pub use metrics_engine::{CostModel, Edit, EditError, MetricSnapshot, MetricsDelta, MetricsEngine};

@@ -23,7 +23,7 @@
 //!   ([`StageStatus::CircuitOpen`]) while open, and re-probes one
 //!   attempt in `HalfOpen` once the cooldown elapses. Breaker state
 //!   lives in a shared [`SupervisorState`] that persists across
-//!   `run_engine` calls (e.g. inside `core::Oregami`), so a stage that
+//!   `run_engine_with` calls (e.g. inside `core::Oregami`), so a stage that
 //!   keeps blowing up stops being scheduled at all.
 //!
 //! [`ServiceHealth`] condenses an engine run plus the breaker states
@@ -625,7 +625,7 @@ struct Supervised<'a> {
 fn watched_attempt(kind: StageKind, sup: &Supervised) -> (AttemptOutcome, u64) {
     let (budget, cfg) = (sup.budget, sup.cfg);
     let kill = CancelToken::new();
-    let child = Arc::new(budget.child(kill.clone(), budget.remaining_steps()));
+    let child = Arc::new(budget.child(kill.clone()));
     let (tx, rx) = mpsc::channel();
     let worker = {
         let (tg, net) = (Arc::clone(&sup.tg), Arc::clone(&sup.net));
@@ -690,9 +690,9 @@ fn watched_attempt(kind: StageKind, sup: &Supervised) -> (AttemptOutcome, u64) {
     (outcome, child.steps_used())
 }
 
-/// The supervised launcher for the engine's in-order stage runner: each
-/// stage passes its circuit breaker, then runs on a watched worker thread
-/// with bounded retry, producing the same [`RawStage`] the engine's
+/// The supervised launcher for the engine's chain loop: each stage
+/// passes its circuit breaker, then runs on a watched worker thread with
+/// bounded retry, producing the same [`RawStage`] the engine's
 /// chain-order fold consumes.
 pub(crate) fn supervised_launcher<'a>(
     tg: &TaskGraph,
@@ -721,7 +721,9 @@ fn supervised_stage(kind: StageKind, sup: &Supervised) -> RawStage {
         Admission::Skip => {
             return RawStage {
                 outcome: RawOutcome::CircuitOpen,
-                ..RawStage::not_run()
+                elapsed: Duration::ZERO,
+                steps: 0,
+                attempts: 0,
             };
         }
         Admission::Probe => 1,
@@ -800,7 +802,6 @@ fn supervised_stage(kind: StageKind, sup: &Supervised) -> RawStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_stages_in_order, FallbackChain};
 
     #[test]
     fn retry_backoff_doubles_and_caps() {
@@ -940,12 +941,10 @@ mod tests {
         let t0 = Instant::now();
         let budget = Budget::unlimited();
         let cache = Arc::new(RouteTableCache::new(2));
-        let raw = run_stages_in_order(
-            &FallbackChain { stages: vec![StageKind::Exhaustive] },
-            supervised_launcher(&tg, &net, &opts, &budget, &cache, &cfg),
-        );
-        assert!(matches!(raw[0].outcome, RawOutcome::Failed(_)));
-        assert_eq!(raw[0].attempts, 1);
+        let mut launch = supervised_launcher(&tg, &net, &opts, &budget, &cache, &cfg);
+        let raw = launch(StageKind::Exhaustive);
+        assert!(matches!(raw.outcome, RawOutcome::Failed(_)));
+        assert_eq!(raw.attempts, 1);
         assert!(t0.elapsed() < cfg.retry.backoff, "slept a backoff: {:?}", t0.elapsed());
         // a typed error is not a breaker failure either
         assert_eq!(cfg.state.breaker(StageKind::Exhaustive).consecutive_failures, 0);

@@ -4,7 +4,7 @@ use oregami_graph::{TaskGraph, TaskId, WeightedGraph};
 use oregami_mapper::contraction::{exhaustive_optimal_ipc, mwm_contract};
 use oregami_mapper::embedding::{nn_embed, validate_embedding};
 use oregami_mapper::routing::{mm_route, Matcher};
-use oregami_mapper::{run_engine, Budget, FallbackChain, MapperOptions};
+use oregami_mapper::{run_engine_with, Budget, EngineConfig, FallbackChain, MapperOptions};
 use oregami_topology::{builders, Network, ProcId, RouteTable};
 use proptest::prelude::*;
 
@@ -162,22 +162,24 @@ proptest! {
         }
         prop_assume!(tg.num_edges() > 0);
         let budget = Budget::unlimited().with_max_steps(max_steps);
-        let outcome = run_engine(
+        let outcome = run_engine_with(
             &tg,
             &net,
             &MapperOptions::default(),
             &FallbackChain::full(),
             &budget,
+            &EngineConfig::default(),
         ).unwrap();
         prop_assert!(outcome.report.mapping.validate(&tg, &net).is_ok());
         if !outcome.engine.is_degraded() {
             // an undegraded chain must match what an unlimited run finds
-            let unlimited = run_engine(
+            let unlimited = run_engine_with(
                 &tg,
                 &net,
                 &MapperOptions::default(),
                 &FallbackChain::full(),
                 &Budget::unlimited(),
+                &EngineConfig::default(),
             ).unwrap();
             prop_assert_eq!(
                 outcome.report.mapping.assignment,
