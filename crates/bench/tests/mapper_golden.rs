@@ -8,6 +8,7 @@
 //! change of behaviour re-pins in one copy.
 
 use oregami::graph::TaskGraph;
+use oregami::larcs::analyze::analyze;
 use oregami::larcs::programs::all_programs;
 use oregami::mapper::routing::{route_all_phases, Matcher};
 use oregami::mapper::{
@@ -180,6 +181,25 @@ fn corpus_dispatch_reproduces_the_pinned_reports() {
         "canned / group / systolic / general"
     );
     check("corpus dispatch", &actual, CORPUS);
+}
+
+/// The regularity findings MAPPER's dispatch keys on, for every corpus
+/// instance: the family (declared or recognised) and whether every phase
+/// is bijective and uniform. The dispatch now asks for each on demand;
+/// whole-graph `analyze` must still report what it did.
+#[test]
+fn analysis_of_every_corpus_instance_is_pinned() {
+    let actual: Vec<String> = corpus()
+        .iter()
+        .map(|(label, tg, _)| {
+            let a = analyze(tg);
+            format!(
+                "{label} {:?} bijective={} uniform={}",
+                a.family, a.all_bijective, a.all_uniform
+            )
+        })
+        .collect();
+    check("corpus analysis", &actual, ANALYSIS);
 }
 
 /// One engine run rendered as a pin line: the served stage and
@@ -442,6 +462,94 @@ const CORPUS: &[&str] = &[
     "annealing*@hypercube(6) Canned optimal 7c9d8e08a4e32ae6",
     "annealing*@mesh2d(8x8) Canned optimal 35b4d1a4ff78dea6",
     "annealing*@torus2d(8x8) Canned optimal 35b4d1a4ff78dea6",
+];
+
+const ANALYSIS: &[&str] = &[
+    "nbody@hypercube(3) None bijective=true uniform=false",
+    "nbody@hypercube(4) None bijective=true uniform=false",
+    "nbody@mesh2d(4x4) None bijective=true uniform=false",
+    "nbody@torus2d(4x4) None bijective=true uniform=false",
+    "nbody@ring(8) None bijective=true uniform=false",
+    "nbody*@hypercube(6) None bijective=true uniform=false",
+    "nbody*@mesh2d(8x8) None bijective=true uniform=false",
+    "nbody*@torus2d(8x8) None bijective=true uniform=false",
+    "broadcast8@hypercube(3) None bijective=true uniform=false",
+    "broadcast8@hypercube(4) None bijective=true uniform=false",
+    "broadcast8@mesh2d(4x4) None bijective=true uniform=false",
+    "broadcast8@torus2d(4x4) None bijective=true uniform=false",
+    "broadcast8@ring(8) None bijective=true uniform=false",
+    "jacobi@hypercube(3) Some(Mesh2D(8, 8)) bijective=false uniform=true",
+    "jacobi@hypercube(4) Some(Mesh2D(8, 8)) bijective=false uniform=true",
+    "jacobi@mesh2d(4x4) Some(Mesh2D(8, 8)) bijective=false uniform=true",
+    "jacobi@torus2d(4x4) Some(Mesh2D(8, 8)) bijective=false uniform=true",
+    "jacobi@ring(8) Some(Mesh2D(8, 8)) bijective=false uniform=true",
+    "jacobi*@hypercube(6) None bijective=false uniform=true",
+    "jacobi*@mesh2d(8x8) None bijective=false uniform=true",
+    "jacobi*@torus2d(8x8) None bijective=false uniform=true",
+    "sor@hypercube(3) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sor@hypercube(4) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sor@mesh2d(4x4) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sor@torus2d(4x4) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sor@ring(8) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sor*@hypercube(6) None bijective=false uniform=false",
+    "sor*@mesh2d(8x8) None bijective=false uniform=false",
+    "sor*@torus2d(8x8) None bijective=false uniform=false",
+    "sormulticolor@hypercube(3) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sormulticolor@hypercube(4) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sormulticolor@mesh2d(4x4) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sormulticolor@torus2d(4x4) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sormulticolor@ring(8) Some(Mesh2D(8, 8)) bijective=false uniform=false",
+    "sormulticolor*@hypercube(6) None bijective=false uniform=false",
+    "sormulticolor*@mesh2d(8x8) None bijective=false uniform=false",
+    "sormulticolor*@torus2d(8x8) None bijective=false uniform=false",
+    "binomialdnc@hypercube(3) Some(BinomialTree(4)) bijective=false uniform=false",
+    "binomialdnc@hypercube(4) Some(BinomialTree(4)) bijective=false uniform=false",
+    "binomialdnc@mesh2d(4x4) Some(BinomialTree(4)) bijective=false uniform=false",
+    "binomialdnc@torus2d(4x4) Some(BinomialTree(4)) bijective=false uniform=false",
+    "binomialdnc@ring(8) Some(BinomialTree(4)) bijective=false uniform=false",
+    "binomialdnc*@hypercube(6) Some(BinomialTree(9)) bijective=false uniform=false",
+    "binomialdnc*@mesh2d(8x8) Some(BinomialTree(9)) bijective=false uniform=false",
+    "binomialdnc*@torus2d(8x8) Some(BinomialTree(9)) bijective=false uniform=false",
+    "fft@hypercube(3) Some(Butterfly(3)) bijective=false uniform=false",
+    "fft@hypercube(4) Some(Butterfly(3)) bijective=false uniform=false",
+    "fft@mesh2d(4x4) Some(Butterfly(3)) bijective=false uniform=false",
+    "fft@torus2d(4x4) Some(Butterfly(3)) bijective=false uniform=false",
+    "fft@ring(8) Some(Butterfly(3)) bijective=false uniform=false",
+    "fft*@hypercube(6) Some(Butterfly(7)) bijective=false uniform=false",
+    "fft*@mesh2d(8x8) Some(Butterfly(7)) bijective=false uniform=false",
+    "fft*@torus2d(8x8) Some(Butterfly(7)) bijective=false uniform=false",
+    "matmul@hypercube(3) Some(Mesh2D(4, 4)) bijective=false uniform=true",
+    "matmul@hypercube(4) Some(Mesh2D(4, 4)) bijective=false uniform=true",
+    "matmul@mesh2d(4x4) Some(Mesh2D(4, 4)) bijective=false uniform=true",
+    "matmul@torus2d(4x4) Some(Mesh2D(4, 4)) bijective=false uniform=true",
+    "matmul@ring(8) Some(Mesh2D(4, 4)) bijective=false uniform=true",
+    "matmul*@hypercube(6) None bijective=false uniform=true",
+    "matmul*@mesh2d(8x8) None bijective=false uniform=true",
+    "matmul*@torus2d(8x8) None bijective=false uniform=true",
+    "pipeline@hypercube(3) Some(Chain(8)) bijective=false uniform=true",
+    "pipeline@hypercube(4) Some(Chain(8)) bijective=false uniform=true",
+    "pipeline@mesh2d(4x4) Some(Chain(8)) bijective=false uniform=true",
+    "pipeline@torus2d(4x4) Some(Chain(8)) bijective=false uniform=true",
+    "pipeline@ring(8) Some(Chain(8)) bijective=false uniform=true",
+    "pipeline*@hypercube(6) None bijective=false uniform=true",
+    "pipeline*@mesh2d(8x8) None bijective=false uniform=true",
+    "pipeline*@torus2d(8x8) None bijective=false uniform=true",
+    "wavefront@hypercube(3) None bijective=false uniform=true",
+    "wavefront@hypercube(4) None bijective=false uniform=true",
+    "wavefront@mesh2d(4x4) None bijective=false uniform=true",
+    "wavefront@torus2d(4x4) None bijective=false uniform=true",
+    "wavefront@ring(8) None bijective=false uniform=true",
+    "wavefront*@hypercube(6) None bijective=false uniform=true",
+    "wavefront*@mesh2d(8x8) None bijective=false uniform=true",
+    "wavefront*@torus2d(8x8) None bijective=false uniform=true",
+    "annealing@hypercube(3) Some(Ring(12)) bijective=true uniform=false",
+    "annealing@hypercube(4) Some(Ring(12)) bijective=true uniform=false",
+    "annealing@mesh2d(4x4) Some(Ring(12)) bijective=true uniform=false",
+    "annealing@torus2d(4x4) Some(Ring(12)) bijective=true uniform=false",
+    "annealing@ring(8) Some(Ring(12)) bijective=true uniform=false",
+    "annealing*@hypercube(6) Some(Ring(128)) bijective=true uniform=false",
+    "annealing*@mesh2d(8x8) Some(Ring(128)) bijective=true uniform=false",
+    "annealing*@torus2d(8x8) Some(Ring(128)) bijective=true uniform=false",
 ];
 
 const ENGINE: &[&str] = &[

@@ -284,6 +284,39 @@ mod tests {
         }
     }
 
+    /// Every family instance of 2..=64 nodes that structural recognition
+    /// tries as a candidate.
+    fn recognition_candidates() -> Vec<Family> {
+        let mut out = Vec::new();
+        for n in 2..=64usize {
+            if n >= 3 {
+                out.push(Family::Ring(n));
+            }
+            out.extend([Family::Chain(n), Family::Complete(n), Family::Star(n)]);
+            for r in (2..=n).filter(|r| n % r == 0 && r * r <= n) {
+                out.extend([Family::Mesh2D(r, n / r), Family::Torus2D(r, n / r)]);
+            }
+        }
+        for d in 1..=6 {
+            out.extend([Family::Hypercube(d), Family::BinomialTree(d)]);
+        }
+        out.extend((1..=5).map(Family::FullBinaryTree));
+        out.extend((1..=3).map(Family::Butterfly));
+        out
+    }
+
+    #[test]
+    fn closed_form_edge_count_is_half_the_collapsed_arc_count() {
+        // recognition skips a candidate on `2 * num_edges` before building
+        // it, which is sound only if that is the built graph's arc count
+        for f in recognition_candidates() {
+            let g = f.build();
+            let w = g.collapse();
+            let csr = crate::Csr::undirected(g.num_tasks(), w.edges().iter().map(|e| (e.u, e.v)));
+            assert_eq!(2 * f.num_edges(), csr.num_arcs(), "{f:?}");
+        }
+    }
+
     #[test]
     fn chordal_ring_matches_nbody_shape() {
         let g = Family::ChordalRing(15, 8).build();

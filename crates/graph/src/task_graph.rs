@@ -35,11 +35,18 @@ impl TaskNode {
 
     /// A node with a k-D numeric label.
     pub fn tuple(name: &str, coords: Vec<i64>) -> Self {
-        let inner: Vec<String> = coords.iter().map(|c| c.to_string()).collect();
-        TaskNode {
-            label: format!("{name}({})", inner.join(",")),
-            coords,
+        use std::fmt::Write as _;
+        let mut label = String::with_capacity(name.len() + 2 + 4 * coords.len());
+        label.push_str(name);
+        label.push('(');
+        for (k, c) in coords.iter().enumerate() {
+            if k > 0 {
+                label.push(',');
+            }
+            let _ = write!(label, "{c}");
         }
+        label.push(')');
+        TaskNode { label, coords }
     }
 }
 
@@ -302,6 +309,20 @@ mod tests {
         g.add_edge(b, TaskId(2), TaskId(3), 7);
         g.add_edge(b, TaskId(3), TaskId(3), 9); // self-loop, dropped on collapse
         g
+    }
+
+    #[test]
+    fn tuple_labels_join_coordinates_with_commas() {
+        assert_eq!(
+            TaskNode::tuple("cell", vec![3, -12, 0]).label,
+            "cell(3,-12,0)"
+        );
+        assert_eq!(
+            TaskNode::tuple("t", vec![i64::MIN]).label,
+            format!("t({})", i64::MIN)
+        );
+        assert_eq!(TaskNode::tuple("e", Vec::new()).label, "e()");
+        assert_eq!(TaskNode::scalar("body", 4).label, "body(4)");
     }
 
     #[test]

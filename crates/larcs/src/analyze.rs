@@ -22,7 +22,7 @@
 use crate::ast::Program;
 use crate::error::{Diagnostic, Stage};
 use crate::intern::Symbol;
-use oregami_graph::{iso, Csr, Family, TaskGraph};
+use oregami_graph::{iso, Csr, Family, TaskGraph, TaskId};
 
 /// Step budget for structural family recognition: enough to resolve every
 /// true family match at n <= 64 instantly, small enough that a regular
@@ -60,7 +60,10 @@ pub struct Analysis {
     pub all_uniform: bool,
 }
 
-/// Analyses an elaborated task graph.
+/// Analyses an elaborated task graph: every finding at once. MAPPER's
+/// dispatch does not call this; each arm asks for the one finding it
+/// reads ([`all_phases_uniform`], [`all_phases_bijective`],
+/// [`recognize_family`]).
 pub fn analyze(tg: &TaskGraph) -> Analysis {
     let phases: Vec<PhaseAnalysis> = (0..tg.num_phases())
         .map(|k| PhaseAnalysis {
@@ -78,6 +81,18 @@ pub fn analyze(tg: &TaskGraph) -> Analysis {
         all_bijective,
         all_uniform,
     }
+}
+
+/// Whether every phase is a bijection — the group-theoretic path's
+/// precondition. A graph with no phases is not.
+pub fn all_phases_bijective(tg: &TaskGraph) -> bool {
+    tg.num_phases() > 0 && (0..tg.num_phases()).all(|k| phase_is_bijective(tg, k))
+}
+
+/// Whether every phase carries a uniform dependence vector — the systolic
+/// path's precondition. A graph with no phases does not.
+pub fn all_phases_uniform(tg: &TaskGraph) -> bool {
+    tg.num_phases() > 0 && (0..tg.num_phases()).all(|k| uniform_dependence(tg, k).is_some())
 }
 
 /// Whether phase `k` of `tg` is a bijection: out-degree and in-degree
@@ -101,46 +116,51 @@ pub fn phase_is_bijective(tg: &TaskGraph, k: usize) -> bool {
 
 /// The constant label displacement of phase `k`, if all its edges share
 /// one (`dst.coords - src.coords`). Self-loop-only phases or phases with
-/// mixed displacements return `None`.
+/// mixed displacements return `None`. Each edge is compared against the
+/// first in place; only the answer is allocated.
 pub fn uniform_dependence(tg: &TaskGraph, k: usize) -> Option<Vec<i64>> {
-    let phase = &tg.comm_phases[k];
-    let mut delta: Option<Vec<i64>> = None;
-    for e in &phase.edges {
-        let s = &tg.nodes[e.src.index()].coords;
-        let d = &tg.nodes[e.dst.index()].coords;
-        if s.len() != d.len() {
+    let coords = |t: TaskId| tg.nodes[t.index()].coords.as_slice();
+    let (first, rest) = tg.comm_phases[k].edges.split_first()?;
+    let (s0, d0) = (coords(first.src), coords(first.dst));
+    if s0.len() != d0.len() {
+        return None;
+    }
+    for e in rest {
+        let (s, d) = (coords(e.src), coords(e.dst));
+        let same = s.len() == s0.len()
+            && d.len() == s0.len()
+            && (0..s0.len()).all(|i| d[i] - s[i] == d0[i] - s0[i]);
+        if !same {
             return None;
         }
-        let this: Vec<i64> = d.iter().zip(s).map(|(a, b)| a - b).collect();
-        match &delta {
-            None => delta = Some(this),
-            Some(prev) if *prev == this => {}
-            _ => return None,
-        }
     }
-    delta
+    Some(d0.iter().zip(s0).map(|(a, b)| a - b).collect())
 }
 
 /// Attempts to recognise the (undeclared) graph family of a small task
 /// graph by isomorphism against every candidate family of the same size.
 /// Intended for graphs up to a few dozen nodes — the check is exponential
 /// in the worst case.
+///
+/// A candidate whose closed-form edge count differs from ours is skipped
+/// before it is built: the isomorphism search would reject it on that
+/// arc count first, so the findings are the same.
 pub fn recognize_family(tg: &TaskGraph) -> Option<Family> {
     let n = tg.num_tasks();
     if !(2..=64).contains(&n) {
         return None;
     }
     let ours = undirected_csr(tg);
-    for candidate in candidates_of_size(n) {
-        let theirs = undirected_csr(&candidate.build());
-        if matches!(
-            iso::find_isomorphism_budgeted(&ours, &theirs, RECOGNITION_BUDGET),
-            iso::IsoResult::Found(_)
-        ) {
-            return Some(candidate);
-        }
-    }
-    None
+    candidates_of_size(n)
+        .into_iter()
+        .filter(|candidate| 2 * candidate.num_edges() == ours.num_arcs())
+        .find(|candidate| {
+            let theirs = undirected_csr(&candidate.build());
+            matches!(
+                iso::find_isomorphism_budgeted(&ours, &theirs, RECOGNITION_BUDGET),
+                iso::IsoResult::Found(_)
+            )
+        })
 }
 
 fn undirected_csr(tg: &TaskGraph) -> Csr {
@@ -363,6 +383,65 @@ mod tests {
         }
         // Q3 is also recognisable as other families? Ring(8) no (degree 3).
         assert_eq!(recognize_family(&g), Some(Family::Hypercube(3)));
+    }
+
+    /// Recognition as it was before candidates were filtered on their
+    /// closed-form edge count: build every candidate, then search.
+    fn recognize_family_unfiltered(tg: &TaskGraph) -> Option<Family> {
+        let n = tg.num_tasks();
+        if !(2..=64).contains(&n) {
+            return None;
+        }
+        let ours = undirected_csr(tg);
+        for candidate in candidates_of_size(n) {
+            let theirs = undirected_csr(&candidate.build());
+            if matches!(
+                iso::find_isomorphism_budgeted(&ours, &theirs, RECOGNITION_BUDGET),
+                iso::IsoResult::Found(_)
+            ) {
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    /// The scaled parameters of the `corpus_map` benchmark's programs.
+    fn corpus_scaled(name: &str) -> Option<Vec<(&'static str, i64)>> {
+        Some(match name {
+            "nbody" => vec![("n", 63), ("s", 3), ("msgsize", 8)],
+            "jacobi" | "sor" => vec![("n", 32), ("iters", 10)],
+            "sormulticolor" => vec![("n", 32), ("iters", 2)],
+            "binomialdnc" => vec![("k", 9)],
+            "fft" => vec![("k", 7)],
+            "matmul" => vec![("n", 16)],
+            "pipeline" => vec![("n", 256), ("rounds", 5)],
+            "wavefront" => vec![("n", 8)],
+            "annealing" => vec![("n", 128), ("sweeps", 4)],
+            _ => return None,
+        })
+    }
+
+    #[test]
+    fn recognition_equals_the_unfiltered_loop() {
+        let mut graphs: Vec<TaskGraph> = (2..=64)
+            .flat_map(candidates_of_size)
+            .map(|f| f.build())
+            .collect();
+        for (name, source, params) in programs::all_programs() {
+            graphs.push(compile(&source, &params).unwrap());
+            if let Some(scaled) = corpus_scaled(name) {
+                graphs.push(compile(&source, &scaled).unwrap());
+            }
+        }
+        for g in &graphs {
+            assert_eq!(
+                recognize_family(g),
+                recognize_family_unfiltered(g),
+                "{} with {} tasks",
+                g.name,
+                g.num_tasks()
+            );
+        }
     }
 
     #[test]

@@ -150,25 +150,20 @@ struct NodeType {
 }
 
 impl NodeType {
-    /// Row-major linear index of a coordinate tuple, if in range.
+    /// One row-major step: folds coordinate `c` of dimension `d` into the
+    /// partial index `acc`, if `c` is in range.
     ///
     /// All arithmetic is checked: the index is bounded by [`Self::count`]
     /// (itself validated against `max_nodes` at declaration time), so
     /// overflow here would indicate a corrupted table rather than user
     /// error, but a `None` beats a wrap in either case.
-    fn index_of(&self, coords: &[i64]) -> Option<usize> {
-        if coords.len() != self.ranges.len() {
+    fn step(&self, acc: usize, d: usize, c: i64) -> Option<usize> {
+        let (lo, hi) = self.ranges[d];
+        if c < lo || c > hi {
             return None;
         }
-        let mut idx = 0usize;
-        for (d, (&c, &(lo, hi))) in coords.iter().zip(&self.ranges).enumerate() {
-            if c < lo || c > hi {
-                return None;
-            }
-            let step = usize::try_from(c.checked_sub(lo)?).ok()?;
-            idx = idx.checked_mul(self.dims[d])?.checked_add(step)?;
-        }
-        self.offset.checked_add(idx)
+        let step = usize::try_from(c.checked_sub(lo)?).ok()?;
+        acc.checked_mul(self.dims[d])?.checked_add(step)
     }
 
     /// Total node count, or `None` on overflow (e.g. two dimensions of
@@ -178,6 +173,25 @@ impl NodeType {
         self.dims
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+    }
+}
+
+/// The evaluated node type table, dense by type-name symbol, with what
+/// the skeleton and the fragment keys read off it.
+struct NodeTable {
+    /// Indexed by [`Symbol::index`] of the type name.
+    types: Vec<Option<NodeType>>,
+    /// The declared family, when a single nodetype declares one.
+    family: Option<Family>,
+    /// Every nodetype declared `nodesymmetric`.
+    all_symmetric: bool,
+    /// Fingerprint of names, ranges and attributes.
+    fp: u64,
+}
+
+impl NodeTable {
+    fn get(&self, sym: Symbol) -> Option<&NodeType> {
+        self.types.get(sym.index())?.as_ref()
     }
 }
 
@@ -204,12 +218,32 @@ pub fn elaborate_with_cache(
     opts: &ElabOptions,
     mut cache: Option<&mut ElabCache>,
 ) -> Result<TaskGraph, LarcsError> {
-    let it = &program.interner;
+    let (env, env_fp) = bind_params(program, params)?;
+    let table = node_table(program, &env, opts)?;
+    let mut tg = skeleton(program, &table, cache.as_deref_mut());
+    // every rule fills in its own id
+    let key = FragmentKey {
+        rule: RuleId(0),
+        env_fp,
+        types_fp: table.fp,
+        opts_fp: opts.fingerprint(),
+    };
+    add_comphases(program, &mut tg, &table, &env, opts, key, cache)?;
+    add_exephases(program, &mut tg, &env, opts)?;
+    if let Some(pe) = program.phase_expr {
+        tg.phase_expr = Some(resolve_pexp(program, pe, &tg, &env)?);
+    }
+    tg.validate().map_err(LarcsError::elab)?;
+    Ok(tg)
+}
 
-    // ---- parameter environment ----
+/// The parameter environment: every declared parameter and import bound
+/// to its value, and the environment's fingerprint.
+fn bind_params(program: &Program, params: &[(&str, i64)]) -> Result<(Env, u64), LarcsError> {
+    let it = &program.interner;
     // Env is keyed on interned symbols; a binding whose name was never
     // interned cannot possibly be a declared parameter.
-    let mut env: Env = Env::new();
+    let mut env = Env::new();
     for &(name, value) in params {
         let sym = it.get(name).filter(|s| {
             program.params.iter().any(|p| p.sym == *s)
@@ -226,7 +260,7 @@ pub fn elaborate_with_cache(
         }
     }
     for declared in program.params.iter().chain(&program.imports) {
-        if !env.contains_key(&declared.sym) {
+        if !env.contains(declared.sym) {
             return Err(LarcsError::elab_at(
                 declared.span,
                 format!(
@@ -237,80 +271,46 @@ pub fn elaborate_with_cache(
             ));
         }
     }
-    // Environment fingerprint: name/value pairs sorted by name, so it is
-    // stable across re-parses that intern symbols in a different order.
-    let env_fp = {
-        let mut pairs: Vec<(&str, i64)> = env
-            .iter()
-            .map(|(&s, &v)| (it.resolve(s), v))
-            .collect();
-        pairs.sort_unstable();
-        let mut h = Fnv::new();
-        for (name, value) in pairs {
-            h.bytes(name.as_bytes());
-            h.byte(0xff);
-            h.u64(value as u64);
-        }
-        h.finish()
-    };
-    let opts_fp = opts.fingerprint();
+    // Name/value pairs sorted by name (every one is bound exactly once),
+    // so the fingerprint is stable across re-parses that intern symbols
+    // in a different order.
+    let mut pairs = params.to_vec();
+    pairs.sort_unstable();
+    let mut h = Fnv::new();
+    for (name, value) in pairs {
+        h.bytes(name.as_bytes());
+        h.byte(0xff);
+        h.u64(value as u64);
+    }
+    Ok((env, h.finish()))
+}
 
-    // ---- node types ----
+/// Evaluates every nodetype's ranges under `env` and lays the types out
+/// as consecutive blocks of task ids.
+fn node_table(program: &Program, env: &Env, opts: &ElabOptions) -> Result<NodeTable, LarcsError> {
     if program.nodetypes.is_empty() {
         return Err(LarcsError::elab("program declares no nodetype"));
     }
-    let mut types: HashMap<Symbol, NodeType> = HashMap::new();
+    let it = &program.interner;
+    let mut table = NodeTable {
+        types: Vec::new(),
+        family: None,
+        all_symmetric: true,
+        fp: 0,
+    };
     let mut shape = Fnv::new();
     shape.bytes(program.name_str().as_bytes());
     shape.byte(0xff);
-    let mut all_symmetric = true;
-    let mut family: Option<Family> = None;
     let mut total_nodes = 0usize;
     for decl in &program.nodetypes {
         let decl_name = it.resolve(decl.name.sym);
-        if types.contains_key(&decl.name.sym) {
+        if table.get(decl.name.sym).is_some() {
             return Err(LarcsError::elab_at(
                 decl.name.span,
                 format!("nodetype '{decl_name}' declared twice"),
             ));
         }
-        let mut ranges = Vec::with_capacity(decl.ranges.len());
-        let mut dims = Vec::with_capacity(decl.ranges.len());
-        for &(lo_e, hi_e) in &decl.ranges {
-            let lo = program.ast.eval(lo_e, &env, it)?;
-            let hi = program.ast.eval(hi_e, &env, it)?;
-            if hi < lo {
-                return Err(LarcsError::elab_at(
-                    decl.span,
-                    format!("nodetype '{decl_name}': empty range {lo}..{hi}"),
-                ));
-            }
-            // `hi - lo` can overflow i64 for adversarial bounds (e.g.
-            // `-2**62 .. 2**62`), so the extent is computed checked and
-            // capped immediately — long before any allocation.
-            let extent = hi
-                .checked_sub(lo)
-                .and_then(|d| d.checked_add(1))
-                .and_then(|e| usize::try_from(e).ok())
-                .filter(|&e| e <= opts.max_nodes)
-                .ok_or_else(|| {
-                    LarcsError::elab_at(
-                        decl.span,
-                        format!(
-                            "nodetype '{decl_name}': too many task nodes \
-                             (range {lo}..{hi} exceeds the node limit {})",
-                            opts.max_nodes
-                        ),
-                    )
-                })?;
-            ranges.push((lo, hi));
-            dims.push(extent);
-        }
-        let nt = NodeType {
-            offset: total_nodes,
-            ranges,
-            dims,
-        };
+        let nt = eval_node_type(program, decl, env, opts, total_nodes)?;
         let count = nt
             .count()
             .filter(|&c| c <= opts.max_nodes.saturating_sub(total_nodes))
@@ -321,7 +321,7 @@ pub fn elaborate_with_cache(
                 )
             })?;
         total_nodes += count;
-        all_symmetric &= decl.node_symmetric;
+        table.all_symmetric &= decl.node_symmetric;
         shape.bytes(decl_name.as_bytes());
         shape.byte(0xff);
         shape.byte(decl.node_symmetric as u8);
@@ -334,8 +334,8 @@ pub fn elaborate_with_cache(
             shape.bytes(fam_name.as_bytes());
             shape.byte(0xff);
             if program.nodetypes.len() == 1 {
-                family = family_from_decl(fam_name, &nt.dims);
-                if family.is_none() {
+                table.family = family_from_decl(fam_name, &nt.dims);
+                if table.family.is_none() {
                     return Err(LarcsError::elab_at(
                         decl.span,
                         format!("family '{fam_name}' does not match the nodetype's shape"),
@@ -343,65 +343,136 @@ pub fn elaborate_with_cache(
                 }
             }
         }
-        types.insert(decl.name.sym, nt);
-    }
-    let types_fp = shape.finish();
-
-    // ---- node skeleton (nodes + attributes, no phases) ----
-    let cached_skeleton = cache
-        .as_mut()
-        .and_then(|c| {
-            let hit = c.skeletons.get(&types_fp).cloned();
-            if hit.is_some() {
-                c.skeleton_hits += 1;
-            }
-            hit
-        });
-    let mut tg = match cached_skeleton {
-        Some(skel) => (*skel).clone(),
-        None => {
-            let mut tg = TaskGraph::new(program.name_str());
-            for decl in &program.nodetypes {
-                let decl_name = it.resolve(decl.name.sym);
-                let nt = &types[&decl.name.sym];
-                let count = nt.count().expect("count validated above");
-                // materialise nodes in row-major order
-                let mut coords: Vec<i64> = nt.ranges.iter().map(|&(lo, _)| lo).collect();
-                for _ in 0..count {
-                    if coords.len() == 1 {
-                        tg.add_node(TaskNode::scalar(decl_name, coords[0]));
-                    } else {
-                        tg.add_node(TaskNode::tuple(decl_name, coords.clone()));
-                    }
-                    // increment row-major
-                    for d in (0..coords.len()).rev() {
-                        coords[d] += 1;
-                        if coords[d] <= nt.ranges[d].1 {
-                            break;
-                        }
-                        coords[d] = nt.ranges[d].0;
-                    }
-                }
-            }
-            tg.node_symmetric = all_symmetric;
-            tg.family = family;
-            if let Some(c) = cache.as_mut() {
-                c.skeleton_misses += 1;
-                if c.skeletons.len() >= MAX_SKELETONS {
-                    c.skeletons.clear();
-                }
-                c.skeletons.insert(types_fp, Arc::new(tg.clone()));
-            }
-            tg
+        let slot = decl.name.sym.index();
+        if slot >= table.types.len() {
+            table.types.resize_with(slot + 1, || None);
         }
-    };
+        table.types[slot] = Some(nt);
+    }
+    table.fp = shape.finish();
+    Ok(table)
+}
 
-    // ---- communication phases ----
+/// One nodetype's block of task ids from `offset`: its ranges evaluated
+/// under `env`, each extent checked against the node limit.
+fn eval_node_type(
+    program: &Program,
+    decl: &NodeTypeDecl,
+    env: &Env,
+    opts: &ElabOptions,
+    offset: usize,
+) -> Result<NodeType, LarcsError> {
+    let it = &program.interner;
+    let decl_name = it.resolve(decl.name.sym);
+    let mut ranges = Vec::with_capacity(decl.ranges.len());
+    let mut dims = Vec::with_capacity(decl.ranges.len());
+    for &(lo_e, hi_e) in &decl.ranges {
+        let lo = program.ast.eval(lo_e, env, it)?;
+        let hi = program.ast.eval(hi_e, env, it)?;
+        if hi < lo {
+            return Err(LarcsError::elab_at(
+                decl.span,
+                format!("nodetype '{decl_name}': empty range {lo}..{hi}"),
+            ));
+        }
+        // `hi - lo` can overflow i64 for adversarial bounds (e.g.
+        // `-2**62 .. 2**62`), so the extent is computed checked and
+        // capped immediately — long before any allocation.
+        let extent = hi
+            .checked_sub(lo)
+            .and_then(|d| d.checked_add(1))
+            .and_then(|e| usize::try_from(e).ok())
+            .filter(|&e| e <= opts.max_nodes)
+            .ok_or_else(|| {
+                LarcsError::elab_at(
+                    decl.span,
+                    format!(
+                        "nodetype '{decl_name}': too many task nodes \
+                         (range {lo}..{hi} exceeds the node limit {})",
+                        opts.max_nodes
+                    ),
+                )
+            })?;
+        ranges.push((lo, hi));
+        dims.push(extent);
+    }
+    Ok(NodeType {
+        offset,
+        ranges,
+        dims,
+    })
+}
+
+/// The node skeleton (nodes and attributes, no phases), from the cache
+/// when this table's shape was materialised before.
+fn skeleton(program: &Program, table: &NodeTable, cache: Option<&mut ElabCache>) -> TaskGraph {
+    let Some(cache) = cache else {
+        return materialise_nodes(program, table);
+    };
+    if let Some(skel) = cache.skeletons.get(&table.fp) {
+        cache.skeleton_hits += 1;
+        return (**skel).clone();
+    }
+    let tg = materialise_nodes(program, table);
+    cache.skeleton_misses += 1;
+    if cache.skeletons.len() >= MAX_SKELETONS {
+        cache.skeletons.clear();
+    }
+    cache.skeletons.insert(table.fp, Arc::new(tg.clone()));
+    tg
+}
+
+/// Every nodetype's tasks, in declaration order and row-major within a
+/// type.
+fn materialise_nodes(program: &Program, table: &NodeTable) -> TaskGraph {
+    let mut tg = TaskGraph::new(program.name_str());
+    for decl in &program.nodetypes {
+        let decl_name = program.str(decl.name.sym);
+        let nt = table
+            .get(decl.name.sym)
+            .expect("every nodetype is in the table");
+        let count = nt.count().expect("count validated above");
+        let mut coords: Vec<i64> = nt.ranges.iter().map(|&(lo, _)| lo).collect();
+        for _ in 0..count {
+            if coords.len() == 1 {
+                tg.add_node(TaskNode::scalar(decl_name, coords[0]));
+            } else {
+                tg.add_node(TaskNode::tuple(decl_name, coords.clone()));
+            }
+            // increment row-major
+            for d in (0..coords.len()).rev() {
+                coords[d] += 1;
+                if coords[d] <= nt.ranges[d].1 {
+                    break;
+                }
+                coords[d] = nt.ranges[d].0;
+            }
+        }
+    }
+    tg.node_symmetric = table.all_symmetric;
+    tg.family = table.family;
+    tg
+}
+
+/// Adds every comphase, in declaration order: each rule's fragment
+/// (cached under `key` with the rule's id filled in, or expanded) is
+/// replayed into the phase under the global edge cap.
+fn add_comphases(
+    program: &Program,
+    tg: &mut TaskGraph,
+    table: &NodeTable,
+    env: &Env,
+    opts: &ElabOptions,
+    key: FragmentKey,
+    mut cache: Option<&mut ElabCache>,
+) -> Result<(), LarcsError> {
     if program.comphases.is_empty() {
         return Err(LarcsError::elab("program declares no comphase"));
     }
+    let too_many_edges = || LarcsError::elab(format!("too many edges (> {})", opts.max_edges));
+    let mut edges = 0usize;
     for decl in &program.comphases {
-        let phase_name = it.resolve(decl.name.sym);
+        let phase_name = program.str(decl.name.sym);
         if tg.phase_by_name(phase_name).is_some() {
             return Err(LarcsError::elab_at(
                 decl.name.span,
@@ -412,24 +483,20 @@ pub fn elaborate_with_cache(
         for rule in &decl.rules {
             let key = FragmentKey {
                 rule: rule.id,
-                env_fp,
-                types_fp,
-                opts_fp,
+                ..key
             };
-            let cached = cache.as_mut().and_then(|c| {
+            let cached = cache.as_deref_mut().and_then(|c| {
                 let hit = c.fragments.get(&key).cloned();
-                if hit.is_some() {
-                    c.hits += 1;
-                }
+                c.hits += u64::from(hit.is_some());
                 hit
             });
             let fragment = match cached {
                 Some(f) => f,
                 None => {
                     let f = Arc::new(expand_rule_fragment(
-                        program, rule, &types, &env, opts, phase_name,
+                        program, rule, table, env, opts, phase_name,
                     )?);
-                    if let Some(c) = cache.as_mut() {
+                    if let Some(c) = cache.as_deref_mut() {
                         c.misses += 1;
                         if c.fragments.len() >= MAX_FRAGMENTS {
                             c.fragments.clear();
@@ -439,28 +506,30 @@ pub fn elaborate_with_cache(
                     f
                 }
             };
-            // assembly: replay the fragment under the global edge cap
+            if edges + fragment.edges.len() > opts.max_edges {
+                return Err(too_many_edges());
+            }
+            edges += fragment.edges.len();
+            tg.comm_phases[phase.index()]
+                .edges
+                .reserve(fragment.edges.len());
             for &(src, dst, volume) in &fragment.edges {
-                if tg.num_edges() >= opts.max_edges {
-                    return Err(LarcsError::elab(format!(
-                        "too many edges (> {})",
-                        opts.max_edges
-                    )));
-                }
                 tg.add_edge(phase, TaskId::new(src), TaskId::new(dst), volume);
             }
         }
-        if tg.num_edges() > opts.max_edges {
-            return Err(LarcsError::elab(format!(
-                "too many edges (> {})",
-                opts.max_edges
-            )));
-        }
     }
+    Ok(())
+}
 
-    // ---- execution phases ----
+/// Adds every exephase with its cost evaluated under `env`.
+fn add_exephases(
+    program: &Program,
+    tg: &mut TaskGraph,
+    env: &Env,
+    opts: &ElabOptions,
+) -> Result<(), LarcsError> {
     for decl in &program.exephases {
-        let name = it.resolve(decl.name.sym);
+        let name = program.str(decl.name.sym);
         if tg.exec_by_name(name).is_some() || tg.phase_by_name(name).is_some() {
             return Err(LarcsError::elab_at(
                 decl.name.span,
@@ -469,7 +538,7 @@ pub fn elaborate_with_cache(
         }
         let cost = match decl.cost {
             Some(e) => {
-                let v = program.ast.eval(e, &env, it)?;
+                let v = program.ast.eval(e, env, &program.interner)?;
                 u64::try_from(v).map_err(|_| {
                     LarcsError::elab_at(
                         program.ast.expr_span(e),
@@ -481,14 +550,7 @@ pub fn elaborate_with_cache(
         };
         tg.add_exec_phase(name, Cost::Uniform(cost));
     }
-
-    // ---- phase expression ----
-    if let Some(pe) = program.phase_expr {
-        tg.phase_expr = Some(resolve_pexp(program, pe, &tg, &env)?);
-    }
-
-    tg.validate().map_err(LarcsError::elab)?;
-    Ok(tg)
+    Ok(())
 }
 
 fn h_i64(h: &mut Fnv, v: i64) {
@@ -535,7 +597,7 @@ fn family_from_decl(name: &str, dims: &[usize]) -> Option<Family> {
 fn expand_rule_fragment(
     program: &Program,
     rule: &Rule,
-    types: &HashMap<Symbol, NodeType>,
+    types: &NodeTable,
     base_env: &Env,
     opts: &ElabOptions,
     phase_name: &str,
@@ -552,7 +614,7 @@ fn expand_rule_fragment(
     fn rec(
         program: &Program,
         rule: &Rule,
-        types: &HashMap<Symbol, NodeType>,
+        types: &NodeTable,
         env: &mut Env,
         opts: &ElabOptions,
         phase_name: &str,
@@ -595,7 +657,7 @@ fn expand_rule_fragment(
         let binder = &rule.binders[depth];
         let lo = program.ast.eval(binder.lo, env, it)?;
         let hi = program.ast.eval(binder.hi, env, it)?;
-        let shadowed = env.get(&binder.var.sym).copied();
+        let shadowed = env.get(binder.var.sym);
         for v in lo..=hi {
             // A rule whose guard rejects everything emits no edges, so the
             // edge cap alone cannot stop `forall i in 0..2**60`; this
@@ -614,23 +676,27 @@ fn expand_rule_fragment(
         }
         match shadowed {
             Some(old) => env.insert(binder.var.sym, old),
-            None => env.remove(&binder.var.sym),
+            None => env.remove(binder.var.sym),
         };
         Ok(())
     }
 }
 
+/// The task index of one edge endpoint. The row-major index is folded
+/// while the label arguments are evaluated, first to last, so an
+/// evaluation error still wins over a range error; the coordinates are
+/// collected only to name an out-of-range label.
 fn resolve_endpoint(
     program: &Program,
     edge: &EdgeDecl,
     type_name: &Ident,
     args: &[ExprId],
-    types: &HashMap<Symbol, NodeType>,
+    types: &NodeTable,
     env: &Env,
     phase_name: &str,
 ) -> Result<usize, LarcsError> {
     let it = &program.interner;
-    let nt = types.get(&type_name.sym).ok_or_else(|| {
+    let nt = types.get(type_name.sym).ok_or_else(|| {
         LarcsError::elab_at(
             type_name.span,
             format!(
@@ -639,20 +705,26 @@ fn resolve_endpoint(
             ),
         )
     })?;
+    let mut idx = (args.len() == nt.ranges.len()).then_some(0usize);
+    for (d, &a) in args.iter().enumerate() {
+        let c = program.ast.eval(a, env, it)?;
+        idx = idx.and_then(|acc| nt.step(acc, d, c));
+    }
+    if let Some(i) = idx.and_then(|i| nt.offset.checked_add(i)) {
+        return Ok(i);
+    }
     let coords: Vec<i64> = args
         .iter()
         .map(|&a| program.ast.eval(a, env, it))
         .collect::<Result<_, _>>()?;
-    nt.index_of(&coords).ok_or_else(|| {
-        LarcsError::elab_at(
-            edge.span,
-            format!(
-                "comphase '{phase_name}': label {}({coords:?}) out of range \
-                 (add a 'where' guard to exclude boundary cases)",
-                it.resolve(type_name.sym)
-            ),
-        )
-    })
+    Err(LarcsError::elab_at(
+        edge.span,
+        format!(
+            "comphase '{phase_name}': label {}({coords:?}) out of range \
+             (add a 'where' guard to exclude boundary cases)",
+            it.resolve(type_name.sym)
+        ),
+    ))
 }
 
 fn resolve_pexp(

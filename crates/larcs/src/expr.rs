@@ -16,7 +16,6 @@
 use crate::ast::{Ast, BExpKind, ExprId, BExpId, ExprKind};
 use crate::error::LarcsError;
 use crate::intern::{StringInterner, Symbol};
-use std::collections::HashMap;
 
 /// Binary integer operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,100 +51,193 @@ pub enum CmpOp {
     Ne,
 }
 
-/// Variable bindings for evaluation, keyed on interned symbols.
-pub type Env = HashMap<Symbol, i64>;
+/// Variable bindings for evaluation: a dense slot table indexed by
+/// [`Symbol::index`], so a lookup at a binder point is one bounds-checked
+/// load rather than a hash.
+#[derive(Clone, Debug, Default)]
+pub struct Env {
+    slots: Vec<Option<i64>>,
+}
+
+impl Env {
+    /// An empty environment.
+    pub fn new() -> Env {
+        Env::default()
+    }
+
+    /// The value bound to `sym`, if any.
+    pub fn get(&self, sym: Symbol) -> Option<i64> {
+        self.slots.get(sym.index()).copied().flatten()
+    }
+
+    /// Whether `sym` is bound.
+    pub fn contains(&self, sym: Symbol) -> bool {
+        self.get(sym).is_some()
+    }
+
+    /// Binds `sym` to `value`, returning the value it replaces.
+    pub fn insert(&mut self, sym: Symbol, value: i64) -> Option<i64> {
+        let i = sym.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i].replace(value)
+    }
+
+    /// Unbinds `sym`, returning its value.
+    pub fn remove(&mut self, sym: Symbol) -> Option<i64> {
+        self.slots.get_mut(sym.index()).and_then(Option::take)
+    }
+}
+
+impl FromIterator<(Symbol, i64)> for Env {
+    /// Later bindings of the same symbol replace earlier ones.
+    fn from_iter<I: IntoIterator<Item = (Symbol, i64)>>(pairs: I) -> Env {
+        let mut env = Env::new();
+        for (sym, value) in pairs {
+            env.insert(sym, value);
+        }
+        env
+    }
+}
+
+/// Why an evaluation stopped: the offending subexpression and what went
+/// wrong there. The recursion passes this small `Copy` value up; it
+/// becomes a [`LarcsError`] once, at the public boundary.
+#[derive(Clone, Copy, Debug)]
+struct Fault {
+    at: ExprId,
+    kind: FaultKind,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum FaultKind {
+    /// A variable with no binding.
+    Unbound(Symbol),
+    /// Negating `i64::MIN`.
+    NegOverflow,
+    /// `x op y` does not fit in an `i64`.
+    Overflow(BinOp, i64, i64),
+    /// `/` or `mod` by zero.
+    ByZero(BinOp),
+    /// `x ** y` with `y < 0`.
+    NegativeExponent(i64),
+}
+
+impl Fault {
+    /// The diagnostic, anchored at the offending subexpression's span.
+    #[cold]
+    fn into_error(self, ast: &Ast, interner: &StringInterner) -> LarcsError {
+        let message = match self.kind {
+            FaultKind::Unbound(sym) => {
+                format!("unbound variable '{}'", interner.resolve(sym))
+            }
+            FaultKind::NegOverflow => "arithmetic overflow".to_string(),
+            FaultKind::Overflow(op, x, y) => format!("arithmetic overflow in {x} {op:?} {y}"),
+            FaultKind::ByZero(BinOp::Mod) => "mod by zero".to_string(),
+            FaultKind::ByZero(_) => "division by zero".to_string(),
+            FaultKind::NegativeExponent(y) => format!("negative exponent {y}"),
+        };
+        LarcsError::elab_at(ast.expr_span(self.at), message)
+    }
+}
 
 impl Ast {
     /// Evaluates expression `id` under `env`; errors (unbound variables,
     /// division by zero, negative exponents, overflow) are anchored at
     /// the offending subexpression's span.
+    #[inline]
     pub fn eval(
         &self,
         id: ExprId,
         env: &Env,
         interner: &StringInterner,
     ) -> Result<i64, LarcsError> {
-        let span = self.expr_span(id);
-        match self.expr(id) {
-            ExprKind::Const(v) => Ok(v),
-            ExprKind::Var(sym) => env.get(&sym).copied().ok_or_else(|| {
-                LarcsError::elab_at(
-                    span,
-                    format!("unbound variable '{}'", interner.resolve(sym)),
-                )
-            }),
-            ExprKind::Neg(e) => self
-                .eval(e, env, interner)?
-                .checked_neg()
-                .ok_or_else(|| LarcsError::elab_at(span, "arithmetic overflow")),
-            ExprKind::Bin(op, a, b) => {
-                let x = self.eval(a, env, interner)?;
-                let y = self.eval(b, env, interner)?;
-                let overflow = || {
-                    LarcsError::elab_at(
-                        span,
-                        format!("arithmetic overflow in {x} {op:?} {y}"),
-                    )
-                };
-                match op {
-                    BinOp::Add => x.checked_add(y).ok_or_else(overflow),
-                    BinOp::Sub => x.checked_sub(y).ok_or_else(overflow),
-                    BinOp::Mul => x.checked_mul(y).ok_or_else(overflow),
-                    BinOp::Div => {
-                        if y == 0 {
-                            Err(LarcsError::elab_at(span, "division by zero"))
-                        } else {
-                            Ok(x.div_euclid(y))
-                        }
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            Err(LarcsError::elab_at(span, "mod by zero"))
-                        } else {
-                            Ok(x.rem_euclid(y))
-                        }
-                    }
-                    BinOp::Pow => {
-                        if y < 0 {
-                            Err(LarcsError::elab_at(span, format!("negative exponent {y}")))
-                        } else {
-                            let exp = u32::try_from(y).map_err(|_| overflow())?;
-                            x.checked_pow(exp).ok_or_else(overflow)
-                        }
-                    }
-                }
-            }
-        }
+        self.eval_in(id, env)
+            .map_err(|fault| fault.into_error(self, interner))
     }
 
-    /// Evaluates a boolean guard under `env`.
+    /// Evaluates a boolean guard under `env`. `and` and `or` short-circuit:
+    /// an error in an operand that is never read is never raised.
+    #[inline]
     pub fn eval_bool(
         &self,
         id: BExpId,
         env: &Env,
         interner: &StringInterner,
     ) -> Result<bool, LarcsError> {
-        match self.bexp(id) {
+        self.eval_bool_in(id, env)
+            .map_err(|fault| fault.into_error(self, interner))
+    }
+
+    /// One node. Constants and variables answer in place, so the
+    /// recursion descends only into operators.
+    #[inline(always)]
+    fn eval_in(&self, id: ExprId, env: &Env) -> Result<i64, Fault> {
+        match self.expr(id) {
+            ExprKind::Const(v) => Ok(v),
+            ExprKind::Var(sym) => env.get(sym).ok_or(Fault {
+                at: id,
+                kind: FaultKind::Unbound(sym),
+            }),
+            ExprKind::Neg(e) => self.eval_neg(id, e, env),
+            ExprKind::Bin(op, a, b) => self.eval_bin(id, op, a, b, env),
+        }
+    }
+
+    fn eval_neg(&self, id: ExprId, e: ExprId, env: &Env) -> Result<i64, Fault> {
+        self.eval_in(e, env)?.checked_neg().ok_or(Fault {
+            at: id,
+            kind: FaultKind::NegOverflow,
+        })
+    }
+
+    fn eval_bin(
+        &self,
+        id: ExprId,
+        op: BinOp,
+        a: ExprId,
+        b: ExprId,
+        env: &Env,
+    ) -> Result<i64, Fault> {
+        let x = self.eval_in(a, env)?;
+        let y = self.eval_in(b, env)?;
+        let fault = |kind| Fault { at: id, kind };
+        let overflow = fault(FaultKind::Overflow(op, x, y));
+        match op {
+            BinOp::Add => x.checked_add(y).ok_or(overflow),
+            BinOp::Sub => x.checked_sub(y).ok_or(overflow),
+            BinOp::Mul => x.checked_mul(y).ok_or(overflow),
+            BinOp::Div | BinOp::Mod if y == 0 => Err(fault(FaultKind::ByZero(op))),
+            // `i64::MIN / -1` is the one quotient that overflows
+            BinOp::Div => x.checked_div_euclid(y).ok_or(overflow),
+            BinOp::Mod => x.checked_rem_euclid(y).ok_or(overflow),
+            BinOp::Pow if y < 0 => Err(fault(FaultKind::NegativeExponent(y))),
+            BinOp::Pow => u32::try_from(y)
+                .ok()
+                .and_then(|exp| x.checked_pow(exp))
+                .ok_or(overflow),
+        }
+    }
+
+    fn eval_bool_in(&self, id: BExpId, env: &Env) -> Result<bool, Fault> {
+        Ok(match self.bexp(id) {
             BExpKind::Cmp(op, a, b) => {
-                let x = self.eval(a, env, interner)?;
-                let y = self.eval(b, env, interner)?;
-                Ok(match op {
+                let x = self.eval_in(a, env)?;
+                let y = self.eval_in(b, env)?;
+                match op {
                     CmpOp::Lt => x < y,
                     CmpOp::Le => x <= y,
                     CmpOp::Gt => x > y,
                     CmpOp::Ge => x >= y,
                     CmpOp::Eq => x == y,
                     CmpOp::Ne => x != y,
-                })
+                }
             }
-            BExpKind::And(a, b) => {
-                Ok(self.eval_bool(a, env, interner)? && self.eval_bool(b, env, interner)?)
-            }
-            BExpKind::Or(a, b) => {
-                Ok(self.eval_bool(a, env, interner)? || self.eval_bool(b, env, interner)?)
-            }
-            BExpKind::Not(a) => Ok(!self.eval_bool(a, env, interner)?),
-        }
+            BExpKind::And(a, b) => self.eval_bool_in(a, env)? && self.eval_bool_in(b, env)?,
+            BExpKind::Or(a, b) => self.eval_bool_in(a, env)? || self.eval_bool_in(b, env)?,
+            BExpKind::Not(a) => !self.eval_bool_in(a, env)?,
+        })
     }
 
     /// Collects the free variables of expression `id` (deduplicated, in
@@ -303,6 +395,37 @@ mod tests {
         let forty = b.konst(40);
         let p = b.bin(BinOp::Pow, ten, forty);
         assert!(b.eval(p, &Env::new()).is_err());
+    }
+
+    #[test]
+    fn min_over_minus_one_is_an_overflow_error_not_a_panic() {
+        // -(2**62)*2 is i64::MIN; its quotient and remainder by -1 overflow
+        let range = "algorithm t();\n\
+                     nodetype x: 0..(-(2**62)*2) / (0-1);\n\
+                     comphase c: x(0) -> x(1);";
+        let err = crate::compile(range, &[]).unwrap_err();
+        assert!(err.message().starts_with("arithmetic overflow in"), "{err}");
+        let guard = "algorithm t();\n\
+                     nodetype x: 0..1;\n\
+                     comphase c: forall i in 0..1 where ((-(2**62)*2) mod (0-1)) == 0 \
+                     { x(i) -> x(i); }";
+        let err = crate::compile(guard, &[]).unwrap_err();
+        assert!(err.message().starts_with("arithmetic overflow in"), "{err}");
+    }
+
+    #[test]
+    fn dense_env_rebinds_and_unbinds() {
+        let mut i = StringInterner::new();
+        let (a, b) = (i.intern("a"), i.intern("b"));
+        let mut env = Env::new();
+        assert_eq!(env.get(b), None);
+        assert_eq!(env.insert(b, 7), None);
+        assert_eq!(env.insert(b, 8), Some(7));
+        assert!(env.contains(b) && !env.contains(a));
+        assert_eq!(env.remove(b), Some(8));
+        assert_eq!(env.remove(a), None);
+        let env: Env = [(a, 1), (a, 2)].into_iter().collect();
+        assert_eq!(env.get(a), Some(2));
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! source --lex--> tokens (+ content fingerprint)
 //!        --parse--> ast::Program (arena nodes, interned names, byte spans)
 //!        --elaborate(params)--> oregami_graph::TaskGraph (per-rule fragments)
-//!        --analyze--> regularity report (bijective? affine? nameable?)
 //! ```
+//!
+//! The regularity findings MAPPER dispatches on (bijective? affine?
+//! nameable?) are functions of the graph in [`analyze`](mod@analyze), each computed
+//! when asked for.
 //!
 //! Batch callers use [`compile`]; interactive callers keep a [`query::Db`]
 //! across edits, and each query re-runs only the stages whose *content*
@@ -34,6 +37,8 @@
 //! A library of built-in LaRCS programs for the algorithms the paper lists
 //! (n-body, perfect broadcast, Jacobi, SOR, divide-and-conquer on binomial
 //! trees, FFT, matrix multiplication, ...) lives in [`programs`].
+
+#![deny(clippy::too_many_lines)]
 
 pub mod analyze;
 pub mod ast;

@@ -1,9 +1,9 @@
 //! The memoized query layer: a salsa-style database over the LaRCS
 //! front end.
 //!
-//! [`Db`] exposes the pipeline as four queries —
-//! lex → parse → elaborate → analyze — each memoized on a *content*
-//! fingerprint of its inputs rather than on identity:
+//! [`Db`] exposes the front end as three queries — lex → parse →
+//! elaborate — each memoized on a *content* fingerprint of its inputs
+//! rather than on identity:
 //!
 //! - **lex** is keyed on the source bytes and produces the token stream
 //!   plus its layout-insensitive
@@ -13,8 +13,11 @@
 //! - **elaborate** is keyed on (tokens, params, limits) for the whole
 //!   graph, and *per rule* on ([`RuleId`](crate::ast::RuleId), params,
 //!   node table, limits) via [`ElabCache`] — editing one comphase
-//!   re-expands only the rules whose canonical text changed;
-//! - **analyze** is keyed like elaborate.
+//!   re-expands only the rules whose canonical text changed.
+//!
+//! Regularity analysis is not a query: MAPPER's dispatch asks for each
+//! finding on the graph when an arm can use it
+//! ([`crate::analyze`](mod@crate::analyze)).
 //!
 //! Because the cached path replays exactly the same rule fragments
 //! through exactly the same assembly as the batch path
@@ -31,7 +34,6 @@
 //!
 //! Errors are never cached — a failing input re-runs the failing stage.
 
-use crate::analyze::{self, Analysis};
 use crate::ast::Program;
 use crate::elaborate::{elaborate_with_cache, ElabCache, ElabOptions};
 use crate::error::LarcsError;
@@ -58,10 +60,6 @@ pub struct QueryStats {
     /// Graphs actually assembled (their rules may still have hit the
     /// per-rule fragment cache — see [`Db::elab_cache`]).
     pub graph_misses: u64,
-    /// Analyses served from cache.
-    pub analyze_hits: u64,
-    /// Graphs actually analysed.
-    pub analyze_misses: u64,
 }
 
 /// Cache-size bounds; each map is cleared wholesale when it outgrows its
@@ -84,8 +82,6 @@ pub struct Db {
     programs: HashMap<u64, Arc<Program>>,
     /// (token fp, env fp, opts fp) -> elaborated graph.
     graphs: HashMap<(u64, u64, u64), Arc<TaskGraph>>,
-    /// (token fp, env fp, opts fp) -> analysis.
-    analyses: HashMap<(u64, u64, u64), Arc<Analysis>>,
     elab: ElabCache,
     stats: QueryStats,
 }
@@ -185,29 +181,6 @@ impl Db {
         Ok(graph)
     }
 
-    /// Query: regularity analysis of the compiled graph.
-    pub fn analyze(
-        &mut self,
-        source: &str,
-        params: &[(&str, i64)],
-    ) -> Result<Arc<Analysis>, LarcsError> {
-        let opts = ElabOptions::default();
-        let (tok_fp, _) = self.tokens_query(source)?;
-        let key = (tok_fp, params_fingerprint(params), opts.fingerprint());
-        if let Some(a) = self.analyses.get(&key) {
-            self.stats.analyze_hits += 1;
-            return Ok(a.clone());
-        }
-        let graph = self.compile_with(source, params, &opts)?;
-        self.stats.analyze_misses += 1;
-        let analysis = Arc::new(analyze::analyze(&graph));
-        if self.analyses.len() >= MAX_GRAPH_ENTRIES {
-            self.analyses.clear();
-        }
-        self.analyses.insert(key, analysis.clone());
-        Ok(analysis)
-    }
-
     /// Query: `source` rendered in canonical form (`larcs fmt`). Output
     /// depends only on the token stream, so it is stable under the
     /// program-sharing aliasing described in the module docs.
@@ -276,7 +249,6 @@ impl Db {
         self.tokens.clear();
         self.programs.clear();
         self.graphs.clear();
-        self.analyses.clear();
         self.elab.clear();
     }
 }
@@ -376,12 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn analyze_and_fmt_queries_cache() {
+    fn fmt_query_is_a_fixed_point() {
         let mut db = Db::new();
-        let a1 = db.analyze(SRC, PARAMS).unwrap();
-        let a2 = db.analyze(SRC, PARAMS).unwrap();
-        assert!(Arc::ptr_eq(&a1, &a2));
-        assert_eq!(db.stats().analyze_hits, 1);
         let f = db.fmt(SRC).unwrap();
         assert!(f.starts_with("algorithm t(n);"));
         // fmt of the formatted output is a fixed point

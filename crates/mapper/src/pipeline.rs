@@ -18,9 +18,8 @@ use crate::mapping::Mapping;
 use crate::routing::{route_all_phases, Matcher};
 use crate::systolic;
 use oregami_graph::{Family, TaskGraph, WeightedGraph};
-use oregami_larcs::analyze::{self, Analysis};
+use oregami_larcs::analyze;
 use oregami_topology::{Network, ProcId, RouteTable, TopologyKind};
-use std::cell::OnceCell;
 
 /// Which of MAPPER's algorithm classes produced the mapping.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -247,8 +246,6 @@ struct MapCtx<'a> {
     /// presume the family's symmetric, unweighted structure, so they only
     /// apply then.
     uniform_weights: bool,
-    /// The regularity analysis, computed the first time an arm reads it.
-    analysis: OnceCell<Analysis>,
 }
 
 /// What an arm placed, before the shared tail embeds and routes it.
@@ -309,12 +306,7 @@ impl<'a> MapCtx<'a> {
             p: net.num_procs(),
             collapsed,
             uniform_weights,
-            analysis: OnceCell::new(),
         })
-    }
-
-    fn analysis(&self) -> &Analysis {
-        self.analysis.get_or_init(|| analyze::analyze(self.tg))
     }
 
     /// MWM-Contract into at most `P` clusters under the load bound
@@ -422,7 +414,7 @@ fn systolic_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
         TopologyKind::Mesh2D(..) => 2,
         _ => return Ok(None),
     };
-    if !ctx.analysis().all_uniform {
+    if !analyze::all_phases_uniform(ctx.tg) {
         return Ok(None);
     }
     let Ok(sm) = systolic::synthesize(ctx.tg, dims) else {
@@ -445,7 +437,7 @@ fn systolic_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
 /// bijection and the processors divide the tasks.
 fn group_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
     let (n, p) = (ctx.n, ctx.p);
-    if !ctx.analysis().all_bijective || !n.is_multiple_of(p) {
+    if !n.is_multiple_of(p) || !analyze::all_phases_bijective(ctx.tg) {
         return Ok(None);
     }
     // circulant fast path (the paper's "syntactic characterization"
@@ -483,13 +475,15 @@ fn group_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
     Ok(Some(placed))
 }
 
-/// Arm 4: the canned mapping of a family the analysis recognised in an
-/// undeclared graph.
+/// Arm 4: the canned mapping of a family recognised in an undeclared
+/// graph. Recognition is an isomorphism search, so it runs only when
+/// [`MapCtx::canned`] could use what it finds: uniform weights and at
+/// least as many tasks as processors.
 fn recognised_canned_arm(ctx: &MapCtx) -> Result<Option<Placed>, MapError> {
-    if ctx.tg.family.is_some() {
+    if ctx.tg.family.is_some() || !ctx.uniform_weights || ctx.n < ctx.p {
         return Ok(None);
     }
-    Ok(ctx.analysis().family.and_then(|family| ctx.canned(family)))
+    Ok(analyze::recognize_family(ctx.tg).and_then(|family| ctx.canned(family)))
 }
 
 /// The general arm (§4.3): MWM-Contract under the load bound, then
