@@ -96,8 +96,7 @@ pub struct OregamiResult {
     /// METRICS' evaluation of the mapping.
     pub metrics: MetricsReport,
     /// The fallback-chain execution record, present when the mapping was
-    /// produced through [`Oregami::map_with_budget`] /
-    /// [`Oregami::map_source_with_budget`].
+    /// produced through [`Oregami::map_source_with_budget`].
     pub engine: Option<EngineReport>,
     /// `None` for a prebuilt graph; otherwise what a session's `program`
     /// edits splice into and recompile.
@@ -516,13 +515,6 @@ impl Oregami {
         self
     }
 
-    /// The shared breaker state of the configured supervisor, if any —
-    /// inspect per-stage [`BreakerView`](mapper::supervisor::BreakerView)s
-    /// or reset breakers between runs.
-    pub fn supervisor_state(&self) -> Option<&SupervisorState> {
-        self.supervisor.as_ref().map(|s| &*s.state)
-    }
-
     /// The target network.
     pub fn network(&self) -> &Network {
         &self.network
@@ -735,8 +727,11 @@ impl Oregami {
     }
 
     /// Compiles a LaRCS source and maps it through the fallback-chain
-    /// engine under an execution budget (see
-    /// [`map_with_budget`](Oregami::map_with_budget)).
+    /// engine under an execution budget: the chain's stages run in
+    /// priority order, each panic-isolated, sharing `budget`; the cheapest
+    /// candidate mapping is served even when the budget cuts the searches
+    /// short. The result's [`OregamiResult::engine`] holds the per-stage
+    /// record, and METRICS is annotated when the chain degraded.
     pub fn map_source_with_budget(
         &self,
         source: &str,
@@ -744,24 +739,7 @@ impl Oregami {
         chain: &FallbackChain,
         budget: &Budget,
     ) -> Result<OregamiResult, OregamiError> {
-        let tg = self.compile_source(source, params)?;
-        Ok(self
-            .map_with_budget(tg, chain, budget)?
-            .compiled_from(source, params))
-    }
-
-    /// Maps a task graph through the fallback-chain engine under an
-    /// execution budget: the chain's stages run in priority order, each
-    /// panic-isolated, sharing `budget`; the cheapest candidate mapping
-    /// is served even when the budget cuts the searches short. The
-    /// result's [`OregamiResult::engine`] holds the per-stage record, and
-    /// METRICS is annotated when the chain degraded.
-    pub fn map_with_budget(
-        &self,
-        task_graph: TaskGraph,
-        chain: &FallbackChain,
-        budget: &Budget,
-    ) -> Result<OregamiResult, OregamiError> {
+        let task_graph = self.compile_source(source, params)?;
         let config = EngineConfig {
             cache: Some(Arc::clone(&self.cache)),
             cost_model: self.cost_model.clone(),
@@ -803,7 +781,8 @@ impl Oregami {
             metrics,
             engine: Some(outcome.engine),
             source: None,
-        })
+        }
+        .compiled_from(source, params))
     }
 }
 
@@ -1154,8 +1133,9 @@ mod tests {
 
     #[test]
     fn supervised_toolchain_reports_health() {
-        let sys = Oregami::new(builders::hypercube(2))
-            .with_supervisor(SupervisorConfig::default());
+        let config = SupervisorConfig::default();
+        let state = Arc::clone(&config.state);
+        let sys = Oregami::new(builders::hypercube(2)).with_supervisor(config);
         let r = sys
             .map_source_with_budget(
                 &larcs::programs::jacobi(),
@@ -1167,7 +1147,6 @@ mod tests {
         let engine = r.engine.as_ref().unwrap();
         assert_eq!(engine.health, ServiceHealth::Healthy);
         assert!(!r.is_degraded());
-        let state = sys.supervisor_state().unwrap();
         assert!(!state.any_tripped());
         assert!(engine.to_string().contains("health: healthy"));
     }

@@ -177,10 +177,6 @@ impl AdmissionGate {
     /// Predicted wait before a newly queued job starts: the outstanding
     /// jobs ahead of it, served `workers`-wide at the (idle-decayed)
     /// EWMA service time.
-    pub fn estimated_wait_micros(&self, queue_depth: usize) -> u64 {
-        self.estimated_wait_at(queue_depth, self.now_micros())
-    }
-
     fn estimated_wait_at(&self, queue_depth: usize, now: u64) -> u64 {
         (queue_depth as u64).saturating_mul(self.ewma_at(now)) / self.workers as u64
     }

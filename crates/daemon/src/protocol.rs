@@ -59,7 +59,7 @@ pub enum Op {
 
 /// Session names become journal/meta file names, so they are restricted
 /// to a safe alphabet — no separators, no dots, no traversal.
-pub fn valid_session_name(name: &str) -> bool {
+fn valid_session_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
         && name

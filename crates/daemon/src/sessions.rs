@@ -488,7 +488,7 @@ pub fn metric_json(s: &MetricSnapshot) -> Json {
 }
 
 /// What one edit changed.
-pub fn delta_json(d: &MetricsDelta) -> Json {
+fn delta_json(d: &MetricsDelta) -> Json {
     obj()
         .field("edges_touched", d.edges_touched)
         .field("before", metric_json(&d.before))

@@ -667,6 +667,21 @@ fn supervised_run_reports_health_and_chaos_storm_exits_7() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // so is a key the chaos spec does not know, rather than being ignored
+    let out = oregami()
+        .args([
+            "--program", "jacobi", "--topology", "hypercube:2",
+            "--chaos", "seed=1,board-loss=0.5",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown chaos key 'board-loss'"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

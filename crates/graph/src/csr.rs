@@ -43,8 +43,7 @@ pub struct Csr {
 impl Csr {
     /// Builds a **directed** adjacency from an edge list.
     ///
-    /// Panics on an out-of-range endpoint; use [`Csr::try_directed`] for
-    /// untrusted input.
+    /// Panics on an out-of-range endpoint.
     pub fn directed(n: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> Csr {
         Self::try_directed(n, edges).expect("edge endpoint out of range")
     }
@@ -60,7 +59,7 @@ impl Csr {
 
     /// Fallible **directed** construction returning a typed error on an
     /// out-of-range endpoint.
-    pub fn try_directed(
+    fn try_directed(
         n: usize,
         edges: impl Iterator<Item = (usize, usize)> + Clone,
     ) -> Result<Csr, CsrError> {

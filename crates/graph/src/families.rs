@@ -10,7 +10,7 @@
 //! phase named `comm` whose edges all have unit volume, nodes labelled in the
 //! family's standard scheme, and [`TaskGraph::family`] set.
 
-use crate::ids::TaskId;
+use crate::ids::{PhaseId, TaskId};
 use crate::task_graph::{TaskGraph, TaskNode};
 
 /// A well-known graph family, with its size parameters.
@@ -64,24 +64,6 @@ impl Family {
         }
     }
 
-    /// Parses a family name (as written in a LaRCS `family(...)` attribute).
-    pub fn from_name(name: &str, n: usize, m: usize) -> Option<Family> {
-        Some(match name {
-            "ring" => Family::Ring(n),
-            "chain" => Family::Chain(n),
-            "mesh2d" => Family::Mesh2D(n, m),
-            "torus2d" => Family::Torus2D(n, m),
-            "hypercube" => Family::Hypercube(n),
-            "complete" => Family::Complete(n),
-            "star" => Family::Star(n),
-            "fullbinarytree" => Family::FullBinaryTree(n),
-            "binomialtree" => Family::BinomialTree(n),
-            "butterfly" => Family::Butterfly(n),
-            "chordalring" => Family::ChordalRing(n, m),
-            _ => return None,
-        })
-    }
-
     /// Number of nodes the family instance has.
     pub fn num_nodes(&self) -> usize {
         match *self {
@@ -100,19 +82,57 @@ impl Family {
         let mut g = TaskGraph::new(self.name());
         g.family = Some(*self);
         let phase = g.add_phase("comm");
+        self.add_nodes(&mut g);
+        g.node_symmetric = matches!(
+            self,
+            Family::Ring(_)
+                | Family::Torus2D(..)
+                | Family::Hypercube(_)
+                | Family::Complete(_)
+                | Family::ChordalRing(..)
+        );
+        self.add_edges(&mut g, phase);
+        debug_assert_eq!(g.num_tasks(), self.num_nodes());
+        debug_assert!(g.validate().is_ok());
+        g
+    }
+
+    /// The family's nodes in its standard labelling: `t[i][j]` for the
+    /// meshes and tori (row-major) and `t[level][row]` for the butterfly,
+    /// scalar `t[i]` for every other family.
+    fn add_nodes(&self, g: &mut TaskGraph) {
+        match *self {
+            Family::Mesh2D(r, c) | Family::Torus2D(r, c) => {
+                for i in 0..r {
+                    for j in 0..c {
+                        g.add_node(TaskNode::tuple("t", vec![i as i64, j as i64]));
+                    }
+                }
+            }
+            Family::Butterfly(d) => {
+                for level in 0..=d {
+                    for r in 0..1usize << d {
+                        g.add_node(TaskNode::tuple("t", vec![level as i64, r as i64]));
+                    }
+                }
+            }
+            _ => g.add_scalar_nodes("t", self.num_nodes()),
+        }
+    }
+
+    /// The family's unit-volume edges, all in `phase` except the chordal
+    /// ring's chords, which get a second phase of their own.
+    fn add_edges(&self, g: &mut TaskGraph, phase: PhaseId) {
         let t = TaskId::new;
         match *self {
             Family::Ring(n) => {
                 assert!(n >= 3, "ring needs >= 3 nodes");
-                g.add_scalar_nodes("t", n);
-                g.node_symmetric = true;
                 for i in 0..n {
                     g.add_edge(phase, t(i), t((i + 1) % n), 1);
                 }
             }
             Family::Chain(n) => {
                 assert!(n >= 2, "chain needs >= 2 nodes");
-                g.add_scalar_nodes("t", n);
                 for i in 0..n - 1 {
                     g.add_edge(phase, t(i), t(i + 1), 1);
                 }
@@ -120,12 +140,6 @@ impl Family {
             Family::Mesh2D(r, c) | Family::Torus2D(r, c) => {
                 assert!(r >= 1 && c >= 1, "mesh needs positive dimensions");
                 let wrap = matches!(self, Family::Torus2D(..));
-                for i in 0..r {
-                    for j in 0..c {
-                        g.add_node(TaskNode::tuple("t", vec![i as i64, j as i64]));
-                    }
-                }
-                g.node_symmetric = wrap;
                 let id = |i: usize, j: usize| t(i * c + j);
                 for i in 0..r {
                     for j in 0..c {
@@ -144,8 +158,6 @@ impl Family {
             }
             Family::Hypercube(d) => {
                 let n = 1usize << d;
-                g.add_scalar_nodes("t", n);
-                g.node_symmetric = true;
                 for i in 0..n {
                     for b in 0..d {
                         let j = i ^ (1 << b);
@@ -157,8 +169,6 @@ impl Family {
             }
             Family::Complete(n) => {
                 assert!(n >= 2, "complete graph needs >= 2 nodes");
-                g.add_scalar_nodes("t", n);
-                g.node_symmetric = true;
                 for i in 0..n {
                     for j in i + 1..n {
                         g.add_edge(phase, t(i), t(j), 1);
@@ -167,14 +177,12 @@ impl Family {
             }
             Family::Star(n) => {
                 assert!(n >= 2, "star needs >= 2 nodes");
-                g.add_scalar_nodes("t", n);
                 for i in 1..n {
                     g.add_edge(phase, t(0), t(i), 1);
                 }
             }
             Family::FullBinaryTree(h) => {
                 let n = (1usize << (h + 1)) - 1;
-                g.add_scalar_nodes("t", n);
                 // Heap numbering (0-based): children of i are 2i+1, 2i+2.
                 for i in 0..n {
                     for child in [2 * i + 1, 2 * i + 2] {
@@ -186,7 +194,6 @@ impl Family {
             }
             Family::BinomialTree(k) => {
                 let n = 1usize << k;
-                g.add_scalar_nodes("t", n);
                 // B_k = two B_{k-1} joined at the roots: node i != 0 has
                 // parent i with its highest set bit cleared.
                 for i in 1..n {
@@ -198,8 +205,6 @@ impl Family {
                 assert!(n >= 3, "chordal ring needs >= 3 nodes");
                 let c = c % n;
                 assert!(c >= 2 && c != n - 1, "chord must differ from ring steps");
-                g.add_scalar_nodes("t", n);
-                g.node_symmetric = true;
                 for i in 0..n {
                     g.add_edge(phase, t(i), t((i + 1) % n), 1);
                 }
@@ -210,11 +215,6 @@ impl Family {
             }
             Family::Butterfly(d) => {
                 let cols = 1usize << d;
-                for level in 0..=d {
-                    for r in 0..cols {
-                        g.add_node(TaskNode::tuple("t", vec![level as i64, r as i64]));
-                    }
-                }
                 let id = |level: usize, r: usize| t(level * cols + r);
                 for level in 0..d {
                     for r in 0..cols {
@@ -224,9 +224,6 @@ impl Family {
                 }
             }
         }
-        debug_assert_eq!(g.num_tasks(), self.num_nodes());
-        debug_assert!(g.validate().is_ok());
-        g
     }
 
     /// Number of edges the family instance has (single phase).
@@ -400,15 +397,5 @@ mod tests {
         // Every edge distinct: collapse() keeps count if duplicates merge,
         // so num_edges of collapse equals declared edges.
         assert_eq!(w.num_edges(), Family::Torus2D(2, 4).num_edges());
-    }
-
-    #[test]
-    fn from_name_roundtrip() {
-        assert_eq!(Family::from_name("ring", 5, 0), Some(Family::Ring(5)));
-        assert_eq!(
-            Family::from_name("mesh2d", 3, 4),
-            Some(Family::Mesh2D(3, 4))
-        );
-        assert_eq!(Family::from_name("nope", 1, 1), None);
     }
 }

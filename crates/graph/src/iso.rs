@@ -24,21 +24,10 @@ pub enum IsoResult {
     BudgetExhausted,
 }
 
-/// Attempts to find an isomorphism from `a` to `b` (both as undirected
-/// adjacencies). Returns the node mapping `a -> b` if one exists.
-///
-/// Both graphs must be simple. Complexity is exponential in the worst case;
-/// use only on small graphs (or use [`find_isomorphism_budgeted`]).
-pub fn find_isomorphism(a: &Csr, b: &Csr) -> Option<Vec<usize>> {
-    match find_isomorphism_budgeted(a, b, u64::MAX) {
-        IsoResult::Found(m) => Some(m),
-        _ => None,
-    }
-}
-
-/// Like [`find_isomorphism`] but gives up after `max_steps` candidate
-/// placements — callers that merely *recognise* structure (the canned
-/// library) prefer a fast "unknown" over an exponential stall.
+/// Attempts to find an isomorphism from `a` to `b` (both as undirected,
+/// simple adjacencies), giving up after `max_steps` candidate placements:
+/// callers that merely *recognise* structure (the canned library) prefer a
+/// fast "unknown" over an exponential stall.
 pub fn find_isomorphism_budgeted(a: &Csr, b: &Csr, max_steps: u64) -> IsoResult {
     let n = a.num_nodes();
     if n != b.num_nodes() || a.num_arcs() != b.num_arcs() {
@@ -134,15 +123,22 @@ fn backtrack(
     Some(false)
 }
 
-/// Whether `a` and `b` are isomorphic as undirected graphs.
-pub fn are_isomorphic(a: &Csr, b: &Csr) -> bool {
-    find_isomorphism(a, b).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::families::Family;
+
+    /// The unbudgeted search's node mapping `a -> b`, if one exists.
+    fn find_isomorphism(a: &Csr, b: &Csr) -> Option<Vec<usize>> {
+        match find_isomorphism_budgeted(a, b, u64::MAX) {
+            IsoResult::Found(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    fn are_isomorphic(a: &Csr, b: &Csr) -> bool {
+        find_isomorphism(a, b).is_some()
+    }
 
     fn csr_of(f: Family) -> Csr {
         let g = f.build();

@@ -32,6 +32,8 @@
 //!   ([`traversal`]), small-graph isomorphism ([`iso`]), Graphviz export
 //!   ([`dot`]).
 
+#![deny(clippy::too_many_lines)]
+
 pub mod csr;
 pub mod dot;
 pub mod families;

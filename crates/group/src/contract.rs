@@ -101,7 +101,7 @@ pub struct GroupContraction {
 
 /// Extracts the permutation defined by one communication phase: every task
 /// must send exactly one message, and targets must be distinct.
-pub fn phase_permutation(tg: &TaskGraph, phase: usize) -> Result<Perm, GroupContractError> {
+fn phase_permutation(tg: &TaskGraph, phase: usize) -> Result<Perm, GroupContractError> {
     let n = tg.num_tasks();
     let p = &tg.comm_phases[phase];
     let mut img = vec![u32::MAX; n];

@@ -72,12 +72,6 @@ impl Perm {
         self.img[x as usize]
     }
 
-    /// The image vector.
-    #[inline]
-    pub fn images(&self) -> &[u32] {
-        &self.img
-    }
-
     /// Left-to-right product: `(self · other)(x) = other(self(x))`.
     pub fn compose(&self, other: &Perm) -> Perm {
         assert_eq!(self.degree(), other.degree(), "degree mismatch");

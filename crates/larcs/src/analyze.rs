@@ -13,7 +13,10 @@
 //!    test, and *semantically* on the elaborated graph by extracting
 //!    constant dependence vectors ([`analyze`]);
 //! 3. **Node-symmetric / Cayley** (§4.2.2): every communication phase is a
-//!    bijection on the tasks, making the phases group generators.
+//!    bijection on the tasks, making the phases group generators. Whether
+//!    those generators are translations on `Z_n` (the circulant fast path
+//!    that stands in for the paper's syntactic Cayley test) is decided on
+//!    the elaborated graph, by `oregami-group`'s `detect_circulant`.
 //!
 //! [`lint`] runs the source-level checks as span-carrying [`Diagnostic`]
 //! warnings, so interactive tooling can underline e.g. the exact label
@@ -97,7 +100,7 @@ pub fn all_phases_uniform(tg: &TaskGraph) -> bool {
 
 /// Whether phase `k` of `tg` is a bijection: out-degree and in-degree
 /// exactly 1 for every task.
-pub fn phase_is_bijective(tg: &TaskGraph, k: usize) -> bool {
+fn phase_is_bijective(tg: &TaskGraph, k: usize) -> bool {
     let n = tg.num_tasks();
     let phase = &tg.comm_phases[k];
     if phase.edges.len() != n {

@@ -145,11 +145,6 @@ impl Ast {
     pub fn pexp_span(&self, id: PExpId) -> Span {
         self.pexp_spans[id.0 as usize]
     }
-
-    /// Number of allocated integer expression nodes.
-    pub fn num_exprs(&self) -> usize {
-        self.exprs.len()
-    }
 }
 
 /// An interned identifier with its source span.

@@ -48,7 +48,7 @@ impl Span {
     }
 
     /// Whether this is the placeholder span.
-    pub fn is_dummy(self) -> bool {
+    fn is_dummy(self) -> bool {
         self.start == u32::MAX && self.end == u32::MAX
     }
 }
@@ -172,7 +172,7 @@ impl Diagnostic {
     }
 
     /// The primary (first) labeled span, if any non-dummy one exists.
-    pub fn primary_span(&self) -> Option<Span> {
+    fn primary_span(&self) -> Option<Span> {
         self.labels.iter().map(|l| l.span).find(|s| !s.is_dummy())
     }
 

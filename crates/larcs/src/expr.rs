@@ -242,7 +242,7 @@ impl Ast {
 
     /// Collects the free variables of expression `id` (deduplicated, in
     /// first-occurrence order).
-    pub fn free_vars(&self, id: ExprId, out: &mut Vec<Symbol>) {
+    fn free_vars(&self, id: ExprId, out: &mut Vec<Symbol>) {
         match self.expr(id) {
             ExprKind::Const(_) => {}
             ExprKind::Var(sym) => {

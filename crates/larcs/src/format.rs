@@ -114,7 +114,7 @@ fn format_rule_into(s: &mut String, ast: &Ast, it: &StringInterner, rule: &Rule,
 }
 
 /// Renders an edge declaration (with trailing semicolon).
-pub fn format_edge(ast: &Ast, it: &StringInterner, e: &EdgeDecl) -> String {
+fn format_edge(ast: &Ast, it: &StringInterner, e: &EdgeDecl) -> String {
     let src: Vec<String> = e.src_args.iter().map(|&a| format_expr(ast, it, a)).collect();
     let dst: Vec<String> = e.dst_args.iter().map(|&a| format_expr(ast, it, a)).collect();
     let vol = e
@@ -132,7 +132,7 @@ pub fn format_edge(ast: &Ast, it: &StringInterner, e: &EdgeDecl) -> String {
 
 /// Renders an integer expression, parenthesising conservatively (every
 /// binary node gets parentheses, so precedence never needs reconstructing).
-pub fn format_expr(ast: &Ast, it: &StringInterner, e: ExprId) -> String {
+fn format_expr(ast: &Ast, it: &StringInterner, e: ExprId) -> String {
     match ast.expr(e) {
         ExprKind::Const(v) => v.to_string(),
         ExprKind::Var(v) => it.resolve(v).to_string(),
@@ -152,7 +152,7 @@ pub fn format_expr(ast: &Ast, it: &StringInterner, e: ExprId) -> String {
 }
 
 /// Renders a boolean guard.
-pub fn format_bool(ast: &Ast, it: &StringInterner, b: BExpId) -> String {
+fn format_bool(ast: &Ast, it: &StringInterner, b: BExpId) -> String {
     match ast.bexp(b) {
         BExpKind::Cmp(op, a, c) => {
             let sym = match op {
@@ -176,7 +176,7 @@ pub fn format_bool(ast: &Ast, it: &StringInterner, b: BExpId) -> String {
 }
 
 /// Renders a phase expression (parenthesised to be precedence-proof).
-pub fn format_pexp(ast: &Ast, it: &StringInterner, p: PExpId) -> String {
+fn format_pexp(ast: &Ast, it: &StringInterner, p: PExpId) -> String {
     match ast.pexp(p) {
         PExpKind::Eps => "eps".to_string(),
         PExpKind::Name(n) => it.resolve(n).to_string(),

@@ -25,7 +25,8 @@
 //!
 //! The regularity findings MAPPER dispatches on (bijective? affine?
 //! nameable?) are functions of the graph in [`analyze`](mod@analyze), each computed
-//! when asked for.
+//! when asked for. Circulant detection, the paper's Cayley shortcut, reads
+//! the elaborated graph too and lives in `oregami-group`.
 //!
 //! Batch callers use [`compile`]; interactive callers keep a [`query::Db`]
 //! across edits, and each query re-runs only the stages whose *content*
@@ -51,7 +52,6 @@ pub mod lexer;
 pub mod parser;
 pub mod programs;
 pub mod query;
-pub mod translation;
 
 pub use analyze::{analyze, lint, Analysis};
 pub use ast::Program;
@@ -61,7 +61,6 @@ pub use format::{format_program, format_rule};
 pub use intern::{StringInterner, Symbol};
 pub use parser::{parse, parse_tokens};
 pub use query::{Db, QueryStats};
-pub use translation::{detect_translations, TranslationForm};
 
 use oregami_graph::TaskGraph;
 

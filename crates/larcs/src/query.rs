@@ -157,7 +157,7 @@ impl Db {
     }
 
     /// Query: the elaborated task graph under explicit limits.
-    pub fn compile_with(
+    fn compile_with(
         &mut self,
         source: &str,
         params: &[(&str, i64)],

@@ -73,7 +73,7 @@ impl CancelToken {
     }
 
     /// Whether [`cancel`](CancelToken::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
@@ -126,11 +126,6 @@ impl Budget {
         self
     }
 
-    /// Whether this budget can ever trip (absent cancellation).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_steps.is_none() && self.cancels.is_empty()
-    }
-
     /// Steps consumed so far.
     pub fn steps_used(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
@@ -153,7 +148,7 @@ impl Budget {
 
     /// The step quota left before [`tick`](Budget::tick) starts reporting
     /// [`Completion::BudgetExhausted`], or `None` when unmetered.
-    pub fn remaining_steps(&self) -> Option<u64> {
+    fn remaining_steps(&self) -> Option<u64> {
         self.max_steps.map(|m| m.saturating_sub(self.steps_used()))
     }
 
@@ -230,7 +225,6 @@ mod tests {
             assert_eq!(b.tick(), None);
         }
         assert_eq!(b.poll(), None);
-        assert!(b.is_unlimited());
         assert_eq!(b.steps_used(), 10_000);
     }
 
@@ -319,7 +313,6 @@ mod tests {
         let a = CancelToken::new();
         let b = CancelToken::new();
         let budget = Budget::unlimited().with_cancel(a).with_cancel(b.clone());
-        assert!(!budget.is_unlimited());
         assert_eq!(budget.poll(), None);
         b.cancel();
         assert_eq!(budget.poll(), Some(Completion::Cancelled));

@@ -19,7 +19,7 @@ pub mod binomial_mesh;
 
 use crate::contraction::Contraction;
 use oregami_graph::Family;
-use oregami_topology::gray::{bits_for, gray};
+use oregami_topology::gray::{bits_for, gray, mesh_to_hypercube};
 use oregami_topology::{Network, ProcId, TopologyKind};
 
 /// Looks up a precomputed one-task-per-processor embedding for
@@ -80,7 +80,7 @@ pub fn canned_embedding(family: Family, net: &Network) -> Option<Vec<ProcId>> {
             let mut placement = Vec::with_capacity(n);
             for i in 0..r {
                 for j in 0..c {
-                    placement.push(p(((gray(i as u64) << cb) | gray(j as u64)) as usize));
+                    placement.push(p(mesh_to_hypercube(i as u64, j as u64, cb) as usize));
                 }
             }
             Some(placement)

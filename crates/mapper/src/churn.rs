@@ -551,14 +551,6 @@ impl ChurnController {
         self.live.len()
     }
 
-    /// The processor of a live task, if it exists and is alive.
-    pub fn task_proc(&self, task: usize) -> Option<ProcId> {
-        self.tasks
-            .get(task)
-            .filter(|t| t.alive)
-            .map(|t| t.proc)
-    }
-
     /// The current cumulative fault set.
     pub fn fault_set(&self) -> FaultSet {
         let mut fs = FaultSet::new();
@@ -1052,7 +1044,7 @@ impl ChurnController {
     /// Compacts the live tasks into a routable [`TaskGraph`] (single comm
     /// phase of the active edges, per-task exec costs). Returns the
     /// graph, the compact→dense id translation, and the live assignment.
-    pub fn materialize(&self) -> (TaskGraph, Vec<usize>, Vec<ProcId>) {
+    fn materialize(&self) -> (TaskGraph, Vec<usize>, Vec<ProcId>) {
         // Ascending, so a task's compact id is its position here.
         let live = self.live.clone();
         let mut tg = TaskGraph::new("churn");
@@ -1816,6 +1808,16 @@ impl Iterator for EventStream {
 mod tests {
     use super::*;
     use oregami_topology::builders;
+
+    impl ChurnController {
+        /// The processor of a live task, if it exists and is alive.
+        fn task_proc(&self, task: usize) -> Option<ProcId> {
+            self.tasks
+                .get(task)
+                .filter(|t| t.alive)
+                .map(|t| t.proc)
+        }
+    }
 
     fn small() -> ChurnController {
         let net = builders::hypercube(3); // 8 procs, 12 links

@@ -181,8 +181,7 @@ pub fn binomial_growth(k: usize) -> DynamicComputation {
 /// then lower id). Existing placements never change.
 ///
 /// Returns one assignment per generation (each a prefix-consistent
-/// extension of the previous). Runs under an unlimited budget; see
-/// [`incremental_map_budgeted`] for the cancellable form.
+/// extension of the previous).
 pub fn incremental_map(
     dc: &DynamicComputation,
     net: &Network,
@@ -198,7 +197,7 @@ pub fn incremental_map(
 /// returned [`Completion`] records the cut, like every other search in
 /// this crate. A cancelled or deadline-blown budget can no longer hang a
 /// large generation.
-pub fn incremental_map_budgeted(
+fn incremental_map_budgeted(
     dc: &DynamicComputation,
     net: &Network,
     bound: usize,

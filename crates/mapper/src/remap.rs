@@ -52,7 +52,7 @@ pub struct PhaseRemapping {
 ///
 /// `bound` is the load bound per processor; `state_volume` the units of
 /// task state a migration must move.
-pub fn per_phase_remap(
+fn per_phase_remap(
     tg: &TaskGraph,
     net: &Network,
     bound: usize,

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// contention metric: in a synchronous communication phase, a link used by
 /// `k` messages serialises them, so the phase's communication time scales
 /// with the maximum count.
-pub fn link_usage(net: &Network, paths: &[Vec<ProcId>]) -> HashMap<LinkId, u64> {
+fn link_usage(net: &Network, paths: &[Vec<ProcId>]) -> HashMap<LinkId, u64> {
     let mut usage = HashMap::new();
     for path in paths {
         for w in path.windows(2) {

@@ -314,13 +314,6 @@ pub struct ChaosConfig {
     /// clean (lets a test hang `exhaustive` while the rest of the chain
     /// serves).
     pub only: Option<StageKind>,
-    /// Probability (0..=1) that a [`ChaosConfig::draw_board_loss`] call
-    /// kills a board. Drives correlated whole-domain loss in the chaos
-    /// harnesses; inert unless `num_boards > 0`.
-    pub board_loss_prob: f64,
-    /// How many fault domains the target machine has (0 disables
-    /// board-loss draws).
-    pub num_boards: u32,
     counter: Arc<AtomicU64>,
 }
 
@@ -334,8 +327,6 @@ impl ChaosConfig {
             stall_prob: 0.0,
             stall: Duration::from_millis(500),
             only: None,
-            board_loss_prob: 0.0,
-            num_boards: 0,
             counter: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -356,15 +347,6 @@ impl ChaosConfig {
     /// Restricts chaos to one stage kind.
     pub fn with_only(mut self, stage: StageKind) -> ChaosConfig {
         self.only = Some(stage);
-        self
-    }
-
-    /// Enables correlated board-loss draws: with probability `p` a
-    /// [`ChaosConfig::draw_board_loss`] call names one of `num_boards`
-    /// fault domains to kill wholesale.
-    pub fn with_board_loss(mut self, p: f64, num_boards: u32) -> ChaosConfig {
-        self.board_loss_prob = p.clamp(0.0, 1.0);
-        self.num_boards = num_boards;
         self
     }
 
@@ -398,20 +380,9 @@ impl ChaosConfig {
                 "only" => {
                     chaos.only = Some(val.parse()?);
                 }
-                "board-loss" => {
-                    let p: f64 = val
-                        .parse()
-                        .map_err(|_| format!("bad board-loss probability '{val}'"))?;
-                    chaos.board_loss_prob = p.clamp(0.0, 1.0);
-                }
-                "boards" => {
-                    chaos.num_boards =
-                        val.parse().map_err(|_| format!("bad boards count '{val}'"))?;
-                }
                 other => {
                     return Err(format!(
-                        "unknown chaos key '{other}' (expected seed, panic, stall, stall-ms, \
-                         only, board-loss, boards)"
+                        "unknown chaos key '{other}' (expected seed, panic, stall, stall-ms, only)"
                     ))
                 }
             }
@@ -421,7 +392,7 @@ impl ChaosConfig {
 
     /// Draws the action for the next stage attempt.
     fn draw(&self, stage: StageKind) -> ChaosAction {
-        let (_, u) = self.roll();
+        let u = self.roll();
         if self.only.is_some_and(|k| k != stage) {
             return ChaosAction::None;
         }
@@ -434,27 +405,10 @@ impl ChaosConfig {
         }
     }
 
-    /// Draws the next correlated board-loss decision from the same
-    /// counter-keyed stream: `Some(board)` means the harness should fail
-    /// that whole fault domain (procs, intra-board links, and uplinks
-    /// atomically). `None` when the dice say live or board loss is not
-    /// configured. Deterministic per seed like every other chaos draw.
-    pub fn draw_board_loss(&self) -> Option<u32> {
-        if self.num_boards == 0 || self.board_loss_prob <= 0.0 {
-            return None;
-        }
-        let (z, u) = self.roll();
-        if u < self.board_loss_prob {
-            Some((z % self.num_boards as u64) as u32)
-        } else {
-            None
-        }
-    }
-
     /// Advances the stream one event: SplitMix64 over seed ^ event index,
     /// deterministic per stream position and independent of wall clock
-    /// and thread timing. Returns the raw draw and it as a uniform [0,1).
-    fn roll(&self) -> (u64, f64) {
+    /// and thread timing. Returns the draw as a uniform [0,1).
+    fn roll(&self) -> f64 {
         let event = self.counter.fetch_add(1, Ordering::Relaxed);
         let mut z = self
             .seed
@@ -462,7 +416,7 @@ impl ChaosConfig {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        (z, (z >> 11) as f64 / (1u64 << 53) as f64)
+        (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Runs the drawn action inside the worker thread (so an injected
@@ -980,25 +934,13 @@ mod tests {
         assert!(ChaosConfig::parse("panic=two").is_err());
         assert!(ChaosConfig::parse("bogus=1").is_err());
         assert!(ChaosConfig::parse("panic").is_err());
+        // board-loss draws are not a chaos option: the keys are unknown
+        for spec in ["board-loss=0.5", "boards=4"] {
+            let err = ChaosConfig::parse(spec).unwrap_err();
+            assert!(err.contains("unknown chaos key"), "{spec}: {err}");
+        }
         // probabilities clamp rather than error
         assert_eq!(ChaosConfig::parse("panic=7").unwrap().panic_prob, 1.0);
-    }
-
-    #[test]
-    fn board_loss_draws_are_seeded_and_bounded() {
-        let a = ChaosConfig::new(11).with_board_loss(0.5, 16);
-        let b = ChaosConfig::new(11).with_board_loss(0.5, 16);
-        let da: Vec<Option<u32>> = (0..64).map(|_| a.draw_board_loss()).collect();
-        let db: Vec<Option<u32>> = (0..64).map(|_| b.draw_board_loss()).collect();
-        assert_eq!(da, db, "equal seeds replay equal storms");
-        assert!(da.iter().any(Option::is_some));
-        assert!(da.iter().any(Option::is_none));
-        assert!(da.iter().flatten().all(|&board| board < 16));
-        // inert unless configured
-        assert_eq!(ChaosConfig::new(1).draw_board_loss(), None);
-        let c = ChaosConfig::parse("seed=3,board-loss=0.4,boards=8").unwrap();
-        assert_eq!(c.board_loss_prob, 0.4);
-        assert_eq!(c.num_boards, 8);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!   returns, pair for pair — see [`mwm`]);
 //! * [`brute_force_max_weight_matching`] — exact exponential reference used
 //!   to validate the blossom implementation in tests (the dense matrix
-//!   solver is the second oracle, in `tests/dense/`);
-//! * [`greedy_matching`] — linear-time greedy maximal matching (weight-
-//!   ordered), the cheap heuristic baseline.
+//!   solver is the second oracle, in `tests/dense/`).
 //!
 //! The bipartite matching of the routing algorithm, **MM-Route** (§4.4),
 //! lives with the router (`oregami-mapper`'s `routing::mm_route`), which
@@ -24,9 +22,7 @@
 //! in `tests/bipartite/`.
 
 pub mod brute;
-pub mod greedy;
 pub mod mwm;
 
 pub use brute::brute_force_max_weight_matching;
-pub use greedy::greedy_matching;
 pub use mwm::{max_weight_matching, max_weight_matching_budgeted, Matching};

@@ -6,7 +6,7 @@
 mod bipartite;
 
 use bipartite::{greedy_bipartite_matching, hopcroft_karp};
-use oregami_matching::{brute_force_max_weight_matching, greedy_matching, max_weight_matching};
+use oregami_matching::{brute_force_max_weight_matching, max_weight_matching};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -44,17 +44,6 @@ proptest! {
         let m = max_weight_matching(n, &edges);
         prop_assert!(m.is_valid());
         prop_assert_eq!(m.total_weight, brute_force_max_weight_matching(n, &edges));
-    }
-
-    /// Greedy is valid, never beats the optimum, and achieves at least
-    /// half of it.
-    #[test]
-    fn greedy_is_half_approximate((n, edges) in weighted_graph()) {
-        let g = greedy_matching(n, &edges);
-        prop_assert!(g.is_valid());
-        let opt = max_weight_matching(n, &edges).total_weight;
-        prop_assert!(g.total_weight <= opt);
-        prop_assert!(2 * g.total_weight >= opt);
     }
 
     /// Matched weight only uses existing edges (the matching is a subgraph).

@@ -21,7 +21,7 @@
 //!   (`work: t3 ; t7` = "in each work slot, run t3 then t7") covering the
 //!   whole phase expression.
 
-use oregami_graph::{PhaseExpr, PhaseStep, TaskGraph};
+use oregami_graph::TaskGraph;
 use oregami_mapper::Mapping;
 use oregami_topology::Network;
 
@@ -95,35 +95,11 @@ pub fn render_directive(tg: &TaskGraph, d: &ProcessorDirective) -> String {
     format!("p{}: {}", d.proc, parts.join(" "))
 }
 
-/// Total schedule length in task-rounds for one pass of the phase
-/// expression: each execution slot takes as many rounds as the busiest
-/// processor has tasks. (A refinement of the completion-time model for
-/// lockstep algorithms.)
-pub fn rounds_per_pass(tg: &TaskGraph, net: &Network, mapping: &Mapping) -> Option<u64> {
-    let expr = tg.phase_expr.as_ref()?;
-    let max_tasks = mapping
-        .tasks_per_proc(net.num_procs())
-        .into_iter()
-        .max()
-        .unwrap_or(0) as u64;
-    fn walk(e: &PhaseExpr, per_exec: u64) -> u64 {
-        match e {
-            PhaseExpr::Idle | PhaseExpr::Comm(_) => 0,
-            PhaseExpr::Exec(_) => per_exec,
-            PhaseExpr::Seq(a, b) => walk(a, per_exec) + walk(b, per_exec),
-            PhaseExpr::Repeat(a, k) => walk(a, per_exec).saturating_mul(*k),
-            PhaseExpr::Par(a, b) => walk(a, per_exec).max(walk(b, per_exec)),
-        }
-    }
-    let _ = PhaseStep::Comm; // (documents the slot kinds considered)
-    Some(walk(expr, max_tasks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oregami_graph::task_graph::Cost;
-    use oregami_graph::{Family, PhaseId};
+    use oregami_graph::{Family, PhaseExpr, PhaseId};
     use oregami_mapper::Mapping;
     use oregami_topology::{builders, ProcId};
 
@@ -176,20 +152,5 @@ mod tests {
         let ds = local_directives(&tg, &net, &mapping);
         assert_eq!(ds.len(), 3);
         assert_eq!(render_directive(&tg, &ds[1]), "p1: work:(t2; t3)");
-    }
-
-    #[test]
-    fn rounds_per_pass_counts_exec_slots() {
-        let (tg, net, mapping) = setup();
-        // 4 repetitions x 1 exec slot x 2 tasks on the busiest processor
-        assert_eq!(rounds_per_pass(&tg, &net, &mapping), Some(8));
-    }
-
-    #[test]
-    fn no_phase_expr_no_rounds() {
-        let tg = Family::Ring(4).build();
-        let net = builders::chain(2);
-        let mapping = Mapping::unrouted(vec![ProcId(0); 4]);
-        assert_eq!(rounds_per_pass(&tg, &net, &mapping), None);
     }
 }

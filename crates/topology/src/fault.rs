@@ -219,11 +219,6 @@ impl FaultSet {
         self.procs.is_empty() && self.links.is_empty()
     }
 
-    /// Whether processor `p` is marked failed.
-    pub fn contains_proc(&self, p: ProcId) -> bool {
-        self.procs.contains(&p)
-    }
-
     /// Whether link `l` is marked failed.
     pub fn contains_link(&self, l: LinkId) -> bool {
         self.links.contains(&l)
@@ -257,8 +252,6 @@ pub struct DegradedNetwork {
     failed_links: Vec<LinkId>,
     /// New link id -> original link id.
     orig_link: Vec<LinkId>,
-    /// Original link id -> new link id (None if out of service).
-    new_link: Vec<Option<LinkId>>,
 }
 
 impl Network {
@@ -300,12 +293,10 @@ impl Network {
         let mut surviving: Vec<(u32, u32)> = Vec::with_capacity(self.num_links());
         let mut failed_links = Vec::new();
         let mut orig_link = Vec::new();
-        let mut new_link = vec![None; self.num_links()];
         for (id, u, v) in self.links() {
             if faults.contains_link(id) || !alive[u.index()] || !alive[v.index()] {
                 failed_links.push(id);
             } else {
-                new_link[id.index()] = Some(LinkId(orig_link.len() as u32));
                 orig_link.push(id);
                 surviving.push((u.0, v.0));
             }
@@ -331,7 +322,6 @@ impl Network {
             failed_procs: faults.procs().collect(),
             failed_links,
             orig_link,
-            new_link,
         })
     }
 }
@@ -390,12 +380,6 @@ impl DegradedNetwork {
     /// If `l` is not a valid degraded-network link id.
     pub fn original_link(&self, l: LinkId) -> LinkId {
         self.orig_link[l.index()]
-    }
-
-    /// Translates a healthy-network link id to its degraded id, or `None`
-    /// if the link is out of service.
-    pub fn surviving_link(&self, orig: LinkId) -> Option<LinkId> {
-        self.new_link.get(orig.index()).copied().flatten()
     }
 
     /// Fault-aware routing table over the surviving processors.
@@ -485,11 +469,10 @@ mod tests {
         let d = q.degrade(&FaultSet::new().with_link(victim)).unwrap();
         assert_eq!(d.network().num_links(), 11);
         assert_eq!(d.failed_links(), &[victim]);
-        assert_eq!(d.surviving_link(victim), None);
         for (new_id, u, v) in d.network().links() {
             let orig = d.original_link(new_id);
+            assert_ne!(orig, victim);
             assert_eq!(q.link_endpoints(orig), (u, v));
-            assert_eq!(d.surviving_link(orig), Some(new_id));
         }
     }
 

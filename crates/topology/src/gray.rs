@@ -12,19 +12,9 @@ pub fn gray(i: u64) -> u64 {
     i ^ (i >> 1)
 }
 
-/// Inverse of [`gray`]: the rank of a Gray code word.
-pub fn gray_rank(mut g: u64) -> u64 {
-    let mut i = 0;
-    while g != 0 {
-        i ^= g;
-        g >>= 1;
-    }
-    i
-}
-
 /// A Gray code sequence for a `rows × cols` mesh into a hypercube of
 /// dimension `ceil(log2 rows) + ceil(log2 cols)`: node `(i, j)` maps to
-/// `gray(i) << cbits | gray(j)`. Every mesh edge differs in exactly one bit,
+/// `gray(i) << col_bits | gray(j)`. Every mesh edge differs in exactly one bit,
 /// so the embedding has dilation 1 when both dimensions are powers of two.
 pub fn mesh_to_hypercube(i: u64, j: u64, col_bits: u32) -> u64 {
     (gray(i) << col_bits) | gray(j)
@@ -49,6 +39,16 @@ mod tests {
             let diff = gray(i) ^ gray(i + 1);
             assert_eq!(diff.count_ones(), 1, "i = {i}");
         }
+    }
+
+    /// Inverse of [`gray`]: the rank of a Gray code word.
+    fn gray_rank(mut g: u64) -> u64 {
+        let mut i = 0;
+        while g != 0 {
+            i ^= g;
+            g >>= 1;
+        }
+        i
     }
 
     #[test]

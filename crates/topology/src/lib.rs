@@ -16,8 +16,6 @@
 //!   draws candidate hops from;
 //! * [`gray`] — binary-reflected Gray codes used by the canned
 //!   ring/mesh→hypercube embeddings;
-//! * [`extended`] — further targets beyond the paper's core set: 3-D
-//!   meshes and tori, cube-connected cycles, de Bruijn networks;
 //! * [`fault`] — failed processors/links ([`fault::FaultSet`]) and the
 //!   degraded surviving machine ([`fault::DegradedNetwork`]) that mapping
 //!   repair and fault-aware metrics run against;
@@ -33,10 +31,11 @@
 //!   structure and fault mask, so the mapping engine, repair sweeps, and
 //!   interactive metrics stop rebuilding the same table.
 
+#![deny(clippy::too_many_lines)]
+
 pub mod builders;
 pub mod cache;
 pub mod compress;
-pub mod extended;
 pub mod fault;
 pub mod gray;
 pub mod machine;

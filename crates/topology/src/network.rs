@@ -128,8 +128,7 @@ impl Network {
     /// self-loops are rejected.
     ///
     /// # Panics
-    /// On out-of-range endpoints, self-loops, or duplicate links. Use
-    /// [`Network::try_from_links`] for untrusted input.
+    /// On out-of-range endpoints, self-loops, or duplicate links.
     pub fn from_links(
         name: impl Into<String>,
         kind: TopologyKind,
@@ -144,10 +143,8 @@ impl Network {
 
     /// Fallible construction from an explicit link list, returning a typed
     /// [`TopologyError`] on out-of-range endpoints, self-loops, or duplicate
-    /// links instead of panicking. The route-table build path for hand-built
-    /// topologies goes through here so adversarial link lists surface as
-    /// errors, never aborts.
-    pub fn try_from_links(
+    /// links instead of panicking.
+    fn try_from_links(
         name: impl Into<String>,
         kind: TopologyKind,
         num_procs: usize,

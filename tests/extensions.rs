@@ -31,22 +31,6 @@ fn circulant_fast_path_drives_the_pipeline() {
 }
 
 #[test]
-fn syntactic_translation_detection_agrees_with_semantic() {
-    use oregami::group::detect_circulant;
-    use oregami::larcs::{compile, detect_translations, parse, programs};
-    let params: &[(&str, i64)] = &[("n", 24), ("s", 1), ("msgsize", 1)];
-    let program = parse(&programs::nbody()).unwrap();
-    let syntactic = detect_translations(&program, params).unwrap();
-    let tg = compile(&programs::nbody(), params).unwrap();
-    let semantic = detect_circulant(&tg).unwrap();
-    assert_eq!(
-        syntactic.shifts,
-        semantic.iter().map(|&s| s as i64).collect::<Vec<_>>()
-    );
-    assert_eq!(syntactic.modulus, 24);
-}
-
-#[test]
 fn remapping_beats_fixed_mapping_with_free_state() {
     use oregami::graph::{TaskGraph, TaskId};
     use oregami::mapper::remap;
