@@ -4,7 +4,6 @@
 //! ```sh
 //! oregamid --socket /run/oregamid.sock --state-dir /var/lib/oregamid
 //! oregamid --socket o.sock --state-dir state --resume      # after a crash
-//! oregamid --socket o.sock --state-dir state --chaos seed=7,panic=0.2
 //! ```
 //!
 //! Exit codes: 0 clean drain, 2 usage/bind error.
@@ -44,9 +43,6 @@ const USAGE: &str = "oregamid — mapping-as-a-service daemon for the OREGAMI to
        --workers N        scheduler worker threads (default: cores, 2-8)\n\
        --max-queue N      outstanding jobs before shedding (default 64)\n\
        --resume           restore journaled sessions from the state dir\n\
-       --chaos SPEC       inject seeded faults into every request's\n\
-                          supervisor: seed=N,panic=P,stall=P,stall-ms=MS\n\
-                          [,only=STAGE] — for resilience testing\n\
        --machine SPEC     hierarchical machine this daemon fronts\n\
                           (mesh-boards:RxCxrxc | fat-tree:AxH |\n\
                           dragonfly:GxAxP | rc-array[:PHASES]); runs a\n\
@@ -80,7 +76,6 @@ fn parse_config() -> Result<ServerConfig, String> {
             "--workers" => config.workers = parsed::<usize>(argv, flag, "value")?.clamp(1, 64),
             "--max-queue" => config.max_queue = parsed::<usize>(argv, flag, "value")?.max(1),
             "--resume" => config.resume = true,
-            "--chaos" => config.chaos = Some(value(argv, flag)?),
             "--machine" => config.machine = Some(value(argv, flag)?),
             "--boot-seed" => config.boot_seed = parsed(argv, flag, "value")?,
             "--boot-dead" => config.boot_dead_permille = parsed(argv, flag, "value")?,

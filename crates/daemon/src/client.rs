@@ -2,6 +2,7 @@
 //! CLI's `--socket` mode, the storm bench, and the integration tests.
 
 use crate::json::Json;
+use crate::request::Reply;
 use crate::wire::{self, WireError};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -10,7 +11,7 @@ use std::time::Duration;
 /// One connection to a running daemon. Requests are synchronous: each
 /// [`Client::call`] writes one frame and blocks for one response frame
 /// (responses to a single connection's sequential requests come back in
-/// order; coalescing only re-orders across connections).
+/// order).
 pub struct Client {
     stream: UnixStream,
     next_id: u64,
@@ -49,7 +50,7 @@ impl Client {
     /// [`Client::call`], unwrapping the response envelope: `Ok(result)`
     /// on success, `Err((kind, message))` on a typed daemon error, and
     /// transport failures folded into kind `io`.
-    pub fn request(&mut self, request: &Json) -> Result<Json, (String, String)> {
+    pub fn request(&mut self, request: &Json) -> Reply {
         let response = self
             .call(request)
             .map_err(|e| (e.kind().to_string(), e.to_string()))?;

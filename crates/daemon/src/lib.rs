@@ -14,7 +14,7 @@
 //! * [`request`] — [`request::MapSpec`], the one description of a
 //!   map/repair request: its JSON form both ways, everything the CLI and
 //!   the daemon derive from it (toolchain, budget, chain, fault set,
-//!   repair options, coalescing identity), and the one table from a
+//!   repair options), the one reply type, and the one table from a
 //!   toolchain error to a wire `kind` and a CLI exit code.
 //! * [`protocol`] — the request/response envelope and its ops.
 //! * [`topo`] — the one lowering of a topology or machine spec string to
@@ -24,8 +24,6 @@
 //!   drain state are checked *before* work is queued.
 //! * [`scheduler`] — a worker pool with per-connection round-robin
 //!   fairness and panic isolation.
-//! * [`coalesce`] — identical in-flight computations dedup onto one
-//!   run whose result fans out to every waiter.
 //! * [`sessions`] — journaled edit and stream sessions in one table of
 //!   owned values, each behind its own mutex; the WAL plus an atomically
 //!   replaced meta sidecar make a SIGKILL'd daemon resumable
@@ -34,9 +32,10 @@
 //! * [`client`] — the synchronous client the CLI and bench use.
 //! * [`flags`] — the flag-value helper the two binaries' parsers share.
 
+#![deny(clippy::too_many_lines)]
+
 pub mod admission;
 pub mod client;
-pub mod coalesce;
 pub mod flags;
 pub mod json;
 pub mod protocol;

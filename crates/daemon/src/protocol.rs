@@ -181,51 +181,6 @@ mod tests {
                 ("s".to_string(), 2)
             ]
         );
-        assert_eq!(spec.budget_class(), "m/inf");
-    }
-
-    #[test]
-    fn multilevel_chains_get_their_own_budget_bucket() {
-        let r = req(
-            r#"{"id":4,"op":"map","program":"nbody","topology":"hypercube:3",
-                "params":{"s":2,"n":16,"msgsize":4},"deadline_ms":250,
-                "chain":"multilevel,heuristic,identity"}"#,
-        )
-        .unwrap();
-        let Op::Map(spec) = r.op else { panic!("expected map") };
-        assert_eq!(spec.budget_class(), "m/inf/ml");
-
-        // The short alias counts too; an unrelated chain does not.
-        let mut spec = spec;
-        spec.chain = Some("ml".to_string());
-        assert_eq!(spec.budget_class(), "m/inf/ml");
-        spec.chain = Some("heuristic,identity".to_string());
-        assert_eq!(spec.budget_class(), "m/inf");
-    }
-
-    #[test]
-    fn identical_work_shares_a_coalesce_key() {
-        let a = req(
-            r#"{"id":1,"op":"map","program":"nbody","topology":"hypercube:3",
-                "params":{"n":16,"s":2,"msgsize":4},"deadline_ms":300}"#,
-        )
-        .unwrap();
-        let b = req(
-            r#"{"id":99,"op":"map","program":"nbody","topology":"hypercube:3",
-                "params":{"msgsize":4,"s":2,"n":16},"deadline_ms":700}"#,
-        )
-        .unwrap();
-        let c = req(
-            r#"{"id":2,"op":"map","program":"nbody","topology":"hypercube:4",
-                "params":{"n":16,"s":2,"msgsize":4},"deadline_ms":300}"#,
-        )
-        .unwrap();
-        let (Op::Map(a), Op::Map(b), Op::Map(c)) = (a.op, b.op, c.op) else {
-            panic!()
-        };
-        assert_eq!(a.coalesce_key("map"), b.coalesce_key("map"));
-        assert_ne!(a.coalesce_key("map"), c.coalesce_key("map"));
-        assert_ne!(a.coalesce_key("map"), a.coalesce_key("metrics"));
     }
 
     #[test]

@@ -22,7 +22,6 @@ use oregami::{
     Budget, ChaosConfig, DomainMap, FallbackChain, FaultSet, MapperOptions, Oregami, OregamiError,
     OregamiResult, RepairOptions, RouteCompression,
 };
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,8 +34,7 @@ pub struct MapSpec {
     /// Display label (`program` name, a file path, or `"inline"`). The
     /// wire carries a label only as a builtin's `program` name.
     pub label: String,
-    /// Parameter bindings; sorted by name when parsed off the wire
-    /// (canonical for coalescing).
+    /// Parameter bindings; sorted by name when parsed off the wire.
     pub params: Vec<(String, i64)>,
     /// Topology or machine spec string (`hypercube:3`,
     /// `mesh-boards:2x2x4x4`, ...), validated at parse.
@@ -48,7 +46,7 @@ pub struct MapSpec {
     pub fail_procs: Vec<u32>,
     pub fail_links: Vec<u32>,
     /// Per-request chaos spec (`seed=7,panic=0.3,...`) for resilience
-    /// testing; chaos-injected requests never coalesce with clean ones.
+    /// testing.
     pub chaos: Option<String>,
 }
 
@@ -252,61 +250,6 @@ impl MapSpec {
         };
         Ok((Oregami::new(net).with_options(options), domains))
     }
-
-    /// Buckets the budget into a coarse class so "effectively the same
-    /// patience" requests coalesce while a 10 ms and a 10 s deadline
-    /// never share a computation.
-    pub fn budget_class(&self) -> String {
-        let deadline = match self.deadline_ms {
-            None => "inf".to_string(),
-            Some(ms) if ms < 50 => "xs".to_string(),
-            Some(ms) if ms < 250 => "s".to_string(),
-            Some(ms) if ms < 1000 => "m".to_string(),
-            Some(_) => "l".to_string(),
-        };
-        let steps = match self.max_steps {
-            None => "inf".to_string(),
-            Some(n) => format!("e{}", (n.max(1) as f64).log10() as u32),
-        };
-        // Multilevel requests scale to graphs orders of magnitude larger
-        // than the flat stages, so the same nominal budget buys a very
-        // different amount of work — keep them in their own bucket.
-        let ml = if self.chain.as_deref().is_some_and(|c| {
-            c.split(',')
-                .any(|s| matches!(s.trim(), "multilevel" | "ml"))
-        }) {
-            "/ml"
-        } else {
-            ""
-        };
-        format!("{deadline}/{steps}{ml}")
-    }
-
-    /// The coalescing key: identical `(op, program, params, topology,
-    /// fault-mask, budget-class)` requests dedup onto one in-flight
-    /// computation. Chain/load-bound/chaos all change the answer, so
-    /// they are part of the identity.
-    pub fn coalesce_key(&self, op: &str) -> String {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.source.hash(&mut h);
-        let src = h.finish();
-        let params: Vec<String> = self
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        format!(
-            "{op}|{src:016x}|{}|{}|p{:?}l{:?}|{}|{:?}|{:?}|{:?}",
-            params.join(","),
-            self.topology,
-            self.fail_procs,
-            self.fail_links,
-            self.budget_class(),
-            self.chain,
-            self.load_bound,
-            self.chaos,
-        )
-    }
 }
 
 /// Compresses a machine mapping's routing tables against the
@@ -332,6 +275,10 @@ pub fn compress_machine_routes(
 
 /// A failed request on the wire: `(kind, message)`.
 pub type Failure = (String, String);
+
+/// What one request is answered with: its result object, or a typed
+/// failure.
+pub type Reply = Result<Json, Failure>;
 
 /// How a request can fail, as both front ends report it: the daemon as
 /// the error `kind` on the wire, the CLI as its exit code — for a local
@@ -612,16 +559,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// `to_json` is the inverse of `from_json`, through the renderer
-        /// and the parser a frame really crosses: same spec, same
-        /// coalescing identity.
+        /// and the parser a frame really crosses.
         #[test]
         fn serialise_then_parse_is_the_identity(spec in arb_spec()) {
             let wire = spec.to_json().render();
             let back = MapSpec::from_json(&json::parse(&wire).unwrap()).unwrap();
             prop_assert_eq!(&back, &spec, "{}", wire);
-            for op in ["map", "repair", "metrics"] {
-                prop_assert_eq!(back.coalesce_key(op), spec.coalesce_key(op));
-            }
             // and the serialised form is a fixed point
             prop_assert_eq!(back.to_json().render(), wire);
         }

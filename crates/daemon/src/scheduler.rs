@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// One unit of queued work. The closure owns everything it needs —
-/// including publishing its own response via the coalescer — and must
+/// including writing its own response to its requester — and must
 /// not panic (the worker catches a panic anyway, but then nobody can
 /// respond for it, so closures wrap their fallible core themselves).
 pub struct Job {

@@ -6,9 +6,9 @@
 //! drain, a join handle — only until its handler returns or unwinds. Cheap operations — health,
 //! session commands, shutdown — are answered inline on the reader.
 //! Compute operations (`map`/`repair`/`metrics`) pass the admission
-//! gate, coalesce with identical in-flight work, and run on the
-//! work-stealing scheduler; their responses are published through the
-//! coalescer to every waiter.
+//! gate and run as one job each on the work-stealing scheduler, queued
+//! on the requester's connection; the job computes that request's own
+//! reply and writes it to that connection.
 //!
 //! Graceful drain (SIGTERM or a `shutdown` request): admission starts
 //! shedding with `shutting_down`, the listener closes and the socket
@@ -17,16 +17,15 @@
 //! restores them), connections are shut down, readers joined.
 
 use crate::admission::AdmissionGate;
-use crate::coalesce::{Coalescer, Payload, Waiter};
 use crate::json::{obj, Json};
 use crate::protocol::{self, Op};
-use crate::request::{compress_machine_routes, Failure, FailureClass, MapSpec};
+use crate::request::{compress_machine_routes, Failure, FailureClass, MapSpec, Reply};
 use crate::scheduler::{Job, Scheduler};
 use crate::sessions::{assignment_json, metric_json, SessionRegistry};
 use crate::wire::{self, WireError};
 use oregami::{
-    ChaosConfig, CostModel, MetricsEngine, Oregami, OregamiError, OregamiResult, RouteTableCache,
-    StageKind, SupervisorConfig, SupervisorState,
+    CostModel, MetricsEngine, Oregami, OregamiError, OregamiResult, RouteTableCache, StageKind,
+    SupervisorConfig, SupervisorState,
 };
 
 use std::collections::HashMap;
@@ -50,11 +49,6 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Restore journaled sessions from the state dir at startup.
     pub resume: bool,
-    /// Daemon-wide chaos spec injected into every compute request's
-    /// supervisor (per-request `chaos` overrides it).
-    pub chaos: Option<String>,
-    /// Route-table cache capacity (distinct topologies kept hot).
-    pub cache_capacity: usize,
     /// Hierarchical machine spec this daemon fronts (e.g.
     /// `mesh-boards:4x4x8x8`). When set, a boot-time health scan runs at
     /// bind and `health` reports per-domain liveness.
@@ -81,8 +75,6 @@ impl ServerConfig {
             workers,
             max_queue: 64,
             resume: false,
-            chaos: None,
-            cache_capacity: 32,
             machine: None,
             boot_seed: 0,
             boot_dead_permille: 0,
@@ -90,6 +82,9 @@ impl ServerConfig {
         }
     }
 }
+
+/// Route-table cache capacity: distinct topologies kept hot.
+const ROUTE_CACHE_CAPACITY: usize = 32;
 
 /// Shared daemon state: every connection reader and scheduler worker
 /// holds an `Arc` of this.
@@ -103,9 +98,7 @@ struct Daemon {
     supervisor: Arc<SupervisorState>,
     gate: AdmissionGate,
     sched: Arc<Scheduler>,
-    coalescer: Coalescer<UnixStream>,
     sessions: SessionRegistry,
-    chaos: Option<String>,
     /// The hierarchical machine this daemon fronts, with its boot-time
     /// health, when configured.
     machine: Option<MachineStatus>,
@@ -165,9 +158,6 @@ impl Server {
             std::fs::remove_file(&config.socket)
                 .map_err(|e| format!("cannot replace stale socket {}: {e}", config.socket.display()))?;
         }
-        if let Some(spec) = &config.chaos {
-            ChaosConfig::parse(spec).map_err(|e| format!("bad chaos spec: {e}"))?;
-        }
         let machine = match &config.machine {
             Some(spec) => {
                 let lowered = oregami::MachineModel::parse(spec)
@@ -199,7 +189,7 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot set nonblocking: {e}"))?;
-        let cache = Arc::new(RouteTableCache::new(config.cache_capacity));
+        let cache = Arc::new(RouteTableCache::new(ROUTE_CACHE_CAPACITY));
         let supervisor = Arc::new(SupervisorState::new());
         let frontend = Arc::new(Mutex::new(oregami::larcs::Db::new()));
         let sessions = SessionRegistry::new(
@@ -221,9 +211,7 @@ impl Server {
             supervisor: Arc::clone(&supervisor),
             gate: AdmissionGate::new(config.max_queue, config.workers, supervisor),
             sched: Scheduler::start(config.workers),
-            coalescer: Coalescer::default(),
             sessions,
-            chaos: config.chaos.clone(),
             machine,
             route_budget: config.route_budget,
             compression: Mutex::new(None),
@@ -375,24 +363,19 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
         Err(_) => return,
     };
     let mut reader = stream;
-    let respond = |response: &Json| {
-        if let Ok(mut w) = writer.lock() {
-            let _ = wire::write_message(&mut *w, response);
-        }
-    };
     loop {
         let msg = match wire::read_message(&mut reader) {
             Ok(m) => m,
             Err(WireError::Closed) => return,
             Err(e @ (WireError::Oversized(_) | WireError::Truncated)) => {
                 // framing is lost: answer once, then hang up
-                respond(&protocol::err_response(0, e.kind(), &e.to_string()));
+                respond(&writer, &protocol::err_response(0, e.kind(), &e.to_string()));
                 return;
             }
             Err(WireError::Io(_)) => return,
             Err(e) => {
                 // well-framed but undecodable: typed error, keep serving
-                respond(&protocol::err_response(0, e.kind(), &e.to_string()));
+                respond(&writer, &protocol::err_response(0, e.kind(), &e.to_string()));
                 continue;
             }
         };
@@ -401,7 +384,7 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
             Ok(r) => r,
             Err(e) => {
                 let id = msg.get("id").and_then(Json::as_u64).unwrap_or(0);
-                respond(&protocol::err_response(id, e.kind(), &e.to_string()));
+                respond(&writer, &protocol::err_response(id, e.kind(), &e.to_string()));
                 continue;
             }
         };
@@ -411,13 +394,13 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 if reset_stats {
                     daemon.cache.reset_stats();
                 }
-                respond(&protocol::ok_response(req.id, daemon.health_json()));
+                respond(&writer, &protocol::ok_response(req.id, daemon.health_json()));
             }
             Op::Shutdown => {
-                respond(&protocol::ok_response(
-                    req.id,
-                    obj().field("draining", true).build(),
-                ));
+                respond(
+                    &writer,
+                    &protocol::ok_response(req.id, obj().field("draining", true).build()),
+                );
                 daemon.draining.store(true, Ordering::SeqCst);
             }
             Op::Fmt { source } => {
@@ -428,11 +411,11 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     db.fmt(&source)
                 };
-                let payload = match r {
+                let reply = match r {
                     Ok(formatted) => Ok(obj().field("formatted", formatted).build()),
                     Err(e) => Err(FailureClass::BadRequest.fail(e.to_string())),
                 };
-                respond(&to_response(req.id, &payload));
+                respond(&writer, &to_response(req.id, reply));
             }
             // Session operations run here, on the connection's thread,
             // each under its own session's lock. The guard turns a panic
@@ -445,11 +428,11 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                 } else {
                     isolated(FailureClass::Session, || daemon.sessions.open(&name, spec))
                 };
-                respond(&to_response(req.id, &r));
+                respond(&writer, &to_response(req.id, r));
             }
             Op::SessionEdit { name, line } => {
                 let r = isolated(FailureClass::Session, || daemon.sessions.edit(&name, &line));
-                respond(&to_response(req.id, &r));
+                respond(&writer, &to_response(req.id, r));
             }
             Op::SessionStream {
                 name,
@@ -462,91 +445,93 @@ fn handle_conn(daemon: &Arc<Daemon>, conn_id: u64, stream: UnixStream) {
                         .sessions
                         .stream(&name, topology.as_deref(), load_bound, &events, draining)
                 });
-                respond(&to_response(req.id, &r));
+                respond(&writer, &to_response(req.id, r));
             }
             Op::SessionSnapshot { name } => {
                 let r = isolated(FailureClass::Session, || daemon.sessions.snapshot(&name));
-                respond(&to_response(req.id, &r));
+                respond(&writer, &to_response(req.id, r));
             }
             Op::SessionClose { name } => {
                 let r = isolated(FailureClass::Session, || daemon.sessions.close(&name));
-                respond(&to_response(req.id, &r));
+                respond(&writer, &to_response(req.id, r));
             }
             Op::Map(spec) => {
-                dispatch_compute(daemon, conn_id, req.id, "map", spec, &writer, draining)
+                dispatch_compute(daemon, conn_id, req.id, Compute::Map, spec, &writer, draining)
             }
             Op::Repair(spec) => {
-                dispatch_compute(daemon, conn_id, req.id, "repair", spec, &writer, draining)
+                dispatch_compute(daemon, conn_id, req.id, Compute::Repair, spec, &writer, draining)
             }
             Op::Metrics(spec) => {
-                dispatch_compute(daemon, conn_id, req.id, "metrics", spec, &writer, draining)
+                dispatch_compute(daemon, conn_id, req.id, Compute::Metrics, spec, &writer, draining)
             }
         }
     }
 }
 
-/// Admission → coalescing → scheduling for one compute request. A shed
-/// request is answered immediately with its typed error; a coalesced
-/// follower registers and returns; the leader enqueues the job whose
-/// completion publishes to every waiter.
+/// The operations that run on the scheduler rather than on the
+/// connection's reader.
+#[derive(Clone, Copy)]
+enum Compute {
+    Map,
+    Repair,
+    Metrics,
+}
+
+/// Admission, then one job for one compute request. A shed request is
+/// answered at once with its typed error. An admitted one is queued on
+/// its requester's connection, so the scheduler's per-connection
+/// fairness covers it, and its job writes the reply to that connection.
 fn dispatch_compute(
     daemon: &Arc<Daemon>,
     conn_id: u64,
     req_id: u64,
-    op_name: &'static str,
+    op: Compute,
     spec: MapSpec,
     writer: &Arc<Mutex<UnixStream>>,
     draining: bool,
 ) {
-    let respond = |response: &Json| {
-        if let Ok(mut w) = writer.lock() {
-            let _ = wire::write_message(&mut *w, response);
-        }
-    };
     if let Err(shed) = daemon
         .gate
         .admit(daemon.sched.depth(), spec.deadline_ms, draining)
     {
-        respond(&protocol::err_response(req_id, shed.kind(), &shed.message()));
+        respond(writer, &protocol::err_response(req_id, shed.kind(), &shed.message()));
         return;
     }
-    let key = spec.coalesce_key(op_name);
-    let leader = daemon.coalescer.join(
-        &key,
-        Waiter {
-            id: req_id,
-            writer: Arc::clone(writer),
-        },
-    );
-    if !leader {
-        return; // the in-flight computation's fan-out will answer
-    }
     let d = Arc::clone(daemon);
+    let writer = Arc::clone(writer);
     daemon.sched.enqueue(Job {
         conn: conn_id,
         exec: Box::new(move || {
             let t0 = Instant::now();
             // second line of defence behind the scheduler's catch: if
-            // execute itself panics, every waiter still gets an answer
-            let payload = isolated(FailureClass::Internal, || d.execute(op_name, &spec));
+            // execute itself panics, the requester still gets an answer
+            let reply = isolated(FailureClass::Internal, || d.execute(op, &spec));
             d.gate.observe_service(t0.elapsed());
-            d.coalescer.publish(&key, &payload);
+            respond(&writer, &to_response(req_id, reply));
         }),
     });
+}
+
+/// Writes one response frame to a connection. A failed write means the
+/// client hung up; there is nobody left to tell.
+fn respond(writer: &Mutex<UnixStream>, response: &Json) {
+    if let Ok(mut w) = writer.lock() {
+        let _ = wire::write_message(&mut *w, response);
+    }
 }
 
 /// Runs one request's work with panics contained: a panic becomes a
 /// typed error of `class` for that request instead of unwinding the
 /// thread that serves it.
-fn isolated(class: FailureClass, work: impl FnOnce() -> Payload) -> Payload {
+fn isolated(class: FailureClass, work: impl FnOnce() -> Reply) -> Reply {
     catch_unwind(AssertUnwindSafe(work))
         .unwrap_or_else(|_| Err(class.fail("request panicked; worker isolated it")))
 }
 
-fn to_response(id: u64, payload: &Payload) -> Json {
-    match payload {
-        Ok(result) => protocol::ok_response(id, result.clone()),
-        Err((kind, msg)) => protocol::err_response(id, kind, msg),
+fn to_response(id: u64, reply: Reply) -> Json {
+    match reply {
+        Ok(result) => protocol::ok_response(id, result),
+        Err((kind, msg)) => protocol::err_response(id, &kind, &msg),
     }
 }
 
@@ -557,16 +542,16 @@ fn bad_request(msg: String) -> Failure {
 impl Daemon {
     /// A toolchain instance for one request: the spec's own lowering and
     /// options, plus what is the daemon's — shared route-table cache,
-    /// shared front end, shared supervisor breaker state, per-request (or
-    /// daemon-wide) chaos injection. Machine specs (`mesh-boards:...`)
-    /// also yield the lowered domain map for blast-radius-aware repair.
+    /// shared front end, shared supervisor breaker state, per-request
+    /// chaos injection. Machine specs (`mesh-boards:...`) also yield the
+    /// lowered domain map for blast-radius-aware repair.
     fn system_for(&self, spec: &MapSpec) -> Result<(Oregami, Option<Arc<oregami::DomainMap>>), Failure> {
         let (system, domains) = spec.toolchain().map_err(bad_request)?;
         let mut sup = SupervisorConfig::default().with_state(Arc::clone(&self.supervisor));
         // parsed per request: every request replays the spec's storm from
         // its start (a `ChaosConfig` clone would share one event counter)
-        if let Some(c) = spec.chaos.as_ref().or(self.chaos.as_ref()) {
-            sup = sup.with_chaos(ChaosConfig::parse(c).map_err(bad_request)?);
+        if let Some(chaos) = spec.chaos().map_err(bad_request)? {
+            sup = sup.with_chaos(chaos);
         }
         let system = system
             .with_cache(Arc::clone(&self.cache))
@@ -587,11 +572,11 @@ impl Daemon {
     }
 
     /// Runs one compute operation to its result object (worker thread).
-    fn execute(&self, op_name: &str, spec: &MapSpec) -> Payload {
+    fn execute(&self, op: Compute, spec: &MapSpec) -> Reply {
         let (system, domains) = self.system_for(spec)?;
         let result = self.map_budgeted(&system, spec)?;
-        match op_name {
-            "map" => {
+        match op {
+            Compute::Map => {
                 let mut out = map_json(spec, &system, &result);
                 if let (Some(_), Json::Obj(fields)) = (&domains, &mut out) {
                     // a machine mapping must fit the routing hardware:
@@ -610,7 +595,7 @@ impl Daemon {
                 }
                 Ok(out)
             }
-            "metrics" => {
+            Compute::Metrics => {
                 // a borrowed engine over the result: nothing is cloned
                 // just to read the figures back
                 let table = self
@@ -635,7 +620,7 @@ impl Daemon {
                     )
                     .build())
             }
-            "repair" => {
+            Compute::Repair => {
                 let rec = system
                     .repair(&result, &spec.fault_set(), &spec.repair_options(domains.as_ref()))
                     .map_err(|e| FailureClass::wire(&e))?;
@@ -659,7 +644,6 @@ impl Daemon {
                 }
                 Ok(out.field("metrics", rec.metrics.render()).build())
             }
-            other => Err(FailureClass::Internal.fail(format!("unknown compute op '{other}'"))),
         }
     }
 
@@ -709,8 +693,9 @@ impl Daemon {
                     .field("draining", self.gate.shed_draining.load(Ordering::Relaxed))
                     .build(),
             )
-            .field("coalesced", self.coalescer.coalesced.load(Ordering::Relaxed))
-            .field("inflight_keys", self.coalescer.distinct_inflight())
+            // always 0: no request shares another's reply; the member
+            // stays because the benchmark's daemon workload reads it
+            .field("coalesced", 0u64)
             .field("queue_depth", self.sched.depth())
             .field("completed", self.sched.completed.load(Ordering::Relaxed))
             .field("panicked", self.sched.panicked.load(Ordering::Relaxed))

@@ -19,7 +19,7 @@
 //! session state, verified byte-for-byte by the kill-and-restart test.
 
 use crate::json::{obj, Json};
-use crate::request::{Failure, FailureClass, MapSpec};
+use crate::request::{Failure, FailureClass, MapSpec, Reply};
 use crate::topo::parse_target;
 use oregami::journal::{self, Journal};
 use oregami::replay;
@@ -60,8 +60,6 @@ pub struct SessionRegistry {
     /// monitoring counter, not just a one-shot warning.
     truncations: AtomicU64,
 }
-
-type OpResult = Result<Json, Failure>;
 
 fn internal(msg: impl Into<String>) -> Failure {
     FailureClass::Session.fail(msg)
@@ -160,7 +158,7 @@ impl SessionRegistry {
     }
 
     /// Opens a fresh journaled session. Fails if the name is taken.
-    pub fn open(&self, name: &str, spec: MapSpec) -> OpResult {
+    pub fn open(&self, name: &str, spec: MapSpec) -> Reply {
         if let Some(opened) = self.open_with(name, || self.build_edit(name, spec, false))? {
             return Ok(opened);
         }
@@ -222,7 +220,7 @@ impl SessionRegistry {
         load_bound: Option<usize>,
         events: &[String],
         draining: bool,
-    ) -> OpResult {
+    ) -> Reply {
         if !self.lock().contains_key(name) {
             if draining {
                 return Err(FailureClass::ShuttingDown.fail("daemon is draining; no new sessions"));
@@ -363,7 +361,7 @@ impl SessionRegistry {
     /// Applies one replay-dialect edit line (`reassign 3 1`, `undo`,
     /// `program step 0 ...`). A `program` edit replaces the sidecar with
     /// the edited source before the session's journal restarts.
-    pub fn edit(&self, name: &str, line: &str) -> OpResult {
+    pub fn edit(&self, name: &str, line: &str) -> Reply {
         let meta_path = self.meta_path(name);
         self.with(name, |session| {
             let Session::Edit(session, spec) = session else {
@@ -413,7 +411,7 @@ impl SessionRegistry {
     }
 
     /// A deterministic snapshot of the session's full state.
-    pub fn snapshot(&self, name: &str) -> OpResult {
+    pub fn snapshot(&self, name: &str) -> Reply {
         self.with(name, |session| match session {
             Session::Edit(session, _) => Ok(snapshot_json(name, session)),
             Session::Stream(s) => Ok(crate::json::parse(&s.snapshot_json()).unwrap_or(Json::Null)),
@@ -422,7 +420,7 @@ impl SessionRegistry {
 
     /// Ends the session and deletes its journal and meta file (a closed
     /// session must not resurrect on the next `--resume`).
-    pub fn close(&self, name: &str) -> OpResult {
+    pub fn close(&self, name: &str) -> Reply {
         let slot = self.lock().get(name).map(Arc::clone);
         // wait out any in-flight operation, then take the session out of
         // its slot (a poisoned session is closable like any other)
@@ -706,7 +704,7 @@ mod tests {
         let dir = temp_dir("race-open");
         let reg = registry(&dir);
         let barrier = Barrier::new(8);
-        let outcomes: Vec<OpResult> = std::thread::scope(|scope| {
+        let outcomes: Vec<Reply> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
@@ -781,7 +779,7 @@ mod tests {
         reg.open("bad", spec()).unwrap();
         reg.open("good", spec()).unwrap();
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            reg.with("bad", |_| -> OpResult { panic!("injected mid-operation panic") })
+            reg.with("bad", |_| -> Reply { panic!("injected mid-operation panic") })
         }));
         assert!(panicked.is_err());
         for refused in [reg.edit("bad", "undo"), reg.snapshot("bad")] {

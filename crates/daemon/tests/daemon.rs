@@ -1,6 +1,6 @@
 //! End-to-end tests of the oregamid daemon: real processes on real
 //! sockets for the crash/restart and signal paths, in-process servers
-//! for storms, shedding, and coalescing.
+//! for storms, shedding, and replies that depend on their request alone.
 
 use oregami_daemon::json::{obj, Json};
 use oregami_daemon::{Client, Server, ServerConfig};
@@ -566,7 +566,7 @@ fn concurrent_storm_answers_every_request() {
     );
 }
 
-/// Three storms in a row on one daemon — identical requests (coalesced),
+/// Three storms in a row on one daemon — identical requests,
 /// a mixed load with chaos on every fifth request (panics anywhere in
 /// the chain), and distinct stalled requests with hopeless deadlines
 /// against a queue smaller than the client count. Every request gets a
@@ -713,7 +713,7 @@ fn overload_sheds_typed_overloaded_errors() {
         joins.push(std::thread::spawn(move || {
             let mut client = connect_within(&sock, Duration::from_secs(15));
             client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-            let mut req = map_request(c as i64 + 1); // distinct: no coalescing
+            let mut req = map_request(c as i64 + 1);
             if let Json::Obj(fields) = &mut req {
                 fields.push((
                     "chaos".to_string(),
@@ -752,12 +752,16 @@ fn overload_sheds_typed_overloaded_errors() {
     assert_eq!(shed_counter as usize, shed, "{}", stats.render());
 }
 
-/// Identical in-flight requests coalesce: one computation, every waiter
-/// answered with the same payload, and the health counter shows it.
+/// A reply is computed from its own request alone. Two maps that differ
+/// only in their step quota get different answers: with 80 000 steps
+/// exhaustive search finishes (optimal), with 10 000 it runs out and the
+/// reply is degraded. Each must read the same while the other is in
+/// flight as when it runs alone. The chaos stall only holds the first
+/// request in flight; with no deadline, no watchdog fires.
 #[test]
-fn identical_inflight_requests_coalesce() {
-    let socket = scratch("coal.sock");
-    let state = scratch("coal.state");
+fn a_reply_does_not_depend_on_concurrent_requests() {
+    let socket = scratch("alone.sock");
+    let state = scratch("alone.state");
     let _ = std::fs::remove_dir_all(&state);
     let _ = std::fs::remove_file(&socket);
 
@@ -765,40 +769,51 @@ fn identical_inflight_requests_coalesce() {
     config.workers = 2;
     let handle = Server::start(config).expect("start server");
 
-    const CLIENTS: usize = 8;
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let mut joins = Vec::new();
-    for _ in 0..CLIENTS {
-        let sock = socket.clone();
-        let gate = Arc::clone(&barrier);
-        joins.push(std::thread::spawn(move || {
-            let mut client = connect_within(&sock, Duration::from_secs(15));
-            client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-            let mut req = map_request(7);
-            if let Json::Obj(fields) = &mut req {
-                // one identical stall spec for everyone: same coalesce
-                // key, and a wide window for the others to pile into
-                fields.push(("chaos".to_string(), Json::from("seed=3,stall=1,stall-ms=400")));
-            }
-            gate.wait();
-            client.request(&req)
-        }));
-    }
+    let request = |max_steps: u64| {
+        obj()
+            .field("op", "map")
+            .field("program", "nbody")
+            .field("topology", "hypercube:3")
+            .field(
+                "params",
+                obj()
+                    .field("n", 16i64)
+                    .field("s", 4i64)
+                    .field("msgsize", 8i64)
+                    .build(),
+            )
+            .field("chain", "exhaustive,heuristic,identity")
+            .field("max_steps", max_steps)
+            .field("chaos", "seed=3,stall=1,stall-ms=300")
+            .build()
+    };
+    let generous = request(80_000);
+    let tight = request(10_000);
 
-    let mut renders = Vec::new();
-    for join in joins {
-        let result = join
-            .join()
-            .expect("client thread panicked")
-            .expect("coalesced request failed");
-        renders.push(result.render());
+    let mut client_a = connect_within(&socket, Duration::from_secs(15));
+    let mut client_b = connect_within(&socket, Duration::from_secs(15));
+    for client in [&client_a, &client_b] {
+        client.set_timeout(Some(Duration::from_secs(60))).unwrap();
     }
-    renders.dedup();
-    assert_eq!(renders.len(), 1, "waiters saw different payloads");
+    let solo_a = client_a.request(&generous).expect("solo A");
+    let solo_b = client_b.request(&tight).expect("solo B");
+    let served_by = |reply: &Json| {
+        let engine = reply.get("engine").and_then(|e| e.get("served_by"));
+        engine.and_then(Json::as_str).map(str::to_string)
+    };
+    assert_eq!(solo_a.get("degraded").and_then(Json::as_bool), Some(false));
+    assert_eq!(served_by(&solo_a).as_deref(), Some("exhaustive"));
+    assert_eq!(solo_b.get("degraded").and_then(Json::as_bool), Some(true));
 
-    let stats = handle.shutdown();
-    let coalesced = stats.get("coalesced").and_then(Json::as_u64).unwrap_or(0);
-    assert!(coalesced >= 1, "no coalescing observed: {}", stats.render());
+    let b = std::thread::spawn(move || client_b.request(&tight));
+    std::thread::sleep(Duration::from_millis(50));
+    let concurrent_a = client_a.request(&generous).expect("concurrent A");
+    let concurrent_b = b.join().expect("B's client").expect("concurrent B");
+    assert_eq!(concurrent_a.render(), solo_a.render(), "A's reply changed");
+    assert_eq!(concurrent_b.render(), solo_b.render(), "B's reply changed");
+
+    drop(client_a);
+    handle.shutdown();
 }
 
 #[test]

@@ -23,6 +23,8 @@
 //! * [`contract`] — the end-to-end group-theoretic contraction of a
 //!   [`oregami_graph::TaskGraph`].
 
+#![deny(clippy::too_many_lines)]
+
 pub mod cayley;
 pub mod contract;
 pub mod group;

@@ -21,6 +21,8 @@
 //! Hopcroft–Karp and greedy matchers it replaced are a test-side oracle
 //! in `tests/bipartite/`.
 
+#![deny(clippy::too_many_lines)]
+
 pub mod brute;
 pub mod mwm;
 

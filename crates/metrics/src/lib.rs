@@ -25,6 +25,8 @@
 //! supports [`undo`](MetricsEngine::undo); batch analysis
 //! ([`analyze_mapping`]) is "build the engine, read the report".
 
+#![deny(clippy::too_many_lines)]
+
 pub mod capacity;
 pub mod links;
 pub mod load;
