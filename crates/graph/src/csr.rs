@@ -51,8 +51,7 @@ impl Csr {
     /// Builds an **undirected** adjacency: each `(u, v)` is inserted in both
     /// directions.
     ///
-    /// Panics on an out-of-range endpoint; use [`Csr::try_undirected`] for
-    /// untrusted input.
+    /// Panics on an out-of-range endpoint.
     pub fn undirected(n: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> Csr {
         Self::try_undirected(n, edges).expect("edge endpoint out of range")
     }
@@ -63,22 +62,36 @@ impl Csr {
         n: usize,
         edges: impl Iterator<Item = (usize, usize)> + Clone,
     ) -> Result<Csr, CsrError> {
-        Self::build(n, edges, false)
+        Self::build(n, edges, false, None)
     }
 
     /// Fallible **undirected** construction returning a typed error on an
     /// out-of-range endpoint.
-    pub fn try_undirected(
+    fn try_undirected(
         n: usize,
         edges: impl Iterator<Item = (usize, usize)> + Clone,
     ) -> Result<Csr, CsrError> {
-        Self::build(n, edges, true)
+        Self::build(n, edges, true, None)
+    }
+
+    /// Fallible **undirected** construction that also reports where each
+    /// input edge landed: `edge_of[s]` is the index, in `edges`, of the
+    /// edge that filled arc slot `s` (the slots of `u` start at
+    /// [`Csr::arc_offset`]`(u)`), filled in the same pass as the targets.
+    pub fn try_undirected_with_edge_ids(
+        n: usize,
+        edges: impl Iterator<Item = (usize, usize)> + Clone,
+    ) -> Result<(Csr, Vec<u32>), CsrError> {
+        let mut edge_of = Vec::new();
+        let csr = Self::build(n, edges, true, Some(&mut edge_of))?;
+        Ok((csr, edge_of))
     }
 
     fn build(
         n: usize,
         edges: impl Iterator<Item = (usize, usize)> + Clone,
         both: bool,
+        mut edge_of: Option<&mut Vec<u32>>,
     ) -> Result<Csr, CsrError> {
         let mut degree = vec![0u32; n];
         for (u, v) in edges.clone() {
@@ -95,12 +108,21 @@ impl Csr {
             offsets[i + 1] = offsets[i] + degree[i];
         }
         let mut targets = vec![0u32; offsets[n] as usize];
+        if let Some(ids) = edge_of.as_deref_mut() {
+            *ids = vec![0u32; targets.len()];
+        }
         let mut cursor = offsets[..n].to_vec();
-        for (u, v) in edges {
+        for (i, (u, v)) in edges.enumerate() {
             targets[cursor[u] as usize] = v as u32;
+            if let Some(ids) = edge_of.as_deref_mut() {
+                ids[cursor[u] as usize] = i as u32;
+            }
             cursor[u] += 1;
             if both {
                 targets[cursor[v] as usize] = u as u32;
+                if let Some(ids) = edge_of.as_deref_mut() {
+                    ids[cursor[v] as usize] = i as u32;
+                }
                 cursor[v] += 1;
             }
         }
@@ -123,6 +145,13 @@ impl Csr {
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[u32] {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    /// Index of `u`'s first arc slot: `neighbors(u)[j]` sits at slot
+    /// `arc_offset(u) + j`.
+    #[inline]
+    pub fn arc_offset(&self, u: usize) -> usize {
+        self.offsets[u] as usize
     }
 
     /// Out-degree of `u`.
@@ -151,6 +180,16 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.num_arcs(), 4);
+    }
+
+    #[test]
+    fn edge_ids_follow_the_arc_slots() {
+        let (g, edge_of) =
+            Csr::try_undirected_with_edge_ids(3, [(0, 1), (2, 1), (0, 2)].into_iter()).unwrap();
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(&edge_of[g.arc_offset(1)..g.arc_offset(1) + 2], &[0, 1]);
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(&edge_of[g.arc_offset(0)..g.arc_offset(0) + 2], &[0, 2]);
     }
 
     #[test]

@@ -10,16 +10,19 @@ use crate::csr::Csr;
 /// BFS distances from `src`; unreachable nodes get `u32::MAX`.
 pub fn bfs_distances(g: &Csr, src: usize) -> Vec<u32> {
     let mut dist = vec![u32::MAX; g.num_nodes()];
-    let mut queue = std::collections::VecDeque::new();
+    // every node enters the queue at most once, so a vector read from the
+    // front by a cursor is the whole FIFO, with no wrap-around or regrowth
+    let mut queue = Vec::with_capacity(g.num_nodes());
     dist[src] = 0;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u];
-        for &v in g.neighbors(u) {
-            let v = v as usize;
-            if dist[v] == u32::MAX {
-                dist[v] = du + 1;
-                queue.push_back(v);
+    queue.push(src as u32);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let du = dist[u as usize];
+        for &v in g.neighbors(u as usize) {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = du + 1;
+                queue.push(v);
             }
         }
     }

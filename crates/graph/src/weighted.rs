@@ -145,10 +145,11 @@ impl WeightedGraph {
 
     /// Returns the edges sorted by non-increasing weight (ties broken by
     /// endpoint order for determinism). This is the scan order of the greedy
-    /// contraction heuristic.
+    /// contraction heuristic. An edge is its `(w, u, v)`, so the unstable
+    /// sort gives the same order a stable one would.
     pub fn edges_by_weight_desc(&self) -> Vec<WEdge> {
         let mut es = self.edges.clone();
-        es.sort_by(|a, b| b.w.cmp(&a.w).then(a.u.cmp(&b.u)).then(a.v.cmp(&b.v)));
+        es.sort_unstable_by(|a, b| b.w.cmp(&a.w).then(a.u.cmp(&b.u)).then(a.v.cmp(&b.v)));
         es
     }
 

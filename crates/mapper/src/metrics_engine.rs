@@ -16,12 +16,14 @@
 //! * per-processor compute ledgers — task counts, summed execution time,
 //!   and per-execution-phase time;
 //! * the IPC split (crossing vs internalised volume);
-//! * incrementally maintained aggregates (max dilation, max contention,
-//!   max link volume per phase, plus the global busiest-link volume):
-//!   increases update a maximum in O(1); a dirty flag per ledger is set
-//!   only when an edit *removes* load from an entry holding the current
-//!   maximum, and [`refresh`](MetricsEngine::snapshot) re-scans exactly
-//!   the dirtied ledgers once per edit.
+//! * incrementally maintained aggregates, each amortised O(1) per touched
+//!   entry: a histogram of edges per hop count gives each phase's maximum
+//!   dilation as its highest non-empty bucket; the link maxima (contention
+//!   and volume per phase, the global busiest link) and the processor
+//!   maxima (execution time, per-execution-phase time) each keep how many
+//!   entries hold the maximum, so a ledger is marked dirty, and rescanned
+//!   once at the next [`refresh`](MetricsEngine::snapshot), only when the
+//!   *last* entry at its maximum drops.
 //!
 //! [`MetricsEngine::apply`] takes an [`Edit`] — `Reassign`, `Reroute`, or
 //! `Fault` — and returns a [`MetricsDelta`] carrying the metric snapshot
@@ -248,38 +250,104 @@ pub struct MetricsDelta {
     pub edges_touched: usize,
 }
 
-/// Per-phase link-load ledger plus lazily refreshed aggregates.
+/// A load vector (per link or per processor) with its maximum and how
+/// many entries hold it. While the owner's dirty flag is clear, `set` keeps
+/// both exact in O(1); it raises the flag only when the last entry at the
+/// maximum drops, and the owner's next refresh rescans.
+#[derive(Clone, Debug)]
+struct Ledger {
+    entries: Vec<u64>,
+    max: u64,
+    at_max: usize,
+}
+
+impl Ledger {
+    /// A ledger over `entries` whose maximum is unknown until
+    /// [`Ledger::rescan`].
+    fn new(entries: Vec<u64>) -> Ledger {
+        Ledger {
+            entries,
+            max: 0,
+            at_max: 0,
+        }
+    }
+
+    fn rescan(&mut self) {
+        self.max = self.entries.iter().copied().max().unwrap_or(0);
+        self.at_max = self.entries.iter().filter(|&&x| x == self.max).count();
+    }
+
+    /// Sets entry `i` to `new`.
+    fn set(&mut self, i: usize, new: u64, dirty: &mut bool) {
+        let old = std::mem::replace(&mut self.entries[i], new);
+        if *dirty || new == old {
+            return;
+        }
+        if new > self.max {
+            self.max = new;
+            self.at_max = 1;
+        } else if new == self.max {
+            self.at_max += 1;
+        } else if old == self.max {
+            self.at_max -= 1;
+            *dirty = self.at_max == 0;
+        }
+    }
+}
+
+/// Per-phase link-load ledger plus its aggregates.
 #[derive(Clone, Debug)]
 struct PhaseLedger {
     /// Dilation of every edge of the phase (hops; 0 = co-located).
     dilations: Vec<usize>,
+    /// `dil_hist[d]` = number of `dilations` entries equal to `d`.
+    dil_hist: Vec<usize>,
+    /// max(dilations): the highest non-empty `dil_hist` bucket, always valid.
+    max_dilation: usize,
     /// Σ dilations, maintained incrementally.
     dil_sum: u64,
-    /// Messages crossing each link during the phase.
-    link_messages: Vec<u64>,
-    /// Volume crossing each link during the phase.
-    link_volume: Vec<u64>,
-    /// max(dilations) — valid when `!dirty`.
-    max_dilation: usize,
-    /// max(link_messages) — valid when `!dirty`.
-    max_contention: u64,
-    /// max(link_volume) — valid when `!dirty`.
-    max_link_volume: u64,
-    /// Set by any edit touching the phase; cleared by the next refresh.
+    /// Messages crossing each link during the phase; its maximum, the
+    /// phase's contention, is valid when `!dirty`.
+    link_messages: Ledger,
+    /// Volume crossing each link during the phase; its maximum is valid
+    /// when `!dirty`.
+    link_volume: Ledger,
+    /// Set when an edit lost a link maximum; cleared by the next refresh.
     dirty: bool,
 }
 
 impl PhaseLedger {
-    fn empty(num_links: usize, num_edges: usize) -> PhaseLedger {
+    /// A ledger over `dilations` with nothing on its links yet.
+    fn new(num_links: usize, dilations: Vec<usize>, dil_sum: u64) -> PhaseLedger {
+        let max_dilation = dilations.iter().copied().max().unwrap_or(0);
+        let mut dil_hist = vec![0; max_dilation + 1];
+        for &d in &dilations {
+            dil_hist[d] += 1;
+        }
         PhaseLedger {
-            dilations: Vec::with_capacity(num_edges),
-            dil_sum: 0,
-            link_messages: vec![0; num_links],
-            link_volume: vec![0; num_links],
-            max_dilation: 0,
-            max_contention: 0,
-            max_link_volume: 0,
+            dilations,
+            dil_hist,
+            max_dilation,
+            dil_sum,
+            link_messages: Ledger::new(vec![0; num_links]),
+            link_volume: Ledger::new(vec![0; num_links]),
             dirty: true,
+        }
+    }
+
+    /// Sets edge `i`'s dilation to `d`, moving it between histogram buckets.
+    fn set_dilation(&mut self, i: usize, d: usize) {
+        let old = std::mem::replace(&mut self.dilations[i], d);
+        self.dil_hist[old] -= 1;
+        if d >= self.dil_hist.len() {
+            self.dil_hist.resize(d + 1, 0);
+        }
+        self.dil_hist[d] += 1;
+        if d > self.max_dilation {
+            self.max_dilation = d;
+        }
+        while self.max_dilation > 0 && self.dil_hist[self.max_dilation] == 0 {
+            self.max_dilation -= 1;
         }
     }
 }
@@ -293,11 +361,10 @@ struct EngineState {
     table: Option<Arc<RouteTable>>,
     mapping: Mapping,
     phases: Vec<PhaseLedger>,
-    total_link_volume: Vec<u64>,
+    total_link_volume: Ledger,
     tasks_per_proc: Vec<usize>,
-    exec_time_per_proc: Vec<u64>,
-    exec_per_proc: Vec<Vec<u64>>,
-    exec_slot: Vec<u64>,
+    exec_time_per_proc: Ledger,
+    exec_per_proc: Vec<Ledger>,
     total_ipc: u64,
     internalized: u64,
 }
@@ -333,20 +400,25 @@ pub struct MetricsEngine<'a> {
     /// seeded by [`MetricsEngine::try_new_with_table`], replaced by
     /// `Fault` edits with the degraded masked table.
     table: Option<Arc<RouteTable>>,
-    /// `incident[task]` = every `(phase, edge)` touching the task —
-    /// precomputed so a reassign walks its incident edges, not the graph.
-    incident: Vec<Vec<(usize, usize)>>,
+    /// `incident[incident_at[t]..incident_at[t + 1]]` = every `(phase,
+    /// edge)` touching task `t`, in phase then edge order — precomputed so
+    /// a reassign walks its incident edges, not the graph.
+    incident: Vec<(usize, usize)>,
+    incident_at: Vec<usize>,
     phases: Vec<PhaseLedger>,
-    total_link_volume: Vec<u64>,
-    /// max over `total_link_volume` — valid when `!total_dirty`.
-    max_total_volume: u64,
+    /// Volume over each link across all phases; its maximum is valid when
+    /// `!total_dirty`.
+    total_link_volume: Ledger,
     total_dirty: bool,
     tasks_per_proc: Vec<usize>,
-    exec_time_per_proc: Vec<u64>,
-    /// `exec_per_proc[x][p]` = execution time of phase `x` on proc `p`.
-    exec_per_proc: Vec<Vec<u64>>,
-    /// max over procs per exec phase — valid when `!exec_dirty`.
-    exec_slot: Vec<u64>,
+    /// Execution time per processor; its maximum is valid when
+    /// `!exec_dirty`.
+    exec_time_per_proc: Ledger,
+    /// `exec_per_proc[x]` = execution time of phase `x` per processor;
+    /// each maximum, the phase's slot cost, is valid when `!exec_dirty`.
+    exec_per_proc: Vec<Ledger>,
+    /// Σ `exec_time_per_proc`; a reassign moves time, never changes it.
+    exec_total: u64,
     exec_dirty: bool,
     total_ipc: u64,
     internalized: u64,
@@ -414,15 +486,7 @@ impl<'a> MetricsEngine<'a> {
         table: Option<Arc<RouteTable>>,
     ) -> Result<MetricsEngine<'a>, MappingError> {
         mapping.validate(&tg, &net)?;
-        let mut incident = vec![Vec::new(); tg.num_tasks()];
-        for (k, phase) in tg.comm_phases.iter().enumerate() {
-            for (i, e) in phase.edges.iter().enumerate() {
-                incident[e.src.index()].push((k, i));
-                if e.dst.index() != e.src.index() {
-                    incident[e.dst.index()].push((k, i));
-                }
-            }
-        }
+        let (incident, incident_at) = incidence(&tg);
         let mut engine = MetricsEngine {
             tg,
             net,
@@ -430,14 +494,14 @@ impl<'a> MetricsEngine<'a> {
             model: model.clone(),
             table,
             incident,
+            incident_at,
             phases: Vec::new(),
-            total_link_volume: Vec::new(),
-            max_total_volume: 0,
+            total_link_volume: Ledger::new(Vec::new()),
             total_dirty: true,
             tasks_per_proc: Vec::new(),
-            exec_time_per_proc: Vec::new(),
+            exec_time_per_proc: Ledger::new(Vec::new()),
             exec_per_proc: Vec::new(),
-            exec_slot: Vec::new(),
+            exec_total: 0,
             exec_dirty: true,
             total_ipc: 0,
             internalized: 0,
@@ -464,24 +528,23 @@ impl<'a> MetricsEngine<'a> {
         let mut total_link_volume = vec![0u64; nl];
         let mut phases = Vec::with_capacity(tg.num_phases());
         for (k, phase) in tg.comm_phases.iter().enumerate() {
-            let mut led = PhaseLedger::empty(nl, phase.edges.len());
             if !routed {
-                led.dilations = vec![0; phase.edges.len()];
-                phases.push(led);
+                phases.push(PhaseLedger::new(nl, vec![0; phase.edges.len()], 0));
                 continue;
             }
+            let dilations: Vec<usize> = mapping.routes[k].iter().map(|p| p.len() - 1).collect();
+            let dil_sum = dilations.iter().map(|&d| d as u64).sum();
+            let mut led = PhaseLedger::new(nl, dilations, dil_sum);
             for (i, e) in phase.edges.iter().enumerate() {
                 let path = &mapping.routes[k][i];
-                let d = path.len() - 1;
-                led.dilations.push(d);
-                led.dil_sum += d as u64;
                 for w in path.windows(2) {
                     let l = net
                         .link_between(w[0], w[1])
                         .expect("validated route")
                         .index();
-                    led.link_messages[l] += 1;
-                    led.link_volume[l] = led.link_volume[l].saturating_add(e.volume);
+                    led.link_messages.entries[l] += 1;
+                    let v = &mut led.link_volume.entries[l];
+                    *v = v.saturating_add(e.volume);
                     total_link_volume[l] = total_link_volume[l].saturating_add(e.volume);
                 }
             }
@@ -511,37 +574,34 @@ impl<'a> MetricsEngine<'a> {
         }
 
         self.phases = phases;
-        self.total_link_volume = total_link_volume;
+        self.total_link_volume = Ledger::new(total_link_volume);
         self.total_dirty = true;
         self.tasks_per_proc = tasks_per_proc;
-        self.exec_time_per_proc = exec_time_per_proc;
-        self.exec_per_proc = exec_per_proc;
+        self.exec_time_per_proc = Ledger::new(exec_time_per_proc);
+        self.exec_per_proc = exec_per_proc.into_iter().map(Ledger::new).collect();
         self.exec_dirty = true;
         self.total_ipc = total_ipc;
         self.internalized = internalized;
     }
 
-    /// Re-scans the aggregates of dirty phases. Every public entry point
+    /// Re-scans the maxima of dirty ledgers. Every public entry point
     /// leaves the engine refreshed, so accessors never see stale maxima.
     fn refresh(&mut self) {
         for led in &mut self.phases {
             if led.dirty {
-                led.max_dilation = led.dilations.iter().copied().max().unwrap_or(0);
-                led.max_contention = led.link_messages.iter().copied().max().unwrap_or(0);
-                led.max_link_volume = led.link_volume.iter().copied().max().unwrap_or(0);
+                led.link_messages.rescan();
+                led.link_volume.rescan();
                 led.dirty = false;
             }
         }
         if self.total_dirty {
-            self.max_total_volume = self.total_link_volume.iter().copied().max().unwrap_or(0);
+            self.total_link_volume.rescan();
             self.total_dirty = false;
         }
         if self.exec_dirty {
-            self.exec_slot = self
-                .exec_per_proc
-                .iter()
-                .map(|pp| pp.iter().copied().max().unwrap_or(0))
-                .collect();
+            self.exec_time_per_proc.rescan();
+            self.exec_total = self.exec_time_per_proc.entries.iter().sum();
+            self.exec_per_proc.iter_mut().for_each(Ledger::rescan);
             self.exec_dirty = false;
         }
     }
@@ -613,7 +673,6 @@ impl<'a> MetricsEngine<'a> {
                     tasks_per_proc,
                     exec_time_per_proc,
                     exec_per_proc,
-                    exec_slot,
                     total_ipc,
                     internalized,
                 } = *state;
@@ -626,8 +685,7 @@ impl<'a> MetricsEngine<'a> {
                 self.tasks_per_proc = tasks_per_proc;
                 self.exec_time_per_proc = exec_time_per_proc;
                 self.exec_per_proc = exec_per_proc;
-                self.exec_slot = exec_slot;
-                self.exec_dirty = false;
+                self.exec_dirty = true;
                 self.total_ipc = total_ipc;
                 self.internalized = internalized;
                 touched
@@ -665,14 +723,15 @@ impl<'a> MetricsEngine<'a> {
         // routing failure leaves the engine untouched. Route-less mappings
         // (load-only analysis) move the assignment alone, like
         // [`Mapping::reassign`].
-        let mut new_routes = Vec::with_capacity(self.incident[task].len());
+        let incident = self.incident_at[task]..self.incident_at[task + 1];
+        let mut new_routes = Vec::with_capacity(incident.len());
         if !self.mapping.routes.is_empty() {
             self.ensure_table()?;
             let table = self.table.as_deref().expect("ensured above");
             let tg: &TaskGraph = &self.tg;
             let net: &Network = &self.net;
             let mapping: &Mapping = &self.mapping;
-            for &(k, i) in &self.incident[task] {
+            for &(k, i) in &self.incident[incident] {
                 let e = &tg.comm_phases[k].edges[i];
                 let from = if e.src.index() == task { proc } else { mapping.assignment[e.src.index()] };
                 let to = if e.dst.index() == task { proc } else { mapping.assignment[e.dst.index()] };
@@ -714,36 +773,38 @@ impl<'a> MetricsEngine<'a> {
     ) -> Vec<(usize, usize, Vec<ProcId>)> {
         let tg: &TaskGraph = &self.tg;
         let old_proc = self.mapping.assignment[task];
+        let (from, to) = (old_proc.index(), new_proc.index());
 
         // per-processor compute ledgers
-        self.tasks_per_proc[old_proc.index()] -= 1;
-        self.tasks_per_proc[new_proc.index()] += 1;
-        let cost = tg.exec_cost(task.into());
-        self.exec_time_per_proc[old_proc.index()] -= cost;
-        self.exec_time_per_proc[new_proc.index()] += cost;
-        for (x, ph) in tg.exec_phases.iter().enumerate() {
-            let c = ph.cost.of(task.into());
-            self.exec_per_proc[x][old_proc.index()] -= c;
-            self.exec_per_proc[x][new_proc.index()] += c;
+        self.tasks_per_proc[from] -= 1;
+        self.tasks_per_proc[to] += 1;
+        let dirty = &mut self.exec_dirty;
+        let costs = std::iter::once(tg.exec_cost(task.into()))
+            .chain(tg.exec_phases.iter().map(|ph| ph.cost.of(task.into())));
+        let ledgers = std::iter::once(&mut self.exec_time_per_proc).chain(&mut self.exec_per_proc);
+        for (led, c) in ledgers.zip(costs) {
+            led.set(from, led.entries[from] - c, dirty);
+            led.set(to, led.entries[to] + c, dirty);
         }
-        self.exec_dirty = true;
 
         // IPC split: colocation of each incident edge before vs after the
         // move (driven by the incidence list, not the routes, so the split
-        // stays right for route-less mappings too)
-        let colocated_before: Vec<bool> = self.incident[task]
-            .iter()
-            .map(|&(k, i)| {
-                let e = &tg.comm_phases[k].edges[i];
-                self.mapping.assignment[e.src.index()] == self.mapping.assignment[e.dst.index()]
-            })
-            .collect();
+        // stays right for route-less mappings too). Only `task` moves, so
+        // an edge is co-located before (after) the move iff its other end
+        // sits on `old_proc` (`new_proc`); a self-edge always is.
         self.mapping.to_mut().assignment[task] = new_proc;
-        for (idx, &(k, i)) in self.incident[task].iter().enumerate() {
+        for &(k, i) in &self.incident[self.incident_at[task]..self.incident_at[task + 1]] {
             let e = &tg.comm_phases[k].edges[i];
-            let colocated_now =
-                self.mapping.assignment[e.src.index()] == self.mapping.assignment[e.dst.index()];
-            match (colocated_before[idx], colocated_now) {
+            let other = if e.src.index() == task {
+                e.dst.index()
+            } else {
+                e.src.index()
+            };
+            if other == task {
+                continue;
+            }
+            let at = self.mapping.assignment[other];
+            match (at == old_proc, at == new_proc) {
                 (true, false) => {
                     self.internalized = self.internalized.saturating_sub(e.volume);
                     self.total_ipc = self.total_ipc.saturating_add(e.volume);
@@ -777,63 +838,47 @@ impl<'a> MetricsEngine<'a> {
     /// the ledgers; `d_next` is the dilation the edge holds until
     /// [`ledger_route`](Self::ledger_route) runs again (the replacement
     /// route's, or 0 for an edge lifted out altogether). Maxima only
-    /// shrink on this side, and only when the touched entry held the
-    /// current maximum — mark the ledger dirty (full rescan at the next
-    /// refresh) exactly then, so the common edit keeps every aggregate in
-    /// O(1).
+    /// shrink on this side: the dilation histogram finds its new top
+    /// itself, and a link ledger is marked dirty (rescanned at the next
+    /// refresh) only when the last link at its maximum drops, so the
+    /// common edit keeps every aggregate in O(1).
     fn unledger_route(&mut self, k: usize, i: usize, d_next: usize) {
         let net: &Network = &self.net;
         let volume = self.tg.comm_phases[k].edges[i].volume;
         let led = &mut self.phases[k];
         let old = &self.mapping.routes[k][i];
-        let d_old = old.len() - 1;
-        led.dilations[i] = d_next;
-        led.dil_sum -= d_old as u64;
-        if d_next < d_old && d_old == led.max_dilation {
-            led.dirty = true;
-        }
+        led.set_dilation(i, d_next);
+        led.dil_sum -= (old.len() - 1) as u64;
         for w in old.windows(2) {
             let l = net.link_between(w[0], w[1]).expect("ledgered route").index();
-            if led.link_messages[l] == led.max_contention
-                || led.link_volume[l] == led.max_link_volume
-            {
-                led.dirty = true;
-            }
-            led.link_messages[l] -= 1;
-            led.link_volume[l] = led.link_volume[l].saturating_sub(volume);
-            if self.total_link_volume[l] == self.max_total_volume {
-                self.total_dirty = true;
-            }
-            self.total_link_volume[l] = self.total_link_volume[l].saturating_sub(volume);
+            let m = led.link_messages.entries[l] - 1;
+            led.link_messages.set(l, m, &mut led.dirty);
+            let v = led.link_volume.entries[l].saturating_sub(volume);
+            led.link_volume.set(l, v, &mut led.dirty);
+            let t = self.total_link_volume.entries[l].saturating_sub(volume);
+            self.total_link_volume.set(l, t, &mut self.total_dirty);
         }
     }
 
     /// Enters the route currently in the mapping for edge `(k, i)` into
     /// the ledgers. Maxima only grow on this side, so a clean ledger
-    /// stays clean under O(1) max updates.
+    /// stays clean under O(1) updates.
     fn ledger_route(&mut self, k: usize, i: usize) {
         let net: &Network = &self.net;
         let volume = self.tg.comm_phases[k].edges[i].volume;
         let led = &mut self.phases[k];
         let new = &self.mapping.routes[k][i];
         let d_new = new.len() - 1;
-        led.dilations[i] = d_new;
+        led.set_dilation(i, d_new);
         led.dil_sum += d_new as u64;
-        if !led.dirty {
-            led.max_dilation = led.max_dilation.max(d_new);
-        }
         for w in new.windows(2) {
             let l = net.link_between(w[0], w[1]).expect("checked route").index();
-            led.link_messages[l] += 1;
-            led.link_volume[l] = led.link_volume[l].saturating_add(volume);
-            self.total_link_volume[l] = self.total_link_volume[l].saturating_add(volume);
-            if !led.dirty {
-                led.max_contention = led.max_contention.max(led.link_messages[l]);
-                led.max_link_volume = led.max_link_volume.max(led.link_volume[l]);
-            }
-            if !self.total_dirty {
-                self.max_total_volume = self.max_total_volume.max(self.total_link_volume[l]);
-            }
+            let m = led.link_messages.entries[l] + 1;
+            led.link_messages.set(l, m, &mut led.dirty);
+            let v = led.link_volume.entries[l].saturating_add(volume);
+            led.link_volume.set(l, v, &mut led.dirty);
+            let t = self.total_link_volume.entries[l].saturating_add(volume);
+            self.total_link_volume.set(l, t, &mut self.total_dirty);
         }
     }
 
@@ -948,7 +993,6 @@ impl<'a> MetricsEngine<'a> {
             tasks_per_proc: self.tasks_per_proc.clone(),
             exec_time_per_proc: self.exec_time_per_proc.clone(),
             exec_per_proc: self.exec_per_proc.clone(),
-            exec_slot: self.exec_slot.clone(),
             total_ipc: self.total_ipc,
             internalized: self.internalized,
         })));
@@ -1014,12 +1058,12 @@ impl<'a> MetricsEngine<'a> {
 
     /// Messages crossing each link during phase `k`.
     pub fn phase_link_messages(&self, k: usize) -> &[u64] {
-        &self.phases[k].link_messages
+        &self.phases[k].link_messages.entries
     }
 
     /// Volume crossing each link during phase `k`.
     pub fn phase_link_volume(&self, k: usize) -> &[u64] {
-        &self.phases[k].link_volume
+        &self.phases[k].link_volume.entries
     }
 
     /// Maximum dilation of phase `k`.
@@ -1029,7 +1073,7 @@ impl<'a> MetricsEngine<'a> {
 
     /// Maximum link contention of phase `k`.
     pub fn phase_max_contention(&self, k: usize) -> u64 {
-        self.phases[k].max_contention
+        self.phases[k].link_messages.max
     }
 
     /// Average dilation of phase `k` (×1000).
@@ -1042,7 +1086,7 @@ impl<'a> MetricsEngine<'a> {
 
     /// Total volume over each link across all phases.
     pub fn total_link_volume(&self) -> &[u64] {
-        &self.total_link_volume
+        &self.total_link_volume.entries
     }
 
     /// Average dilation across every edge of every phase (×1000).
@@ -1064,19 +1108,18 @@ impl<'a> MetricsEngine<'a> {
 
     /// Total execution time per processor.
     pub fn exec_time_per_proc(&self) -> &[u64] {
-        &self.exec_time_per_proc
+        &self.exec_time_per_proc.entries
     }
 
     /// Maximum per-processor execution time.
     pub fn max_exec_time(&self) -> u64 {
-        self.exec_time_per_proc.iter().copied().max().unwrap_or(0)
+        self.exec_time_per_proc.max
     }
 
     /// Load-imbalance ratio ×1000 (max/mean; 0 without execution cost).
     pub fn imbalance_millis(&self) -> u64 {
-        let total: u64 = self.exec_time_per_proc.iter().sum();
         (self.max_exec_time().saturating_mul(1000).saturating_mul(self.net.num_procs() as u64))
-            .checked_div(total)
+            .checked_div(self.exec_total)
             .unwrap_or(0)
     }
 
@@ -1100,7 +1143,7 @@ impl<'a> MetricsEngine<'a> {
         } else {
             self.model
                 .startup
-                .saturating_add(led.max_link_volume.saturating_mul(self.model.byte_time))
+                .saturating_add(led.link_volume.max.saturating_mul(self.model.byte_time))
                 .saturating_add((led.max_dilation as u64).saturating_mul(self.model.hop_latency))
         }
     }
@@ -1108,7 +1151,7 @@ impl<'a> MetricsEngine<'a> {
     /// Cost of one occurrence of execution phase `x`: the maximum over
     /// processors of their summed task cost in that phase.
     pub fn exec_slot_cost(&self, x: usize) -> u64 {
-        self.exec_slot[x]
+        self.exec_per_proc[x].max
     }
 
     /// `(completion_time, comm_time)` of one pass of the phase
@@ -1180,29 +1223,29 @@ impl<'a> MetricsEngine<'a> {
         let proc = self.mapping.assignment[task].index();
         // route-less mappings (load-only analysis) have nothing ledgered
         let lifted = if self.mapping.routes.is_empty() {
-            0
+            0..0
         } else {
-            self.incident[task].len()
+            self.incident_at[task]..self.incident_at[task + 1]
         };
-        for idx in 0..lifted {
-            let (k, i) = self.incident[task][idx];
+        for idx in lifted.clone() {
+            let (k, i) = self.incident[idx];
             self.unledger_route(k, i, 0);
         }
-        for (x, ph) in self.tg.exec_phases.iter().enumerate() {
-            self.exec_per_proc[x][proc] -= ph.cost.of(task.into());
+        for (led, ph) in self.exec_per_proc.iter_mut().zip(&self.tg.exec_phases) {
+            let c = ph.cost.of(task.into());
+            led.set(proc, led.entries[proc] - c, &mut self.exec_dirty);
         }
-        self.exec_dirty = true;
         self.refresh();
         let floor = self.scalar_cost();
 
-        for idx in 0..lifted {
-            let (k, i) = self.incident[task][idx];
+        for idx in lifted {
+            let (k, i) = self.incident[idx];
             self.ledger_route(k, i);
         }
-        for (x, ph) in self.tg.exec_phases.iter().enumerate() {
-            self.exec_per_proc[x][proc] += ph.cost.of(task.into());
+        for (led, ph) in self.exec_per_proc.iter_mut().zip(&self.tg.exec_phases) {
+            let c = ph.cost.of(task.into());
+            led.set(proc, led.entries[proc] + c, &mut self.exec_dirty);
         }
-        self.exec_dirty = true;
         self.refresh();
         floor
     }
@@ -1215,10 +1258,15 @@ impl<'a> MetricsEngine<'a> {
             None => (None, None),
         };
         MetricSnapshot {
-            max_link_volume: self.max_total_volume,
+            max_link_volume: self.total_link_volume.max,
             avg_dilation_millis: self.avg_dilation_millis(),
             max_dilation: self.max_dilation(),
-            max_contention: self.phases.iter().map(|p| p.max_contention).max().unwrap_or(0),
+            max_contention: self
+                .phases
+                .iter()
+                .map(|p| p.link_messages.max)
+                .max()
+                .unwrap_or(0),
             total_ipc: self.total_ipc,
             internalized_volume: self.internalized,
             max_exec_time: self.max_exec_time(),
@@ -1229,12 +1277,41 @@ impl<'a> MetricsEngine<'a> {
     }
 }
 
+/// The engine's incidence lists in CSR form: for every task, the `(phase,
+/// edge)` pairs touching it in phase then edge order, and each task's start.
+fn incidence(tg: &TaskGraph) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let mut at = vec![0usize; tg.num_tasks() + 1];
+    for (_, e) in tg.all_edges() {
+        at[e.src.index() + 1] += 1;
+        if e.dst.index() != e.src.index() {
+            at[e.dst.index() + 1] += 1;
+        }
+    }
+    for t in 0..tg.num_tasks() {
+        at[t + 1] += at[t];
+    }
+    let mut cursor = at[..tg.num_tasks()].to_vec();
+    let mut incident = vec![(0, 0); at[tg.num_tasks()]];
+    for (k, phase) in tg.comm_phases.iter().enumerate() {
+        for (i, e) in phase.edges.iter().enumerate() {
+            for t in [e.src.index(), e.dst.index()] {
+                incident[cursor[t]] = (k, i);
+                cursor[t] += 1;
+                if e.dst.index() == e.src.index() {
+                    break;
+                }
+            }
+        }
+    }
+    (incident, at)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::{route_all_phases, Matcher};
     use oregami_graph::task_graph::Cost;
-    use oregami_graph::{Family, PhaseExpr, PhaseId};
+    use oregami_graph::{Family, PhaseExpr, PhaseId, TaskId};
     use oregami_topology::{builders, LinkId};
 
     fn ring4_on_q2() -> (TaskGraph, Network, Mapping) {
@@ -1264,6 +1341,77 @@ mod tests {
         // comm slot: busiest link 1 + max hops 1 = 2; exec slot 5
         assert_eq!(engine.completion_times(), Some((7, 2)));
         assert_eq!(engine.scalar_cost(), 7);
+    }
+
+    /// Asserts every incrementally kept aggregate equals a freshly built
+    /// engine's over the same mapping.
+    fn assert_fresh(engine: &mut MetricsEngine<'_>, tg: &TaskGraph, net: &Network) {
+        let mapping = engine.mapping().clone();
+        let mut fresh = MetricsEngine::try_new(tg, net, &mapping, engine.cost_model()).unwrap();
+        assert_eq!(engine.snapshot(), fresh.snapshot());
+        for k in 0..tg.num_phases() {
+            assert_eq!(engine.phase_max_dilation(k), fresh.phase_max_dilation(k));
+            assert_eq!(
+                engine.phase_max_contention(k),
+                fresh.phase_max_contention(k)
+            );
+            assert_eq!(engine.comm_slot_cost(k), fresh.comm_slot_cost(k));
+        }
+        for t in 0..tg.num_tasks() {
+            assert_eq!(
+                engine.cost_floor_without(t),
+                fresh.cost_floor_without(t),
+                "task {t}"
+            );
+        }
+        assert_eq!(
+            engine.snapshot(),
+            fresh.snapshot(),
+            "the floor put everything back"
+        );
+    }
+
+    #[test]
+    fn aggregates_match_a_fresh_engine_while_max_dilation_edges_lift_and_return() {
+        // a hub on the corner of a 3x3 mesh, its three spokes on the procs
+        // two hops away: every edge of the phase sits at the max dilation
+        let mut tg = TaskGraph::new("spokes");
+        tg.add_scalar_nodes("t", 4);
+        let ph = tg.add_phase("in");
+        for t in 1..4 {
+            tg.add_edge(ph, TaskId::new(t), TaskId::new(0), 2 + t as u64);
+        }
+        let work = tg.add_exec_phase("work", Cost::PerTask(vec![5, 3, 3, 3]));
+        tg.phase_expr = Some(PhaseExpr::seq(PhaseExpr::Comm(ph), PhaseExpr::Exec(work)));
+        let net = builders::mesh2d(3, 3);
+        let table = RouteTable::try_new(&net).unwrap();
+        let assignment = vec![ProcId(0), ProcId(2), ProcId(4), ProcId(6)];
+        let routes = crate::routing::baseline::baseline_route_all(&tg, &assignment, &net, &table);
+        let mapping = Mapping { assignment, routes };
+        let mut engine =
+            MetricsEngine::try_new(&tg, &net, &mapping, &CostModel::default()).unwrap();
+        assert_eq!(engine.phase_dilations(0), &[2, 2, 2]);
+        assert_fresh(&mut engine, &tg, &net);
+        // lift the spokes onto the hub's processor one by one
+        for t in 1..4 {
+            engine
+                .apply(Edit::Reassign {
+                    task: t,
+                    proc: ProcId(0),
+                })
+                .unwrap();
+            assert_eq!(engine.phase_max_dilation(0), if t < 3 { 2 } else { 0 });
+            assert_fresh(&mut engine, &tg, &net);
+        }
+        assert_eq!(
+            engine.comm_slot_cost(0),
+            0,
+            "an all-internal phase costs nothing"
+        );
+        while engine.undo().is_some() {
+            assert_fresh(&mut engine, &tg, &net);
+        }
+        assert_eq!(engine.mapping(), &mapping);
     }
 
     #[test]

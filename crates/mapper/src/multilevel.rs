@@ -25,6 +25,12 @@
 //!   [`MetricsEngine::undo`] unless it *strictly* lowers
 //!   [`MetricsEngine::scalar_cost`] — so per-level cost is monotonically
 //!   non-increasing.
+//! * **A probe costs what it touches.** Each refined level builds one
+//!   owned engine ([`MetricsEngine::try_new_owned`]) over a synthetic
+//!   single-phase graph whose nodes carry no label, so probes never copy
+//!   the level mapping. A probe re-routes the moved node's edges and
+//!   updates the engine's maxima in amortised O(1) (a dilation histogram,
+//!   link and processor peaks), never rescanning every edge or link.
 //! * **Anytime.** Coarsening charges the [`Budget`] per examined edge and
 //!   refinement probes are budgeted; a spent (or cancelled) budget degrades
 //!   the stage to projection-without-refinement, which still always serves
@@ -39,7 +45,7 @@ use crate::pipeline::{
     MapperReport, Strategy,
 };
 use crate::routing::baseline::baseline_route_all;
-use oregami_graph::{TaskGraph, TaskId, WeightedGraph};
+use oregami_graph::{CommEdge, TaskGraph, TaskId, TaskNode, WeightedGraph};
 use oregami_topology::{Network, ProcId, RouteTable};
 use std::sync::Arc;
 use std::time::Instant;
@@ -471,21 +477,35 @@ impl Refine<'_> {
         let m = g.num_nodes();
         // Synthetic single-phase task graph over this level's nodes: scalar_cost
         // without a phase expression is exactly the summed per-phase slot cost
-        // of the level's cross-processor traffic.
+        // of the level's cross-processor traffic. Nothing reads a level node's
+        // label or coordinates, so they stay empty and allocate nothing.
         let mut stg = TaskGraph::new("multilevel-level");
-        stg.add_scalar_nodes("c", m);
+        stg.nodes = vec![
+            TaskNode {
+                label: String::new(),
+                coords: Vec::new()
+            };
+            m
+        ];
         let ph = stg.add_phase("w");
-        for e in g.edges() {
-            stg.add_edge(ph, TaskId::new(e.u), TaskId::new(e.v), e.w);
-        }
+        stg.comm_phases[ph.index()].edges = g
+            .edges()
+            .iter()
+            .map(|e| CommEdge {
+                src: TaskId::new(e.u),
+                dst: TaskId::new(e.v),
+                volume: e.w,
+            })
+            .collect();
         let mapping = Mapping {
             assignment: proc_of.clone(),
             routes: baseline_route_all(&stg, proc_of, net, table),
         };
-        let mut eng = match MetricsEngine::try_new_with_table(
-            &stg,
-            net,
-            &mapping,
+        // The engine owns its graph and mapping, so no probe copies them.
+        let mut eng = match MetricsEngine::try_new_owned(
+            stg,
+            net.clone(),
+            mapping,
             &CostModel::default(),
             Arc::clone(table),
         ) {

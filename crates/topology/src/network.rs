@@ -4,7 +4,6 @@
 
 use crate::machine::MachineAttrs;
 use oregami_graph::Csr;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -104,9 +103,10 @@ impl TopologyKind {
 
 /// An undirected processor network.
 ///
-/// Links are stored once and identified by [`LinkId`]; `link_between`
-/// resolves an (unordered) processor pair to its link. An undirected CSR
-/// adjacency is kept for traversal.
+/// Links are stored once and identified by [`LinkId`]. An undirected CSR
+/// adjacency is kept for traversal, with each arc's link id in a slice
+/// aligned with the CSR slots, so `link_between` resolves an (unordered)
+/// processor pair by scanning the shorter of the two adjacency lists.
 #[derive(Clone, Debug)]
 pub struct Network {
     /// Human-readable name, e.g. `hypercube(3)`.
@@ -115,8 +115,9 @@ pub struct Network {
     pub kind: TopologyKind,
     num_procs: usize,
     links: Vec<(ProcId, ProcId)>,
-    link_of: HashMap<(u32, u32), LinkId>,
     adj: Csr,
+    /// `arc_link[s]` = the link of the CSR arc at slot `s`.
+    arc_link: Vec<LinkId>,
     /// Per-component machine attributes (speeds, memories, bandwidths) when
     /// this network was lowered from a hierarchical [`crate::machine::MachineModel`];
     /// `None` for the paper's plain homogeneous topologies.
@@ -151,45 +152,42 @@ impl Network {
         links: Vec<(u32, u32)>,
     ) -> Result<Network, crate::fault::TopologyError> {
         use crate::fault::TopologyError;
-        let mut link_of = HashMap::with_capacity(links.len());
-        let mut stored = Vec::with_capacity(links.len());
-        for (i, &(u, v)) in links.iter().enumerate() {
-            if (u as usize) >= num_procs || (v as usize) >= num_procs {
-                return Err(TopologyError::LinkEndpointOutOfRange { u, v, num_procs });
-            }
-            if u == v {
-                return Err(TopologyError::SelfLoopLink { proc: ProcId(u) });
-            }
-            let key = (u.min(v), u.max(v));
-            if link_of.insert(key, LinkId(i as u32)).is_some() {
-                return Err(TopologyError::DuplicateLink { u: key.0, v: key.1 });
-            }
-            stored.push((ProcId(u), ProcId(v)));
-        }
-        let adj = Csr::try_undirected(
+        // The first bad endpoint wins unless an earlier link duplicates
+        // another, so only the links before it go into the adjacency.
+        let bad = links
+            .iter()
+            .position(|&(u, v)| (u as usize) >= num_procs || (v as usize) >= num_procs || u == v);
+        let good = &links[..bad.unwrap_or(links.len())];
+        let (adj, arc_edge) = Csr::try_undirected_with_edge_ids(
             num_procs,
-            stored
-                .iter()
-                .map(|&(u, v)| (u.index(), v.index()))
-                .collect::<Vec<_>>()
-                .into_iter(),
+            good.iter().map(|&(u, v)| (u as usize, v as usize)),
         )
-        .map_err(|e| match e {
-            oregami_graph::CsrError::EndpointOutOfRange { u, v, n } => {
-                TopologyError::LinkEndpointOutOfRange {
-                    u: u as u32,
-                    v: v as u32,
-                    num_procs: n,
-                }
-            }
-        })?;
+        .expect("endpoints checked above");
+        if let Some(i) = first_duplicate(&adj, &arc_edge) {
+            let (u, v) = links[i];
+            return Err(TopologyError::DuplicateLink {
+                u: u.min(v),
+                v: u.max(v),
+            });
+        }
+        if let Some(i) = bad {
+            let (u, v) = links[i];
+            return Err(if u == v && (u as usize) < num_procs {
+                TopologyError::SelfLoopLink { proc: ProcId(u) }
+            } else {
+                TopologyError::LinkEndpointOutOfRange { u, v, num_procs }
+            });
+        }
         Ok(Network {
             name: name.into(),
             kind,
             num_procs,
-            links: stored,
-            link_of,
+            links: links
+                .into_iter()
+                .map(|(u, v)| (ProcId(u), ProcId(v)))
+                .collect(),
             adj,
+            arc_link: arc_edge.into_iter().map(LinkId).collect(),
             attrs: None,
         })
     }
@@ -244,9 +242,18 @@ impl Network {
     }
 
     /// The link joining `u` and `v`, if the pair is adjacent.
+    #[inline]
     pub fn link_between(&self, u: ProcId, v: ProcId) -> Option<LinkId> {
-        let key = (u.0.min(v.0), u.0.max(v.0));
-        self.link_of.get(&key).copied()
+        if u.index() >= self.num_procs || v.index() >= self.num_procs {
+            return None;
+        }
+        let (a, b) = if self.adj.degree(u.index()) <= self.adj.degree(v.index()) {
+            (u.index(), v.0)
+        } else {
+            (v.index(), u.0)
+        };
+        let j = self.adj.neighbors(a).iter().position(|&w| w == b)?;
+        Some(self.arc_link[self.adj.arc_offset(a) + j])
     }
 
     /// Neighboring processors of `u`.
@@ -311,6 +318,28 @@ impl Network {
     }
 }
 
+/// The index of the first link that repeats an earlier one, in link order.
+/// Within each node's adjacency the arcs sit in link order, so the first
+/// repeat of a pair at `u` is that pair's second link, and the least such
+/// index over all nodes is the first repeat overall.
+fn first_duplicate(adj: &Csr, arc_edge: &[u32]) -> Option<usize> {
+    let n = adj.num_nodes();
+    // seen[w] = 1 + the node whose adjacency last listed `w`
+    let mut seen = vec![0u32; n];
+    let mut first: Option<u32> = None;
+    for u in 0..n {
+        let base = adj.arc_offset(u);
+        for (j, &w) in adj.neighbors(u).iter().enumerate() {
+            if seen[w as usize] == u as u32 + 1 {
+                let i = arc_edge[base + j];
+                first = Some(first.map_or(i, |f| f.min(i)));
+            }
+            seen[w as usize] = u as u32 + 1;
+        }
+    }
+    first.map(|i| i as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +373,23 @@ mod tests {
     fn missing_link_is_none() {
         let n = Network::from_links("path", TopologyKind::Custom, 3, vec![(0, 1), (1, 2)]);
         assert_eq!(n.link_between(ProcId(0), ProcId(2)), None);
+        assert_eq!(n.link_between(ProcId(1), ProcId(1)), None);
+        assert_eq!(
+            n.link_between(ProcId(1), ProcId(7)),
+            None,
+            "out of range is no link"
+        );
+    }
+
+    #[test]
+    fn link_between_finds_hub_links_from_either_end() {
+        let links = vec![(0, 3), (2, 0), (0, 1), (4, 0)];
+        let star = Network::from_links("star", TopologyKind::Custom, 5, links);
+        for (id, u, v) in star.links() {
+            assert_eq!(star.link_between(u, v), Some(id));
+            assert_eq!(star.link_between(v, u), Some(id));
+        }
+        assert_eq!(star.link_between(ProcId(1), ProcId(2)), None);
     }
 
     #[test]
@@ -377,6 +423,16 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, TopologyError::DuplicateLink { u: 0, v: 1 });
         assert!(Network::try_from_links("ok", TopologyKind::Custom, 2, vec![(0, 1)]).is_ok());
+        // the first offending link in list order wins, whatever its kind
+        let links = vec![(0, 1), (1, 0), (2, 2)];
+        let err = Network::try_from_links("bad", TopologyKind::Custom, 3, links).unwrap_err();
+        assert_eq!(err, TopologyError::DuplicateLink { u: 0, v: 1 });
+        let links = vec![(2, 2), (0, 1), (1, 0)];
+        let err = Network::try_from_links("bad", TopologyKind::Custom, 3, links).unwrap_err();
+        assert_eq!(err, TopologyError::SelfLoopLink { proc: ProcId(2) });
+        let links = vec![(0, 2), (0, 1), (1, 2), (1, 0), (2, 0)];
+        let err = Network::try_from_links("bad", TopologyKind::Custom, 3, links).unwrap_err();
+        assert_eq!(err, TopologyError::DuplicateLink { u: 0, v: 1 });
     }
 
     #[test]

@@ -115,10 +115,12 @@ impl RouteTable {
         self.dist(u, v) != u32::MAX
     }
 
-    /// Neighbors of `from` that lie on some shortest path to `to`,
-    /// in increasing processor order. Empty iff `from == to` or `to` is
-    /// unreachable from `from` (the `u32::MAX` sentinel of masked
-    /// tables); the sentinel never enters the `dist + 1` arithmetic.
+    /// Neighbors of `from` that lie on some shortest path to `to`, in the
+    /// network's adjacency order (link-insertion order, not processor
+    /// order: on `mesh2d(3, 3)`, `next_hops(4, 8)` is `[7, 5]`). Empty iff
+    /// `from == to` or `to` is unreachable from `from` (the `u32::MAX`
+    /// sentinel of masked tables); the sentinel never enters the
+    /// `dist + 1` arithmetic.
     pub fn next_hops(&self, net: &Network, from: ProcId, to: ProcId) -> Vec<ProcId> {
         if from == to {
             return Vec::new();
@@ -225,13 +227,17 @@ impl RouteTable {
         if !self.reachable(src, dst) {
             return Vec::new();
         }
-        let mut path = vec![src];
+        let mut path = Vec::with_capacity(self.dist(src, dst) as usize + 1);
+        path.push(src);
         let mut at = src;
         while at != dst {
-            let mut hops = self.next_hops(net, at, dst);
-            hops.sort();
-            match hops.first() {
-                Some(&w) => at = w,
+            let d = self.dist(at, dst);
+            let next = net
+                .neighbors(at)
+                .filter(|&w| self.dist(w, dst).checked_add(1) == Some(d))
+                .min();
+            match next {
+                Some(w) => at = w,
                 // every intermediate node of a reachable pair has a next
                 // hop; this arm only guards masked-table inconsistencies
                 None => return Vec::new(),
@@ -330,6 +336,22 @@ mod tests {
         let p = rt.first_path(&q, ProcId(0), ProcId(7));
         let ids: Vec<u32> = p.iter().map(|x| x.0).collect();
         assert_eq!(ids, vec![0, 1, 3, 7]);
+    }
+
+    #[test]
+    fn first_path_takes_the_lowest_numbered_hop_when_adjacency_is_unsorted() {
+        // the mesh builder adds each node's down link before its right
+        // link, so proc 4's adjacency lists 7 before 5
+        let m = builders::mesh2d(3, 3);
+        let rt = RouteTable::try_new(&m).expect("connected network");
+        assert_eq!(
+            rt.next_hops(&m, ProcId(4), ProcId(8)),
+            vec![ProcId(7), ProcId(5)]
+        );
+        assert_eq!(
+            rt.first_path(&m, ProcId(4), ProcId(8)),
+            vec![ProcId(4), ProcId(5), ProcId(8)]
+        );
     }
 
     #[test]
