@@ -71,12 +71,11 @@ pub use oregami_mapper::{
     StreamProfile, Strategy, SupervisorConfig, SupervisorState,
 };
 pub use oregami_metrics::{
-    capacity_links, capacity_load, CapacityLinkMetrics, CapacityLoadMetrics, CostModel, Edit,
-    EditError, MetricSnapshot, MetricsDelta, MetricsEngine, MetricsReport,
+    CostModel, Edit, EditError, MetricSnapshot, MetricsDelta, MetricsEngine, MetricsReport,
 };
 pub use oregami_topology::{
     boot_scan, compress_routes, CacheStats, CompressionConfig, DegradedNetwork, DomainMap,
-    FaultDomain, FaultSet, HealthReport, LoweredMachine, MachineAttrs, MachineModel, Network,
+    FaultDomain, FaultSet, HealthReport, LoweredMachine, MachineModel, Network,
     RouteCompression, RouteTableCache, TopologyError,
 };
 
@@ -1279,9 +1278,7 @@ mod tests {
     /// tables under the 1024-entry per-processor budget.
     #[test]
     fn machine_routes_compress_under_the_hardware_budget_at_1024_procs() {
-        let lowered = MachineModel::parse("mesh-boards:4x4x8x8,bw=1000/250")
-            .unwrap()
-            .lower();
+        let lowered = MachineModel::parse("mesh-boards:4x4x8x8").unwrap().lower();
         assert_eq!(lowered.net.num_procs(), 1024);
         let sys = Oregami::new(lowered.net).with_options(MapperOptions {
             load_bound: Some(2),

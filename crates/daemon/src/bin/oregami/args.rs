@@ -55,8 +55,7 @@ pub(crate) const USAGE: &str = "oregami — map parallel computations to paralle
                               with fault domains: mesh-boards:RxCxrxc (R×C\n\
                               boards of r×c meshes, torus between boards) |\n\
                               fat-tree:AxH | dragonfly:GxAxP | rc-array[:PHASES]\n\
-                              Optional attrs: ,bw=L0/L1 ,speed=S0/S1 ,mem=M\n\
-                              ,reconfig=MS (e.g. mesh-boards:4x4x8x8,bw=1000/250)\n\
+                              (e.g. mesh-boards:4x4x8x8)\n\
        -P, --param NAME=VAL   bind a LaRCS parameter (repeatable)\n\
        -B, --load-bound B     max tasks per processor\n\
        --byte-time T          cost model: time per volume unit     (default 1)\n\

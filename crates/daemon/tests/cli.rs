@@ -717,6 +717,28 @@ fn machine_board_loss_repairs_blast_radius_aware() {
     assert!(text.contains("METRICS recomputed on the degraded network"), "{text}");
 }
 
+/// A machine is its wiring: a `,key=value` suffix after the shape is a
+/// usage error naming it, under either flag.
+#[test]
+fn machine_attribute_specs_are_usage_errors() {
+    for (spec, named) in [
+        ("mesh-boards:2x2x2x2,bw=1000/250", ",bw=1000/250"),
+        ("fat-tree:4x3,bw=1000/500/250", ",bw=1000/500/250"),
+        ("dragonfly:4x4x4,speed=1000/500,mem=64", ",speed=1000/500,mem=64"),
+        ("rc-array:4,reconfig=40", ",reconfig=40"),
+    ] {
+        for flag in ["--machine", "--topology"] {
+            let out = oregami()
+                .args(["--program", "jacobi", flag, spec])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {spec}: {stderr}");
+            assert!(stderr.contains(named), "{flag} {spec}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn machine_flags_are_guarded_and_budget_overflow_is_typed() {
     // board faults without a machine model are a usage error

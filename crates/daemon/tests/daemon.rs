@@ -946,7 +946,9 @@ fn oversized_topology_is_a_bad_request_and_the_daemon_survives() {
 /// trip the builder's assertion on the connection thread, inside
 /// `parse_request`: the thread died and its client waited forever on a
 /// socket the daemon still held open. It is a typed `bad_request` naming
-/// the spec, and the same connection keeps being served.
+/// the spec, and the same connection keeps being served. So is a machine
+/// spec with attributes after its shape, which used to map as if they
+/// were not there.
 #[test]
 fn degenerate_topology_is_a_bad_request_on_a_connection_that_keeps_serving() {
     let socket = scratch("degenerate.sock");
@@ -957,13 +959,14 @@ fn degenerate_topology_is_a_bad_request_on_a_connection_that_keeps_serving() {
     let mut client = connect_within(&socket, Duration::from_secs(15));
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
 
-    for spec in [
-        "ring:2",
-        "chain:1",
-        "mesh2d:0x3",
-        "hypercube:0",
-        "star:1",
-        "complete:1",
+    for (spec, named) in [
+        ("ring:2", "topology 'ring:2'"),
+        ("chain:1", "topology 'chain:1'"),
+        ("mesh2d:0x3", "topology 'mesh2d:0x3'"),
+        ("hypercube:0", "topology 'hypercube:0'"),
+        ("star:1", "topology 'star:1'"),
+        ("complete:1", "topology 'complete:1'"),
+        ("mesh-boards:2x2x2x2,bw=1000/250", "',bw=1000/250'"),
     ] {
         let request = obj()
             .field("op", "map")
@@ -972,10 +975,7 @@ fn degenerate_topology_is_a_bad_request_on_a_connection_that_keeps_serving() {
             .build();
         let (kind, message) = client.request(&request).unwrap_err();
         assert_eq!(kind, "bad_request", "{spec}: {message}");
-        assert!(
-            message.contains(&format!("topology '{spec}'")),
-            "{spec}: {message}"
-        );
+        assert!(message.contains(named), "{spec}: {message}");
         let health = client
             .request(&obj().field("op", "health").build())
             .expect("health");

@@ -26,8 +26,8 @@ pub struct WEdge {
 
 /// An undirected weighted simple graph on `n` nodes.
 ///
-/// Edges are stored once with `u < v`; [`add_or_accumulate`]
-/// (WeightedGraph::add_or_accumulate) merges parallel edges by summing
+/// Edges are stored once with `u < v`;
+/// [`add_or_accumulate`](WeightedGraph::add_or_accumulate) merges parallel edges by summing
 /// weights (saturating at `u64::MAX`), so the graph is always simple.
 #[derive(Clone, Debug, Default)]
 pub struct WeightedGraph {

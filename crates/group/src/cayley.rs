@@ -1,4 +1,4 @@
-//! Cayley graphs and the regular-action test.
+//! The regular-action test and the Cayley-graph correspondence.
 //!
 //! The Cayley graph `CG` of a group `G` with generator set `C` has the
 //! elements of `G` as nodes and an edge `a → b` (colored by generator `c`)
@@ -18,22 +18,6 @@ pub fn is_regular_action(g: &PermGroup) -> bool {
     g.order() == g.degree()
         && g.is_transitive()
         && g.elements().iter().all(|e| e.has_equal_cycle_lengths())
-}
-
-/// Builds the Cayley graph of `g` under its generators: for each generator
-/// `c` (in order), the edge list `a → a·c` over element indices. Returned
-/// as one edge set per generator — the same "colored" shape as a task
-/// graph's communication phases.
-pub fn cayley_graph(g: &PermGroup) -> Vec<Vec<(usize, usize)>> {
-    g.generators()
-        .iter()
-        .map(|c| {
-            let ci = g
-                .index_of(c)
-                .expect("generator must belong to its own closure");
-            (0..g.order()).map(|a| (a, g.product(a, ci))).collect()
-        })
-        .collect()
 }
 
 /// The correspondence `g ↔ g(x₀)` between element indices and task labels
@@ -63,6 +47,22 @@ pub fn element_to_task(g: &PermGroup) -> Option<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::perm::Perm;
+
+    /// Builds the Cayley graph of `g` under its generators: for each generator
+    /// `c` (in order), the edge list `a → a·c` over element indices. Returned
+    /// as one edge set per generator — the same "colored" shape as a task
+    /// graph's communication phases.
+    fn cayley_graph(g: &PermGroup) -> Vec<Vec<(usize, usize)>> {
+        g.generators()
+            .iter()
+            .map(|c| {
+                let ci = g
+                    .index_of(c)
+                    .expect("generator must belong to its own closure");
+                (0..g.order()).map(|a| (a, g.product(a, ci))).collect()
+            })
+            .collect()
+    }
 
     fn broadcast8() -> PermGroup {
         let gens = vec![

@@ -18,7 +18,8 @@
 //!   composition and cycle-notation display;
 //! * [`group`] — group closure from generators with the paper's `O(|X|²)`
 //!   early-abort bound;
-//! * [`cayley`] — Cayley graphs and the regular-action test;
+//! * [`cayley`] — the regular-action test and the Cayley-graph
+//!   correspondence;
 //! * [`subgroup`] — subgroup search, normality, cosets, quotient graphs;
 //! * [`contract`] — the end-to-end group-theoretic contraction of a
 //!   [`oregami_graph::TaskGraph`].
@@ -31,7 +32,7 @@ pub mod group;
 pub mod perm;
 pub mod subgroup;
 
-pub use cayley::{cayley_graph, is_regular_action};
+pub use cayley::is_regular_action;
 pub use contract::{
     circulant_contract, detect_circulant, group_contract, CirculantContraction,
     GroupContractError, GroupContraction,

@@ -17,13 +17,8 @@
 //!    those generators are translations on `Z_n` (the circulant fast path
 //!    that stands in for the paper's syntactic Cayley test) is decided on
 //!    the elaborated graph, by `oregami-group`'s `detect_circulant`.
-//!
-//! [`lint`] runs the source-level checks as span-carrying [`Diagnostic`]
-//! warnings, so interactive tooling can underline e.g. the exact label
-//! expression that blocks the systolic path.
 
 use crate::ast::Program;
-use crate::error::{Diagnostic, Stage};
 use crate::intern::Symbol;
 use oregami_graph::{iso, Csr, Family, TaskGraph, TaskId};
 
@@ -228,78 +223,6 @@ pub fn syntactic_affine(program: &Program) -> Vec<bool> {
         .collect()
 }
 
-/// Source-level regularity lints, as span-carrying warnings:
-///
-/// - a label expression that is non-affine in its rule's binders (the
-///   systolic path of MAPPER's dispatch is unavailable for that phase);
-/// - a declared comphase the phase expression never references (its edges
-///   never contribute to dynamic metrics).
-pub fn lint(program: &Program) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for cp in &program.comphases {
-        for rule in &cp.rules {
-            let vars: Vec<Symbol> = rule.binders.iter().map(|b| b.var.sym).collect();
-            for e in &rule.edges {
-                for &a in e.src_args.iter().chain(&e.dst_args) {
-                    if !program.ast.is_affine_in(a, &vars) {
-                        out.push(
-                            Diagnostic::warning(
-                                Stage::Analyze,
-                                format!(
-                                    "comphase '{}': label expression is not affine \
-                                     in the binder variables",
-                                    program.str(cp.name.sym)
-                                ),
-                            )
-                            .with_label(
-                                program.ast.expr_span(a),
-                                "non-affine label expression",
-                            )
-                            .with_note(
-                                "systolic mapping (paper §4.2.1) needs affine \
-                                 communication functions",
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    if let Some(pe) = program.phase_expr {
-        let mut referenced = Vec::new();
-        collect_pexp_names(program, pe, &mut referenced);
-        for cp in &program.comphases {
-            if !referenced.contains(&cp.name.sym) {
-                out.push(
-                    Diagnostic::warning(
-                        Stage::Analyze,
-                        format!(
-                            "comphase '{}' is never referenced by the phase expression",
-                            program.str(cp.name.sym)
-                        ),
-                    )
-                    .with_label(cp.name.span, "declared here but unused")
-                    .with_note("its edges never contribute to dynamic metrics"),
-                );
-            }
-        }
-    }
-    out
-}
-
-fn collect_pexp_names(program: &Program, pe: crate::ast::PExpId, out: &mut Vec<Symbol>) {
-    use crate::ast::PExpKind;
-    match program.ast.pexp(pe) {
-        PExpKind::Eps => {}
-        PExpKind::Name(s) => out.push(s),
-        PExpKind::Seq(a, b) | PExpKind::Par(a, b) => {
-            collect_pexp_names(program, a, out);
-            collect_pexp_names(program, b, out);
-        }
-        PExpKind::Repeat(a, _) => collect_pexp_names(program, a, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,43 +400,5 @@ mod tests {
                                x(2) -> x(3); x(3) -> x(4); x(4) -> x(5);";
         let g = compile(src, &[]).unwrap();
         assert_eq!(recognize_family(&g), None);
-    }
-
-    #[test]
-    fn lint_underlines_nonaffine_label_expression() {
-        let src = &programs::nbody();
-        let p = parse(src).unwrap();
-        let warnings = lint(&p);
-        // nbody's `(i+1) mod n` destinations are non-affine in `i`
-        assert!(!warnings.is_empty());
-        let shown = warnings[0].render(src);
-        assert!(shown.contains("analyze warning"), "{shown}");
-        assert!(shown.contains("-->") && shown.contains('^'), "{shown}");
-        assert!(shown.contains("not affine"), "{shown}");
-    }
-
-    #[test]
-    fn lint_flags_comphase_unreferenced_by_phaseexpr() {
-        let src = "algorithm t(n);\n\
-                   nodetype x: 0..n-1;\n\
-                   comphase used: forall i in 0..n-2 { x(i) -> x(i+1); }\n\
-                   comphase unused: forall i in 0..n-2 { x(i+1) -> x(i); }\n\
-                   phaseexpr used;";
-        let p = parse(src).unwrap();
-        let warnings = lint(&p);
-        assert_eq!(warnings.len(), 1);
-        let shown = warnings[0].render(src);
-        assert!(shown.contains("'unused'"), "{shown}");
-        assert!(shown.contains('^'), "{shown}");
-    }
-
-    #[test]
-    fn lint_is_quiet_on_affine_programs() {
-        let p = parse(&programs::matmul()).unwrap();
-        let affine_warnings: Vec<_> = lint(&p)
-            .into_iter()
-            .filter(|d| d.message.contains("affine"))
-            .collect();
-        assert!(affine_warnings.is_empty());
     }
 }

@@ -15,15 +15,15 @@ use crate::error::Span;
 use crate::expr::{BinOp, CmpOp};
 use crate::intern::{StringInterner, Symbol};
 
-/// Index of an integer expression in [`Ast::exprs`].
+/// Index of an integer expression in `Ast::exprs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExprId(pub u32);
 
-/// Index of a boolean expression in [`Ast::bexps`].
+/// Index of a boolean expression in `Ast::bexps`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BExpId(pub u32);
 
-/// Index of a phase expression in [`Ast::pexps`].
+/// Index of a phase expression in `Ast::pexps`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PExpId(pub u32);
 

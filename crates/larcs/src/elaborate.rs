@@ -8,7 +8,7 @@
 //! Elaboration is split into two halves so the query layer can memoize
 //! the expensive one per rule:
 //!
-//! 1. **Fragment expansion** ([`expand_rule_fragment`]) iterates one
+//! 1. **Fragment expansion** (`expand_rule_fragment`) iterates one
 //!    rule's binder cross-product and produces its edge list as plain
 //!    `(src, dst, volume)` triples. A fragment depends only on the rule's
 //!    canonical text ([`RuleId`]), the parameter environment, the node

@@ -1,8 +1,8 @@
-//! Diagnostics for the LaRCS compiler: byte spans, severities, labeled
-//! source excerpts with caret underlines, and the [`LarcsError`]
-//! compatibility wrapper the rest of the workspace consumes.
+//! Diagnostics for the LaRCS compiler: byte spans, labeled source
+//! excerpts with caret underlines, and the [`LarcsError`] compatibility
+//! wrapper the rest of the workspace consumes.
 //!
-//! Every stage (lexer, parser, elaborate, analyze) produces a
+//! Every stage (lexer, parser, elaborate) produces a
 //! [`Diagnostic`] carrying at least one labeled [`Span`]; the public
 //! entry points attach the source text so the rendered error shows the
 //! offending line with a `^^^` underline instead of a bare `line:col`.
@@ -84,15 +84,6 @@ impl fmt::Display for Pos {
     }
 }
 
-/// How serious a diagnostic is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    /// Compilation cannot proceed.
-    Error,
-    /// Advisory (e.g. analyze's regularity lints).
-    Warning,
-}
-
 /// Which pipeline stage produced a diagnostic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
@@ -102,8 +93,6 @@ pub enum Stage {
     Parse,
     /// Elaboration (parameter binding, rule expansion).
     Elab,
-    /// Regularity analysis.
-    Analyze,
 }
 
 impl Stage {
@@ -112,7 +101,6 @@ impl Stage {
             Stage::Lex => "lex",
             Stage::Parse => "parse",
             Stage::Elab => "elaboration",
-            Stage::Analyze => "analyze",
         }
     }
 }
@@ -126,48 +114,30 @@ pub struct Label {
     pub message: String,
 }
 
-/// A structured compiler diagnostic: severity, stage, message, labeled
-/// spans, and free-form notes.
+/// A structured compiler error: stage, message and labeled spans.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Error or warning.
-    pub severity: Severity,
     /// Producing stage.
     pub stage: Stage,
     /// The headline message.
     pub message: String,
     /// Underlined source regions (the first is the primary location).
     pub labels: Vec<Label>,
-    /// Additional free-form notes appended after the excerpt.
-    pub notes: Vec<String>,
 }
 
 impl Diagnostic {
     /// A new error diagnostic.
     pub fn error(stage: Stage, message: impl Into<String>) -> Diagnostic {
         Diagnostic {
-            severity: Severity::Error,
             stage,
             message: message.into(),
             labels: Vec::new(),
-            notes: Vec::new(),
         }
     }
 
-    /// A new warning diagnostic.
-    pub fn warning(stage: Stage, message: impl Into<String>) -> Diagnostic {
-        Diagnostic { severity: Severity::Warning, ..Diagnostic::error(stage, message) }
-    }
-
     /// Adds a labeled span (builder style).
-    pub fn with_label(mut self, span: Span, message: impl Into<String>) -> Diagnostic {
+    fn with_label(mut self, span: Span, message: impl Into<String>) -> Diagnostic {
         self.labels.push(Label { span, message: message.into() });
-        self
-    }
-
-    /// Adds a note (builder style).
-    pub fn with_note(mut self, note: impl Into<String>) -> Diagnostic {
-        self.notes.push(note.into());
         self
     }
 
@@ -188,12 +158,8 @@ impl Diagnostic {
     /// ```
     pub fn render(&self, source: &str) -> String {
         use std::fmt::Write as _;
-        let sev = match self.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
         let mut out = String::new();
-        let _ = write!(out, "{} {}: {}", self.stage.name(), sev, self.message);
+        let _ = write!(out, "{} error: {}", self.stage.name(), self.message);
         for label in &self.labels {
             if label.span.is_dummy() {
                 continue;
@@ -229,14 +195,11 @@ impl Diagnostic {
                 let _ = write!(out, " {}", label.message);
             }
         }
-        for note in &self.notes {
-            let _ = write!(out, "\n note: {note}");
-        }
         out
     }
 }
 
-/// Any error from lexing, parsing, elaborating, or analyzing a LaRCS
+/// Any error from lexing, parsing or elaborating a LaRCS
 /// program. A thin wrapper over [`Diagnostic`]: once the producing stage
 /// attaches the source text (via [`LarcsError::with_source`]), `Display`
 /// shows the full caret-underlined excerpt.

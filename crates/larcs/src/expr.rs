@@ -1,7 +1,7 @@
 //! Integer and boolean expression evaluation over the arena AST, and
 //! syntactic affinity analysis.
 //!
-//! LaRCS communication functions are "simple functions ... [that] may
+//! LaRCS communication functions are "simple functions ... \[that\] may
 //! involve arithmetic expressions, for-loops, while-loops, imported
 //! parameters, and other LaRCS variables". Expressions here are integer
 //! arithmetic over parameters and binder variables with `+ - * / % mod div

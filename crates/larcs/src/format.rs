@@ -5,7 +5,7 @@
 //! same string — idempotence and round-trip stability are property-tested
 //! in `tests/prop_fmt.rs`). It backs the `larcs fmt` CLI (`--fmt`) and
 //! daemon op, and [`format_rule`] is how the parser computes each rule's
-//! layout-insensitive [`RuleId`](crate::ast::RuleId).
+//! layout-insensitive [`RuleId`].
 
 use crate::ast::*;
 use crate::expr::{BinOp, CmpOp};

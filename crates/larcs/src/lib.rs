@@ -53,10 +53,10 @@ pub mod parser;
 pub mod programs;
 pub mod query;
 
-pub use analyze::{analyze, lint, Analysis};
+pub use analyze::{analyze, Analysis};
 pub use ast::Program;
 pub use elaborate::{elaborate, elaborate_with_cache, ElabCache, ElabOptions};
-pub use error::{Diagnostic, LarcsError, Severity, Span, Stage};
+pub use error::{Diagnostic, LarcsError, Span, Stage};
 pub use format::{format_program, format_rule};
 pub use intern::{StringInterner, Symbol};
 pub use parser::{parse, parse_tokens};

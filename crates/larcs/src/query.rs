@@ -7,7 +7,7 @@
 //!
 //! - **lex** is keyed on the source bytes and produces the token stream
 //!   plus its layout-insensitive
-//!   [`token_fingerprint`](crate::lexer::token_fingerprint);
+//!   [`token_fingerprint`];
 //! - **parse** is keyed on the token fingerprint, so reformatting or
 //!   commenting never re-parses;
 //! - **elaborate** is keyed on (tokens, params, limits) for the whole
@@ -21,7 +21,7 @@
 //!
 //! Because the cached path replays exactly the same rule fragments
 //! through exactly the same assembly as the batch path
-//! ([`crate::elaborate`]), an incremental result is byte-identical to a
+//! ([`crate::elaborate()`]), an incremental result is byte-identical to a
 //! from-scratch compile of the same source — property-tested in
 //! `tests/prop_query.rs`, which also counts one fragment miss per
 //! single-rule edit.

@@ -11,7 +11,7 @@
 //! its best-so-far result tagged with a [`Completion`] instead of hanging
 //! or being killed.
 //!
-//! The deadline clock is only consulted every [`CLOCK_STRIDE`] ticks so a
+//! The deadline clock is only consulted every `CLOCK_STRIDE` ticks so a
 //! tick in an inner loop costs one relaxed atomic increment, not a
 //! syscall.
 
@@ -179,7 +179,7 @@ impl Budget {
     /// Counts one unit of search work and reports whether the budget has
     /// tripped. `None` means keep going. Hot-loop safe: one relaxed
     /// atomic increment per call; the deadline clock and cancel flag are
-    /// consulted every [`CLOCK_STRIDE`] calls (and on the first).
+    /// consulted every `CLOCK_STRIDE` calls (and on the first).
     #[inline]
     pub fn tick(&self) -> Option<Completion> {
         let n = self.steps.fetch_add(1, Ordering::Relaxed);

@@ -13,7 +13,7 @@
 //! tree→mesh embedding ([`binomial_mesh`], after [LRG⁺89]).
 //! [`canned_contraction`] covers the size-mismatched same-family quotients
 //! (ring→ring blocks, hypercube→subcube bit-masking, mesh→mesh tiling —
-//! the quotient networks of [FF82]).
+//! the quotient networks of \[FF82\]).
 
 pub mod binomial_mesh;
 
@@ -211,7 +211,7 @@ fn spiral(r: usize, c: usize) -> Vec<usize> {
 }
 
 /// Looks up a canned contraction for a family task graph onto `procs`
-/// processors — the quotient-network constructions of [FF82]:
+/// processors — the quotient-network constructions of \[FF82\]:
 ///
 /// * ring → contiguous blocks;
 /// * hypercube → subcube (mask off high dimensions);

@@ -470,9 +470,8 @@ impl ChurnController {
     /// 16 (the same clamp `parse_record` applies).
     pub fn new(net: Network, mut cfg: ChurnConfig) -> Result<ChurnController, ChurnError> {
         if cfg.load_bound == 0 {
-            return Err(ChurnError::NoCapacity {
-                tasks: 0,
-                capacity: 0,
+            return Err(ChurnError::Config {
+                what: "load bound must be positive".into(),
             });
         }
         if cfg.window_events == 0 {
@@ -1919,6 +1918,25 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, ChurnError::Config { .. }));
+        // a zero load bound is a config error, not a capacity failure,
+        // with the text parse_record gives it
+        let err = match ChurnController::new(
+            net.clone(),
+            ChurnConfig {
+                load_bound: 0,
+                ..ChurnConfig::default()
+            },
+        ) {
+            Ok(_) => panic!("load_bound == 0 must be rejected"),
+            Err(e) => e,
+        };
+        assert_eq!(
+            err,
+            ChurnError::Config {
+                what: "load bound must be positive".into()
+            }
+        );
+        assert_eq!(err.to_string(), "bad config: load bound must be positive");
         // ewma_shift >= 64 would overflow the shift in fold_ewma; new
         // clamps it (same clamp parse_record applies)
         let mut c = ChurnController::new(

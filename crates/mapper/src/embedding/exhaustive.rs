@@ -26,8 +26,7 @@ pub struct AnytimeEmbed {
     pub completion: Completion,
 }
 
-/// Finds a placement minimising
-/// [`weighted_dilation_cost`](super::weighted_dilation_cost) by
+/// Finds a placement minimising [`weighted_dilation_cost`] by
 /// branch-and-bound over all injective cluster→processor assignments.
 /// Exponential (`P!/(P-C)!`); intended for C ≤ 8 or so — for larger
 /// instances use [`exhaustive_embed_budgeted`] with a deadline.

@@ -18,7 +18,7 @@
 //!    (greedy pre-merge + optimal maximum-weight matching under a load
 //!    bound), then [`embedding::nn_embed`].
 //!
-//! Routing for all classes is [`routing::mm_route`] (§4.4), which assigns
+//! Routing for all classes is [`routing::mm_route()`] (§4.4), which assigns
 //! message edges to links one hop at a time with repeated bipartite
 //! matchings to minimise link contention; a contention-oblivious
 //! fixed-shortest-path baseline ([`routing::baseline_route`]) is provided

@@ -4,7 +4,7 @@
 //! lattice polytope and (b) every communication phase displaces labels by a
 //! constant *dependence vector*, the computation is a uniform recurrence
 //! and the classical space-time synthesis applies (Rajopadhye & Fujimoto
-//! [RF88]; Cappello & Steiglitz [CS84]):
+//! \[RF88\]; Cappello & Steiglitz \[CS84\]):
 //!
 //! * a **schedule vector** `τ` with `τ·d ≥ 1` for every dependence `d`
 //!   (causality: a value is produced before it is used) gives every lattice

@@ -27,7 +27,6 @@
 
 #![deny(clippy::too_many_lines)]
 
-pub mod capacity;
 pub mod links;
 pub mod load;
 pub mod overall;
@@ -38,11 +37,10 @@ mod testutil;
 pub mod timeline;
 pub mod visualize;
 
-pub use capacity::{capacity_links, capacity_load, CapacityLinkMetrics, CapacityLoadMetrics};
 pub use links::{LinkMetrics, PhaseLinkMetrics};
 pub use load::LoadMetrics;
 pub use overall::{CostModel, OverallMetrics};
-pub use report::{render_report, MetricsReport};
+pub use report::MetricsReport;
 pub use schedule::{local_directives, synchrony_sets, ProcessorDirective, SynchronySet};
 pub use timeline::{timeline, Timeline, TimelineRow};
 pub use visualize::{mapping_to_dot, network_to_dot};

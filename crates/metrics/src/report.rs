@@ -27,7 +27,56 @@ pub struct MetricsReport {
 impl MetricsReport {
     /// Renders the report as an ASCII table block.
     pub fn render(&self) -> String {
-        render_report(self)
+        let mut s = String::new();
+        let _ = writeln!(s, "== METRICS ==");
+        let _ = writeln!(s, "-- load balancing --");
+        let _ = writeln!(s, "proc  tasks  exec-time");
+        for (p, (&t, &e)) in self
+            .load
+            .tasks_per_proc
+            .iter()
+            .zip(&self.load.exec_time_per_proc)
+            .enumerate()
+        {
+            let _ = writeln!(s, "{p:>4}  {t:>5}  {e:>9}");
+        }
+        let _ = writeln!(
+            s,
+            "imbalance (max/mean): {}",
+            millis(self.load.imbalance_millis)
+        );
+        let _ = writeln!(s, "-- links --");
+        let _ = writeln!(s, "phase            avg-dil  max-dil  max-contention");
+        for ph in &self.links.phases {
+            let _ = writeln!(
+                s,
+                "{:<16} {:>7}  {:>7}  {:>14}",
+                ph.name,
+                millis(ph.avg_dilation_millis),
+                ph.max_dilation,
+                ph.max_contention
+            );
+        }
+        let _ = writeln!(
+            s,
+            "overall avg dilation: {}  max: {}",
+            millis(self.links.avg_dilation_millis),
+            self.links.max_dilation
+        );
+        let _ = writeln!(s, "-- overall --");
+        let _ = writeln!(s, "total IPC:           {}", self.overall.total_ipc);
+        let _ = writeln!(s, "internalized volume: {}", self.overall.internalized_volume);
+        if let Some(ct) = self.overall.completion_time {
+            let _ = writeln!(
+                s,
+                "completion time:     {ct} (comm {})",
+                self.overall.comm_time.unwrap_or(0)
+            );
+        }
+        for note in &self.annotations {
+            let _ = writeln!(s, "note: {note}");
+        }
+        s
     }
 
     /// Appends an annotation line to the rendered report.
@@ -39,60 +88,6 @@ impl MetricsReport {
 /// Formats a `×1000` fixed-point value as a decimal string.
 fn millis(v: u64) -> String {
     format!("{}.{:03}", v / 1000, v % 1000)
-}
-
-/// Renders the full METRICS report.
-pub fn render_report(r: &MetricsReport) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "== METRICS ==");
-    let _ = writeln!(s, "-- load balancing --");
-    let _ = writeln!(s, "proc  tasks  exec-time");
-    for (p, (&t, &e)) in r
-        .load
-        .tasks_per_proc
-        .iter()
-        .zip(&r.load.exec_time_per_proc)
-        .enumerate()
-    {
-        let _ = writeln!(s, "{p:>4}  {t:>5}  {e:>9}");
-    }
-    let _ = writeln!(
-        s,
-        "imbalance (max/mean): {}",
-        millis(r.load.imbalance_millis)
-    );
-    let _ = writeln!(s, "-- links --");
-    let _ = writeln!(s, "phase            avg-dil  max-dil  max-contention");
-    for ph in &r.links.phases {
-        let _ = writeln!(
-            s,
-            "{:<16} {:>7}  {:>7}  {:>14}",
-            ph.name,
-            millis(ph.avg_dilation_millis),
-            ph.max_dilation,
-            ph.max_contention
-        );
-    }
-    let _ = writeln!(
-        s,
-        "overall avg dilation: {}  max: {}",
-        millis(r.links.avg_dilation_millis),
-        r.links.max_dilation
-    );
-    let _ = writeln!(s, "-- overall --");
-    let _ = writeln!(s, "total IPC:           {}", r.overall.total_ipc);
-    let _ = writeln!(s, "internalized volume: {}", r.overall.internalized_volume);
-    if let Some(ct) = r.overall.completion_time {
-        let _ = writeln!(
-            s,
-            "completion time:     {ct} (comm {})",
-            r.overall.comm_time.unwrap_or(0)
-        );
-    }
-    for note in &r.annotations {
-        let _ = writeln!(s, "note: {note}");
-    }
-    s
 }
 
 #[cfg(test)]

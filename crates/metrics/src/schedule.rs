@@ -6,7 +6,7 @@
 //! sets can be used ... to produce local scheduling directives for each
 //! processor that ensure synchronous execution of the tasks in each set.
 //! The scheduling directives can be expressed in a notation similar to path
-//! expressions [CH74] that specify the allowable ways to multiplex the
+//! expressions \[CH74\] that specify the allowable ways to multiplex the
 //! tasks assigned to a given processor."
 //!
 //! For OREGAMI's synchronous model every task participates in every phase,

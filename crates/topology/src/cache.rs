@@ -28,8 +28,8 @@
 //!   same victims — the CLI's `--fault-sweep` wraps around after `P`
 //!   scenarios — hit instead of re-running the BFS sweep.
 //!
-//! The cache is `Sync`: the parallel engine's worker threads share one
-//! instance across stages.
+//! The cache is `Sync`: the daemon's worker threads share one instance
+//! across requests and sessions.
 
 use crate::fault::{DegradedNetwork, TopologyError};
 use crate::network::Network;
@@ -173,7 +173,7 @@ impl RouteTableCache {
             inner.misses = inner.misses.saturating_add(1);
         }
         // Build outside the lock: a BFS sweep can be milliseconds on big
-        // networks, and the parallel engine's stages look up concurrently.
+        // networks, and the daemon's workers look up concurrently.
         // Racing builders may duplicate work once; the second insert wins
         // and both hand out valid tables.
         let table = Arc::new(build()?);

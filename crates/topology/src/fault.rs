@@ -13,9 +13,9 @@
 //!   original `ProcId`s so a surviving mapping's assignment vector remains
 //!   meaningful; failed processors simply become isolated (degree 0).
 //! * **Links are re-identified compactly.** Surviving links receive fresh
-//!   dense [`LinkId`]s (metrics index per-link arrays by id), and the
-//!   degraded network remembers the original id of each surviving link and
-//!   which original ids went out of service.
+//!   dense [`LinkId`]s in their original order (metrics index per-link
+//!   arrays by id), and the degraded network remembers which original ids
+//!   went out of service.
 //! * **Nothing panics on disconnection.** Routing over a degraded network
 //!   goes through [`DegradedNetwork::route_table`], which reports the
 //!   surviving connected components in a [`TopologyError`] instead of
@@ -250,8 +250,6 @@ pub struct DegradedNetwork {
     /// Original ids of every out-of-service link (explicitly failed or
     /// incident to a failed processor), ascending.
     failed_links: Vec<LinkId>,
-    /// New link id -> original link id.
-    orig_link: Vec<LinkId>,
 }
 
 impl Network {
@@ -292,36 +290,25 @@ impl Network {
 
         let mut surviving: Vec<(u32, u32)> = Vec::with_capacity(self.num_links());
         let mut failed_links = Vec::new();
-        let mut orig_link = Vec::new();
         for (id, u, v) in self.links() {
             if faults.contains_link(id) || !alive[u.index()] || !alive[v.index()] {
                 failed_links.push(id);
             } else {
-                orig_link.push(id);
                 surviving.push((u.0, v.0));
             }
         }
 
-        let mut net = Network::from_links(
+        let net = Network::from_links(
             format!("{}!degraded", self.name),
             TopologyKind::Custom,
             self.num_procs(),
             surviving,
         );
-        if let Some(attrs) = self.machine_attrs() {
-            // Machine attributes survive the fault: processor vectors are
-            // positional (numbering preserved), link vectors re-indexed to
-            // the fresh dense ids.
-            net = net.with_machine_attrs(std::sync::Arc::new(
-                attrs.for_surviving_links(&orig_link),
-            ));
-        }
         Ok(DegradedNetwork {
             net,
             alive,
             failed_procs: faults.procs().collect(),
             failed_links,
-            orig_link,
         })
     }
 }
@@ -373,15 +360,6 @@ impl DegradedNetwork {
         &self.failed_links
     }
 
-    /// Translates a degraded-network link id back to the healthy
-    /// network's id.
-    ///
-    /// # Panics
-    /// If `l` is not a valid degraded-network link id.
-    pub fn original_link(&self, l: LinkId) -> LinkId {
-        self.orig_link[l.index()]
-    }
-
     /// Fault-aware routing table over the surviving processors.
     ///
     /// Fails with [`TopologyError::Disconnected`] (listing the surviving
@@ -411,18 +389,12 @@ impl DegradedNetwork {
             .links()
             .map(|(_, u, v)| (to_compact[u.index()], to_compact[v.index()]))
             .collect();
-        let mut net = Network::from_links(
+        let net = Network::from_links(
             format!("{}!compact", self.net.name),
             TopologyKind::Custom,
             to_orig.len(),
             links,
         );
-        if let Some(attrs) = self.net.machine_attrs() {
-            let link_ids: Vec<LinkId> = self.net.links().map(|(l, _, _)| l).collect();
-            net = net.with_machine_attrs(std::sync::Arc::new(
-                attrs.for_compacted(&to_orig, &link_ids),
-            ));
-        }
         (net, to_orig)
     }
 }
@@ -469,10 +441,12 @@ mod tests {
         let d = q.degrade(&FaultSet::new().with_link(victim)).unwrap();
         assert_eq!(d.network().num_links(), 11);
         assert_eq!(d.failed_links(), &[victim]);
-        for (new_id, u, v) in d.network().links() {
-            let orig = d.original_link(new_id);
-            assert_ne!(orig, victim);
-            assert_eq!(q.link_endpoints(orig), (u, v));
+        // the survivors keep the healthy order, renumbered densely
+        let survivors: Vec<_> = q.links().filter(|&(l, _, _)| l != victim).collect();
+        for ((new_id, u, v), (orig, ou, ov)) in d.network().links().zip(survivors) {
+            assert_eq!((u, v), (ou, ov));
+            assert_eq!(q.link_between(u, v), Some(orig));
+            assert_eq!(d.network().link_between(u, v), Some(new_id));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Binary-reflected Gray codes.
 //!
 //! The canned embeddings of rings and meshes into hypercubes (paper §4.1,
-//! after [FF82] and the classical folklore results) place task `i` on the
+//! after \[FF82\] and the classical folklore results) place task `i` on the
 //! hypercube corner `gray(i)`, so that consecutive tasks differ in one
 //! address bit and every ring edge maps to a single hypercube link
 //! (dilation 1).

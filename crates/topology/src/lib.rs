@@ -22,9 +22,8 @@
 //! * [`machine`] — hierarchical machine models ([`machine::MachineModel`]:
 //!   torus-of-meshes boards, fat-tree, dragonfly, the MorphoSys 8×8 RC
 //!   array) lowered deterministically into a flat [`Network`] plus a
-//!   [`machine::DomainMap`], with per-level bandwidths, per-processor
-//!   speed/memory attributes, correlated [`machine::FaultDomain`] masks,
-//!   and the boot-time [`machine::boot_scan`] health pass;
+//!   [`machine::DomainMap`], with correlated [`machine::FaultDomain`]
+//!   masks and the boot-time [`machine::boot_scan`] health pass;
 //! * [`compress`] — SpiNNTools-style route-table compression against a
 //!   per-processor hardware entry budget;
 //! * [`cache`] — a shared LRU [`cache::RouteTableCache`] keyed by network
@@ -46,8 +45,7 @@ pub use cache::{CacheStats, RouteTableCache};
 pub use compress::{compress_routes, CompressionConfig, RouteCompression};
 pub use fault::{DegradedNetwork, FaultSet, TopologyError};
 pub use machine::{
-    boot_scan, DomainMap, FaultDomain, HealthReport, LoweredMachine, MachineAttrs, MachineKind,
-    MachineModel,
+    boot_scan, DomainMap, FaultDomain, HealthReport, LoweredMachine, MachineKind, MachineModel,
 };
 pub use network::{LinkId, Network, ProcId, TopologyKind};
 pub use routes::RouteTable;

@@ -1,21 +1,17 @@
-//! Hierarchical machine models: composite topologies with per-level link
-//! bandwidths, per-processor speed/memory capacities, correlated fault
-//! domains, and a boot-time health scan.
+//! Hierarchical machine models: composite topologies with correlated
+//! fault domains and a boot-time health scan.
 //!
 //! The paper assumes a flat, homogeneous, fully healthy machine, but the
 //! machines worth mapping onto are hierarchical and partially broken:
 //! SpiNNaker-class systems are boards → chips → cores with dead cores and
-//! links discovered at boot, and MorphoSys is a fixed 8×8 RC array with a
-//! per-phase reconfiguration cost. This module models such machines as a
+//! links discovered at boot, and MorphoSys is a fixed 8×8 RC array cycling
+//! through configuration phases. This module models such machines as a
 //! [`MachineModel`] that *lowers* deterministically into the flat
-//! [`Network`] the rest of the toolchain already understands, plus:
+//! [`Network`] the rest of the toolchain already understands. A lowered
+//! machine is its wiring: its network is the link list and nothing else,
+//! so it shares route tables with any network built from the same links.
+//! Alongside the network come:
 //!
-//! * [`MachineAttrs`] — per-processor speed (millis of the homogeneous
-//!   baseline 1000) and memory capacity, per-link bandwidth by level, and
-//!   the RC array's per-phase reconfiguration cost. Attached to the
-//!   lowered [`Network`] and folded into its structural signature so two
-//!   machines differing only in level parameters never alias a route-table
-//!   cache entry.
 //! * [`DomainMap`] — processor → domain path (board, group, pod, quadrant)
 //!   at every level of the hierarchy. Fault *domains* expand to the
 //!   correlated [`FaultSet`] that kills a domain's processors, its
@@ -32,28 +28,20 @@
 //!   join facing edge processors of adjacent boards (one per mesh row for
 //!   horizontal neighbours, one per mesh column for vertical).
 //! * `fat-tree` — `arity^height` leaf processors; switches are folded
-//!   away: the leaves under each level-1 switch form a clique (level-0
-//!   links), and the lowest leaf of each subtree represents it in cliques
-//!   at every higher level.
+//!   away: the leaves under each level-1 switch form a clique, and the
+//!   lowest leaf of each subtree represents it in cliques at every higher
+//!   level.
 //! * `dragonfly` — groups × routers × processors; processors sharing a
-//!   router clique at level 0, router representatives clique within a
-//!   group at level 1, group representatives connect all-to-all at
-//!   level 2.
+//!   router form a clique, router representatives clique within a group,
+//!   and group representatives connect all-to-all.
 //! * `rc-array` — the MorphoSys 8×8 mesh; domains are the four 4×4
-//!   quadrants, and [`MachineAttrs::reconfig_cost_millis`] carries the
-//!   per-phase reconfiguration charge.
+//!   quadrants, and the phase count is part of the network's name.
 
 use crate::fault::{FaultSet, TopologyError};
 use crate::network::{LinkId, Network, ProcId, TopologyKind};
 use crate::routes::check_size;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Baseline for the fixed-point millis scales: a processor of speed 1000
-/// and a link of bandwidth 1000 behave exactly like the paper's
-/// homogeneous machine.
-pub const BASELINE_MILLIS: u32 = 1000;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -147,162 +135,6 @@ impl MachineKind {
         }
     }
 
-    /// Number of link levels (level 0 = innermost).
-    fn num_levels(&self) -> usize {
-        match *self {
-            MachineKind::MeshBoards { .. } => 2,
-            MachineKind::FatTree { height, .. } => height,
-            MachineKind::Dragonfly { .. } => 3,
-            MachineKind::RcArray { .. } => 1,
-        }
-    }
-}
-
-/// Per-component attributes of a lowered machine. Attached to the lowered
-/// [`Network`] via [`Network::with_machine_attrs`]; the fingerprint is
-/// folded into the structural signature.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MachineAttrs {
-    proc_speed_millis: Vec<u32>,
-    proc_memory: Vec<u64>,
-    link_bandwidth_millis: Vec<u32>,
-    link_level: Vec<u8>,
-    level_bandwidth_millis: Vec<u32>,
-    reconfig_cost_millis: u32,
-    fingerprint: u64,
-}
-
-impl MachineAttrs {
-    /// Builds attributes from explicit per-component vectors.
-    ///
-    /// # Panics
-    /// If `link_bandwidth_millis` and `link_level` lengths differ, or any
-    /// speed/bandwidth is zero.
-    pub fn new(
-        proc_speed_millis: Vec<u32>,
-        proc_memory: Vec<u64>,
-        link_bandwidth_millis: Vec<u32>,
-        link_level: Vec<u8>,
-        level_bandwidth_millis: Vec<u32>,
-        reconfig_cost_millis: u32,
-    ) -> MachineAttrs {
-        assert_eq!(
-            link_bandwidth_millis.len(),
-            link_level.len(),
-            "one level per link required"
-        );
-        assert!(
-            proc_speed_millis.iter().all(|&s| s > 0),
-            "processor speeds must be positive"
-        );
-        assert!(
-            link_bandwidth_millis.iter().all(|&b| b > 0),
-            "link bandwidths must be positive"
-        );
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        proc_speed_millis.hash(&mut h);
-        proc_memory.hash(&mut h);
-        link_bandwidth_millis.hash(&mut h);
-        link_level.hash(&mut h);
-        level_bandwidth_millis.hash(&mut h);
-        reconfig_cost_millis.hash(&mut h);
-        let fingerprint = h.finish().max(1); // 0 is reserved for "no attrs"
-        MachineAttrs {
-            proc_speed_millis,
-            proc_memory,
-            link_bandwidth_millis,
-            link_level,
-            level_bandwidth_millis,
-            reconfig_cost_millis,
-            fingerprint,
-        }
-    }
-
-    /// Processors covered.
-    pub fn num_procs(&self) -> usize {
-        self.proc_speed_millis.len()
-    }
-
-    /// Links covered.
-    pub fn num_links(&self) -> usize {
-        self.link_bandwidth_millis.len()
-    }
-
-    /// Speed of `p` in millis of the baseline (1000 = baseline; 500 runs
-    /// at half speed, so its compute load weighs double).
-    pub fn speed_millis(&self, p: ProcId) -> u32 {
-        self.proc_speed_millis[p.index()]
-    }
-
-    /// Memory capacity of `p`, in abstract units (0 = unconstrained).
-    pub fn memory(&self, p: ProcId) -> u64 {
-        self.proc_memory[p.index()]
-    }
-
-    /// Bandwidth of link `l` in millis of the baseline (1000 = baseline;
-    /// 250 carries a quarter of the traffic per step, so its contention
-    /// weighs 4×).
-    pub fn bandwidth_millis(&self, l: LinkId) -> u32 {
-        self.link_bandwidth_millis[l.index()]
-    }
-
-    /// Configured bandwidth per level, millis of baseline.
-    pub fn level_bandwidths(&self) -> &[u32] {
-        &self.level_bandwidth_millis
-    }
-
-    /// The RC array's per-phase reconfiguration cost (0 elsewhere); added
-    /// once per phase transition to capacity-aware completion estimates.
-    pub fn reconfig_cost_millis(&self) -> u32 {
-        self.reconfig_cost_millis
-    }
-
-    /// Stable hash of every attribute vector; never 0 (0 means "no attrs"
-    /// in signature folding).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Attributes for the network that survives a fault set: processor
-    /// vectors are unchanged (numbering is preserved), link vectors are
-    /// re-indexed to the surviving dense link ids, in original order.
-    pub(crate) fn for_surviving_links(&self, orig_links: &[LinkId]) -> MachineAttrs {
-        MachineAttrs::new(
-            self.proc_speed_millis.clone(),
-            self.proc_memory.clone(),
-            orig_links
-                .iter()
-                .map(|l| self.link_bandwidth_millis[l.index()])
-                .collect(),
-            orig_links.iter().map(|l| self.link_level[l.index()]).collect(),
-            self.level_bandwidth_millis.clone(),
-            self.reconfig_cost_millis,
-        )
-    }
-
-    /// Attributes for a compacted survivor network: processor vectors are
-    /// gathered through `to_orig` (compact id → original id), link vectors
-    /// through `orig_links`.
-    pub(crate) fn for_compacted(
-        &self,
-        to_orig: &[ProcId],
-        orig_links: &[LinkId],
-    ) -> MachineAttrs {
-        MachineAttrs::new(
-            to_orig
-                .iter()
-                .map(|p| self.proc_speed_millis[p.index()])
-                .collect(),
-            to_orig.iter().map(|p| self.proc_memory[p.index()]).collect(),
-            orig_links
-                .iter()
-                .map(|l| self.link_bandwidth_millis[l.index()])
-                .collect(),
-            orig_links.iter().map(|l| self.link_level[l.index()]).collect(),
-            self.level_bandwidth_millis.clone(),
-            self.reconfig_cost_millis,
-        )
-    }
 }
 
 /// Processor → domain-path map for a lowered machine.
@@ -540,50 +372,25 @@ pub fn boot_scan(
     }
 }
 
-/// A lowered machine: the flat [`Network`] (attributes attached) plus the
-/// domain map the robustness layer navigates by.
+/// A lowered machine: the flat [`Network`] plus the domain map the
+/// robustness layer navigates by.
 #[derive(Clone, Debug)]
 pub struct LoweredMachine {
-    /// The flat network, with [`MachineAttrs`] attached and folded into
-    /// its structural signature.
+    /// The flat network.
     pub net: Network,
     /// Processor → domain paths.
     pub domains: Arc<DomainMap>,
 }
 
-/// A hierarchical machine description: a shape plus level parameters.
-/// [`MachineModel::lower`] turns it into the flat network + domain map the
-/// toolchain runs on.
+/// A hierarchical machine description. [`MachineModel::lower`] turns it
+/// into the flat network + domain map the toolchain runs on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineModel {
     /// The composite shape.
     pub kind: MachineKind,
-    /// Bandwidth per level, millis of baseline, level 0 first. Missing
-    /// levels default to halving per level up (1000, 500, 250, …).
-    pub level_bandwidth_millis: Vec<u32>,
-    /// Processor speed pattern, cycled over processor ids (`[1000]` =
-    /// homogeneous baseline).
-    pub proc_speed_millis: Vec<u32>,
-    /// Processor memory pattern, cycled over processor ids (0 =
-    /// unconstrained).
-    pub proc_memory: Vec<u64>,
-    /// Per-phase reconfiguration cost (RC array; 0 elsewhere).
-    pub reconfig_cost_millis: u32,
 }
 
 impl MachineModel {
-    /// A model of `kind` with baseline attributes: homogeneous speed 1000,
-    /// unconstrained memory, level bandwidths halving per level up.
-    pub fn new(kind: MachineKind) -> MachineModel {
-        MachineModel {
-            kind,
-            level_bandwidth_millis: Vec::new(),
-            proc_speed_millis: vec![BASELINE_MILLIS],
-            proc_memory: vec![0],
-            reconfig_cost_millis: 0,
-        }
-    }
-
     /// Display name, e.g. `mesh-boards(4x4x8x8)`.
     pub fn name(&self) -> String {
         match self.kind {
@@ -603,19 +410,10 @@ impl MachineModel {
         }
     }
 
-    /// Effective bandwidth of `level`: the configured value, or the
-    /// halving default `1000 >> level` (min 1).
-    fn level_bandwidth(&self, level: usize) -> u32 {
-        self.level_bandwidth_millis
-            .get(level)
-            .copied()
-            .unwrap_or_else(|| (BASELINE_MILLIS >> level.min(9)).max(1))
-    }
-
     /// Lowers the model into the flat network plus domain map. The same
-    /// model always lowers to the same processor/link numbering and
-    /// attribute vectors — lowering is the determinism boundary everything
-    /// downstream (caches, journals, proptests) relies on.
+    /// model always lowers to the same processor/link numbering — lowering
+    /// is the determinism boundary everything downstream (caches, journals,
+    /// proptests) relies on.
     ///
     /// # Panics
     /// On degenerate shapes (zero-sized dimensions, arity < 2, machines
@@ -627,7 +425,7 @@ impl MachineModel {
         if let Err(e) = check_size(n, self.kind.dense_links()) {
             panic!("machine of {n} processors: {e}");
         }
-        let mut links = LevelledLinks::default();
+        let mut links = Vec::new();
         let paths = match self.kind {
             MachineKind::MeshBoards {
                 board_rows,
@@ -644,44 +442,7 @@ impl MachineModel {
             MachineKind::RcArray { .. } => lower_rc_array(&mut links),
         };
         debug_assert_eq!(paths.len(), n);
-        self.finish_lowering(n, links, paths)
-    }
-
-    fn finish_lowering(
-        &self,
-        n: usize,
-        links: LevelledLinks,
-        paths: Vec<Vec<u32>>,
-    ) -> LoweredMachine {
-        let LevelledLinks { links, levels } = links;
-        let speeds: Vec<u32> = (0..n)
-            .map(|p| self.proc_speed_millis[p % self.proc_speed_millis.len().max(1)].max(1))
-            .collect();
-        let memories: Vec<u64> = (0..n)
-            .map(|p| {
-                self.proc_memory
-                    .get(p % self.proc_memory.len().max(1))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .collect();
-        let bandwidths: Vec<u32> = levels
-            .iter()
-            .map(|&l| self.level_bandwidth(l as usize))
-            .collect();
-        let level_bw: Vec<u32> = (0..self.kind.num_levels())
-            .map(|l| self.level_bandwidth(l))
-            .collect();
-        let attrs = Arc::new(MachineAttrs::new(
-            speeds,
-            memories,
-            bandwidths,
-            levels,
-            level_bw,
-            self.reconfig_cost_millis,
-        ));
-        let net = Network::from_links(self.name(), TopologyKind::Custom, n, links)
-            .with_machine_attrs(attrs);
+        let net = Network::from_links(self.name(), TopologyKind::Custom, n, links);
         let domains = Arc::new(DomainMap::from_paths(paths));
         debug_assert_eq!(domains.num_procs(), net.num_procs());
         LoweredMachine { net, domains }
@@ -696,20 +457,21 @@ impl MachineModel {
     /// rc-array[:PHASES]     the 8×8 RC array (default 4 phases)
     /// ```
     ///
-    /// Optional comma-separated attributes after the dims:
-    /// `bw=L0/L1/…` (per-level bandwidth millis), `speed=S0/S1/…`
-    /// (processor speed pattern, cycled), `mem=M` (uniform memory units),
-    /// `reconfig=MS` (RC-array per-phase reconfiguration cost).
-    ///
-    /// Example: `mesh-boards:4x4x8x8,bw=1000/250,speed=1000/500`.
+    /// Nothing follows the shape: a machine is its wiring, so a
+    /// `,key=value` suffix is an error that names it.
     pub fn parse(spec: &str) -> Result<MachineModel, String> {
         let spec = spec.trim();
-        let (head, rest) = match spec.split_once(':') {
+        if let Some(i) = spec.find(',') {
+            return Err(format!(
+                "machine '{spec}': unexpected '{}' after the shape \
+                 (a machine spec takes no attributes)",
+                &spec[i..]
+            ));
+        }
+        let (head, dims) = match spec.split_once(':') {
             Some((h, r)) => (h.trim(), r.trim()),
             None => (spec, ""),
         };
-        let mut parts = rest.split(',').map(str::trim);
-        let dims = parts.next().unwrap_or("");
         let parse_dims = |s: &str, want: usize, what: &str| -> Result<Vec<usize>, String> {
             let ds: Vec<usize> = s
                 .split('x')
@@ -764,69 +526,18 @@ impl MachineModel {
         };
         check_size(kind.num_procs(), kind.dense_links())
             .map_err(|e| format!("machine '{spec}': {e}"))?;
-        let mut model = MachineModel::new(kind);
-        if let MachineKind::RcArray { .. } = kind {
-            model.reconfig_cost_millis = 40;
-        }
-        for attr in parts {
-            if attr.is_empty() {
-                continue;
-            }
-            let (key, val) = attr
-                .split_once('=')
-                .ok_or_else(|| format!("bad machine attribute '{attr}' (want key=value)"))?;
-            let parse_list = |v: &str, what: &str| -> Result<Vec<u32>, String> {
-                let xs: Vec<u32> = v
-                    .split('/')
-                    .map(|x| x.trim().parse::<u32>().map_err(|_| format!("bad {what} '{v}'")))
-                    .collect::<Result<_, _>>()?;
-                if xs.is_empty() || xs.contains(&0) {
-                    return Err(format!("{what} values must be positive, got '{v}'"));
-                }
-                Ok(xs)
-            };
-            match key.trim() {
-                "bw" => model.level_bandwidth_millis = parse_list(val, "bandwidth")?,
-                "speed" => model.proc_speed_millis = parse_list(val, "speed")?,
-                "mem" => {
-                    let m = val.trim().parse::<u64>().map_err(|_| format!("bad mem '{val}'"))?;
-                    model.proc_memory = vec![m];
-                }
-                "reconfig" => {
-                    model.reconfig_cost_millis =
-                        val.trim().parse::<u32>().map_err(|_| format!("bad reconfig '{val}'"))?
-                }
-                other => return Err(format!("unknown machine attribute '{other}'")),
-            }
-        }
-        Ok(model)
-    }
-}
-
-/// The links a lowering emits, in emission order, each with its hierarchy
-/// level (0 = innermost). The order is the flat network's link numbering.
-#[derive(Default)]
-struct LevelledLinks {
-    links: Vec<(u32, u32)>,
-    levels: Vec<u8>,
-}
-
-impl LevelledLinks {
-    fn push(&mut self, u: u32, v: u32, level: u8) {
-        self.links.push((u, v));
-        self.levels.push(level);
+        Ok(MachineModel { kind })
     }
 }
 
 /// `board_rows×board_cols` boards in a torus, each a `mesh_rows×mesh_cols`
-/// mesh: the intra-board mesh is level 0, the board-to-board uplinks level
-/// 1. Paths are `[board, board row]`.
+/// mesh, joined by board-to-board uplinks. Paths are `[board, board row]`.
 fn lower_mesh_boards(
     board_rows: usize,
     board_cols: usize,
     mesh_rows: usize,
     mesh_cols: usize,
-    out: &mut LevelledLinks,
+    out: &mut Vec<(u32, u32)>,
 ) -> Vec<Vec<u32>> {
     assert!(
         board_rows >= 1 && board_cols >= 1 && mesh_rows >= 1 && mesh_cols >= 1,
@@ -852,21 +563,21 @@ fn lower_mesh_boards(
             for k in 0..mesh_rows {
                 for l in 0..mesh_cols {
                     if k + 1 < mesh_rows {
-                        out.push(pid(bi, bj, k, l), pid(bi, bj, k + 1, l), 0);
+                        out.push((pid(bi, bj, k, l), pid(bi, bj, k + 1, l)));
                     }
                     if l + 1 < mesh_cols {
-                        out.push(pid(bi, bj, k, l), pid(bi, bj, k, l + 1), 0);
+                        out.push((pid(bi, bj, k, l), pid(bi, bj, k, l + 1)));
                     }
                 }
             }
             if let Some(bi2) = next(bi, board_rows) {
                 for l in 0..mesh_cols {
-                    out.push(pid(bi, bj, mesh_rows - 1, l), pid(bi2, bj, 0, l), 1);
+                    out.push((pid(bi, bj, mesh_rows - 1, l), pid(bi2, bj, 0, l)));
                 }
             }
             if let Some(bj2) = next(bj, board_cols) {
                 for k in 0..mesh_rows {
-                    out.push(pid(bi, bj, k, mesh_cols - 1), pid(bi, bj2, k, 0), 1);
+                    out.push((pid(bi, bj, k, mesh_cols - 1), pid(bi, bj2, k, 0)));
                 }
             }
         }
@@ -882,11 +593,10 @@ fn lower_mesh_boards(
 
 /// An `arity`-ary fat tree of `height` levels over `arity^height` leaves.
 /// The leaves under each subtree of size `arity^(l+1)` are represented by
-/// their lowest leaf, and the representatives form a clique at link level
-/// `l`. The top-level domain is the pod (the `arity` leaves under one
+/// their lowest leaf, and the representatives form a clique. The top-level domain is the pod (the `arity` leaves under one
 /// level-1 switch); deeper path entries name the enclosing subtree of size
 /// `arity^2`, `arity^3`, …
-fn lower_fat_tree(arity: usize, height: usize, out: &mut LevelledLinks) -> Vec<Vec<u32>> {
+fn lower_fat_tree(arity: usize, height: usize, out: &mut Vec<(u32, u32)>) -> Vec<Vec<u32>> {
     assert!(arity >= 2, "fat-tree arity must be >= 2");
     assert!(height >= 1, "fat-tree height must be >= 1");
     let n = arity.pow(height as u32);
@@ -895,7 +605,7 @@ fn lower_fat_tree(arity: usize, height: usize, out: &mut LevelledLinks) -> Vec<V
         for start in (0..n).step_by(sub * arity) {
             for a in 0..arity {
                 for b in a + 1..arity {
-                    out.push((start + a * sub) as u32, (start + b * sub) as u32, l as u8);
+                    out.push(((start + a * sub) as u32, (start + b * sub) as u32));
                 }
             }
         }
@@ -913,14 +623,14 @@ fn lower_fat_tree(arity: usize, height: usize, out: &mut LevelledLinks) -> Vec<V
 }
 
 /// `groups` groups of `routers` routers of `procs` processors: processors
-/// sharing a router are a level-0 clique, router representatives within a
-/// group a level-1 clique, and group representatives a level-2 clique.
+/// sharing a router form a clique, as do router representatives within a
+/// group and group representatives.
 /// Paths are `[group, router]`.
 fn lower_dragonfly(
     groups: usize,
     routers: usize,
     procs: usize,
-    out: &mut LevelledLinks,
+    out: &mut Vec<(u32, u32)>,
 ) -> Vec<Vec<u32>> {
     assert!(groups >= 2, "dragonfly needs >= 2 groups");
     assert!(
@@ -932,19 +642,19 @@ fn lower_dragonfly(
         for r in 0..routers {
             for a in 0..procs {
                 for b in a + 1..procs {
-                    out.push(pid(g, r, a), pid(g, r, b), 0);
+                    out.push((pid(g, r, a), pid(g, r, b)));
                 }
             }
         }
         for a in 0..routers {
             for b in a + 1..routers {
-                out.push(pid(g, a, 0), pid(g, b, 0), 1);
+                out.push((pid(g, a, 0), pid(g, b, 0)));
             }
         }
     }
     for a in 0..groups {
         for b in a + 1..groups {
-            out.push(pid(a, 0, 0), pid(b, 0, 0), 2);
+            out.push((pid(a, 0, 0), pid(b, 0, 0)));
         }
     }
     (0..groups * routers * procs)
@@ -952,16 +662,16 @@ fn lower_dragonfly(
         .collect()
 }
 
-/// The 8×8 RC array: one level-0 mesh. Paths are `[quadrant, row]`.
-fn lower_rc_array(out: &mut LevelledLinks) -> Vec<Vec<u32>> {
+/// The 8×8 RC array: one mesh. Paths are `[quadrant, row]`.
+fn lower_rc_array(out: &mut Vec<(u32, u32)>) -> Vec<Vec<u32>> {
     let pid = |i: usize, j: usize| (i * 8 + j) as u32;
     for i in 0..8 {
         for j in 0..8 {
             if i + 1 < 8 {
-                out.push(pid(i, j), pid(i + 1, j), 0);
+                out.push((pid(i, j), pid(i + 1, j)));
             }
             if j + 1 < 8 {
-                out.push(pid(i, j), pid(i, j + 1), 0);
+                out.push((pid(i, j), pid(i, j + 1)));
             }
         }
     }
@@ -979,13 +689,6 @@ mod tests {
     use super::*;
     use crate::cache::RouteTableCache;
 
-    impl MachineAttrs {
-        /// Hierarchy level of link `l` (0 = innermost, e.g. intra-board).
-        fn link_level(&self, l: LinkId) -> u8 {
-            self.link_level[l.index()]
-        }
-    }
-
     fn small() -> MachineModel {
         MachineModel::parse("mesh-boards:2x2x2x2").unwrap()
     }
@@ -997,9 +700,10 @@ mod tests {
         assert!(lm.net.is_connected());
         assert_eq!(lm.domains.num_domains(), 4);
         // 4 links per 2x2 board mesh + uplinks
-        let attrs = lm.net.machine_attrs().unwrap();
-        let intra = (0..lm.net.num_links())
-            .filter(|&l| attrs.link_level(LinkId(l as u32)) == 0)
+        let intra = lm
+            .net
+            .links()
+            .filter(|&(_, u, v)| lm.domains.domain_of(u) == lm.domains.domain_of(v))
             .count();
         assert_eq!(intra, 16); // 4 boards × 4 mesh links
         let uplinks = lm.net.num_links() - intra;
@@ -1043,42 +747,20 @@ mod tests {
     }
 
     #[test]
-    fn signature_distinguishes_level_parameters() {
-        // same link structure, different uplink bandwidth: must not alias
-        let a = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/500").unwrap().lower();
-        let b = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/250").unwrap().lower();
-        let links_a: Vec<_> = a.net.links().collect();
-        let links_b: Vec<_> = b.net.links().collect();
-        assert_eq!(links_a, links_b, "structure is identical by construction");
-        assert_ne!(
-            a.net.structural_signature(),
-            b.net.structural_signature(),
-            "attribute fingerprint must split the signature"
-        );
-        // and a speed-pattern change splits it too
-        let c = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/500,speed=1000/500")
-            .unwrap()
-            .lower();
-        assert_ne!(a.net.structural_signature(), c.net.structural_signature());
-    }
-
-    #[test]
-    fn signature_split_prevents_cache_aliasing() {
-        // regression: two lowered machines differing only in level params
-        // must occupy distinct RouteTableCache slots
-        let a = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/500").unwrap().lower();
-        let b = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/250").unwrap().lower();
+    fn lowered_signature_is_the_wiring() {
+        // a lowered machine's network is its link list: a hand-built
+        // network over the same links routes identically and shares its
+        // cache entry
+        let lm = small().lower();
+        let links: Vec<(u32, u32)> = lm.net.links().map(|(_, u, v)| (u.0, v.0)).collect();
+        let flat = Network::from_links("flat", TopologyKind::Custom, lm.net.num_procs(), links);
+        assert_eq!(lm.net.structural_signature(), flat.structural_signature());
         let cache = RouteTableCache::new(8);
-        let ta = cache.get_or_build(&a.net).unwrap();
-        let tb = cache.get_or_build(&b.net).unwrap();
+        let a = cache.get_or_build(&lm.net).unwrap();
+        let b = cache.get_or_build(&flat).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one table for one wiring");
         let stats = cache.stats();
-        assert_eq!(stats.misses, 2, "distinct machines must both miss");
-        assert_eq!(stats.len, 2, "and occupy two slots");
-        assert!(!Arc::ptr_eq(&ta, &tb), "tables must not be shared");
-        // same machine again is a hit
-        let ta2 = cache.get_or_build(&a.net).unwrap();
-        assert!(Arc::ptr_eq(&ta, &ta2));
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!((stats.misses, stats.hits, stats.len), (1, 1, 1));
     }
 
     #[test]
@@ -1146,36 +828,9 @@ mod tests {
     }
 
     #[test]
-    fn degraded_attrs_follow_surviving_links() {
-        let lm = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/125").unwrap().lower();
-        let faults = lm.domains.board_fault_set(&lm.net, 0).unwrap();
-        let d = lm.net.degrade(&faults).unwrap();
-        let attrs = d.network().machine_attrs().expect("attrs must survive degrade");
-        assert_eq!(attrs.num_links(), d.network().num_links());
-        for (l, _, _) in d.network().links() {
-            let orig = d.original_link(l);
-            let healthy = lm.net.machine_attrs().unwrap();
-            assert_eq!(attrs.bandwidth_millis(l), healthy.bandwidth_millis(orig));
-            assert_eq!(attrs.link_level(l), healthy.link_level(orig));
-        }
-        // compact view keeps per-proc speeds aligned too
-        let (compact, to_orig) = d.compact();
-        let cattrs = compact.machine_attrs().expect("attrs must survive compact");
-        let healthy = lm.net.machine_attrs().unwrap();
-        for (c, p) in to_orig.iter().enumerate() {
-            assert_eq!(
-                cattrs.speed_millis(ProcId(c as u32)),
-                healthy.speed_millis(*p)
-            );
-        }
-    }
-
-    #[test]
-    fn rc_array_carries_reconfig_cost() {
-        let lm = MachineModel::parse("rc-array:6,reconfig=25").unwrap().lower();
+    fn rc_array_quadrants_are_domains() {
+        let lm = MachineModel::parse("rc-array:6").unwrap().lower();
         assert_eq!(lm.net.num_procs(), 64);
-        let attrs = lm.net.machine_attrs().unwrap();
-        assert_eq!(attrs.reconfig_cost_millis(), 25);
         assert_eq!(lm.domains.num_domains(), 4);
         // quadrants are 4x4: proc (0,0) and (3,3) share one, (0,7) differs
         let dom = |p| lm.domains.domain_of(ProcId(p));
@@ -1194,15 +849,15 @@ mod tests {
             "mesh-boards:2x2x2x2,bw=0",
             "mesh-boards:2x2x2x2,tilt=5",
             "mesh-boards:2000x2000x10x10",
-        ] {
-            assert!(MachineModel::parse(bad).is_err(), "{bad} must be rejected");
-        }
-        for good in [
-            "mesh-boards:4x4x8x8",
             "fat-tree:4x3,bw=1000/500/250",
             "dragonfly:4x4x4,speed=1000/500,mem=64",
             "rc-array:4,reconfig=40",
         ] {
+            assert!(MachineModel::parse(bad).is_err(), "{bad} must be rejected");
+        }
+        let err = MachineModel::parse("mesh-boards:2x2x2x2,bw=1000/250").unwrap_err();
+        assert!(err.contains("',bw=1000/250'"), "{err}");
+        for good in ["mesh-boards:4x4x8x8", "fat-tree:4x3", "dragonfly:4x4x4", "rc-array:4"] {
             assert!(MachineModel::parse(good).is_ok(), "{good} must parse");
         }
     }

@@ -1,12 +1,12 @@
 //! The processor-network model: homogeneous processors joined by undirected
 //! links, each link carrying a stable [`LinkId`] that routing decisions
-//! reference.
+//! reference. A network is its wiring — the processor count and the
+//! ordered link list — whether built from a paper topology or lowered from
+//! a hierarchical [`crate::machine::MachineModel`].
 
-use crate::machine::MachineAttrs;
 use oregami_graph::Csr;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Identifier of a processor in a [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,10 +118,6 @@ pub struct Network {
     adj: Csr,
     /// `arc_link[s]` = the link of the CSR arc at slot `s`.
     arc_link: Vec<LinkId>,
-    /// Per-component machine attributes (speeds, memories, bandwidths) when
-    /// this network was lowered from a hierarchical [`crate::machine::MachineModel`];
-    /// `None` for the paper's plain homogeneous topologies.
-    attrs: Option<Arc<MachineAttrs>>,
 }
 
 impl Network {
@@ -188,39 +184,7 @@ impl Network {
                 .collect(),
             adj,
             arc_link: arc_edge.into_iter().map(LinkId).collect(),
-            attrs: None,
         })
-    }
-
-    /// Attaches machine attributes (per-processor speed/memory, per-link
-    /// bandwidth) produced by lowering a hierarchical machine model. The
-    /// attribute fingerprint is folded into [`Network::structural_signature`],
-    /// so two machines that differ only in level parameters (say, uplink
-    /// bandwidth) can never alias each other in the route-table cache.
-    ///
-    /// # Panics
-    /// If the attribute vectors do not match this network's processor and
-    /// link counts.
-    pub fn with_machine_attrs(mut self, attrs: Arc<MachineAttrs>) -> Network {
-        assert_eq!(
-            attrs.num_procs(),
-            self.num_procs,
-            "machine attrs sized for a different processor count"
-        );
-        assert_eq!(
-            attrs.num_links(),
-            self.links.len(),
-            "machine attrs sized for a different link count"
-        );
-        self.attrs = Some(attrs);
-        self
-    }
-
-    /// The machine attributes attached by [`Network::with_machine_attrs`],
-    /// if any.
-    #[inline]
-    pub fn machine_attrs(&self) -> Option<&Arc<MachineAttrs>> {
-        self.attrs.as_ref()
     }
 
     /// Number of processors.
@@ -281,15 +245,13 @@ impl Network {
     }
 
     /// A structural signature of the network: a hash over the processor
-    /// count, the ordered link list, and the machine-attribute fingerprint
-    /// (0 when no attributes are attached). Two networks with the same
-    /// signature have the same routing structure (identical all-pairs
-    /// distances) *and* the same per-component capacities, which is what
-    /// `cache::RouteTableCache` keys on. Names and [`TopologyKind`] tags
-    /// are deliberately excluded — a hand-built `Custom` 3-cube routes
-    /// identically to `builders::hypercube(3)` — but attribute differences
-    /// are included so two lowered machines that differ only in level
-    /// parameters (bandwidths, speeds, domain layout) never alias.
+    /// count and the ordered link list, which is all a route table depends
+    /// on. Two networks with the same signature have the same routing
+    /// structure (identical all-pairs distances and next-hop order), which
+    /// is what `cache::RouteTableCache` keys on. Names and [`TopologyKind`]
+    /// tags are deliberately excluded — a hand-built `Custom` 3-cube routes
+    /// identically to `builders::hypercube(3)`, and a lowered machine
+    /// identically to a `Custom` network over its links.
     ///
     /// `DefaultHasher` with fixed keys is used, so the signature is stable
     /// within (and across) processes for a given link list.
@@ -299,11 +261,6 @@ impl Network {
         for &(u, v) in &self.links {
             (u.0, v.0).hash(&mut h);
         }
-        self.attrs
-            .as_ref()
-            .map(|a| a.fingerprint())
-            .unwrap_or(0)
-            .hash(&mut h);
         h.finish()
     }
 

@@ -6,26 +6,16 @@
 use oregami_topology::{FaultSet, MachineModel, ProcId, RouteTable};
 use proptest::prelude::*;
 
-/// A random small machine spec across every supported kind, sometimes
-/// carrying per-level bandwidth and per-processor speed attributes (the
-/// attrs must not change fault flattening).
+/// A random small machine spec across every supported kind.
 fn machine_spec() -> impl Strategy<Value = String> {
-    let dims = prop_oneof![
+    prop_oneof![
         (1usize..3, 1usize..3, 2usize..4, 2usize..4)
             .prop_map(|(r, c, a, b)| format!("mesh-boards:{r}x{c}x{a}x{b}")),
         (2usize..4, 1usize..3).prop_map(|(a, h)| format!("fat-tree:{a}x{h}")),
         (2usize..4, 1usize..3, 1usize..4)
             .prop_map(|(g, a, p)| format!("dragonfly:{g}x{a}x{p}")),
-        // the colon form so optional attrs can attach after the dims
         Just("rc-array:4".to_string()),
-    ];
-    (dims, any::<bool>()).prop_map(|(spec, attrs)| {
-        if attrs {
-            format!("{spec},bw=1000/250,speed=1000/500")
-        } else {
-            spec
-        }
-    })
+    ]
 }
 
 proptest! {

@@ -4,11 +4,11 @@
 //! `proptest` cannot be fetched from crates.io. This shim implements the
 //! subset of the API the workspace's property tests use:
 //!
-//! * the [`Strategy`] trait with `prop_map`, `prop_flat_map`,
+//! * the [`Strategy`](strategy::Strategy) trait with `prop_map`, `prop_flat_map`,
 //!   `prop_recursive`, and `boxed`;
-//! * strategies for integer ranges, tuples, booleans, [`Just`],
+//! * strategies for integer ranges, tuples, booleans, [`Just`](strategy::Just),
 //!   [`collection::vec`], simple `"[class]{m,n}"` regex string literals,
-//!   and [`any`] for the primitive types;
+//!   and [`any`](strategy::any) for the primitive types;
 //! * the [`proptest!`], [`prop_assert!`], [`prop_assert_eq!`],
 //!   [`prop_assert_ne!`], [`prop_assume!`], and [`prop_oneof!`] macros;
 //! * [`test_runner::ProptestConfig`] with `with_cases`.
